@@ -60,7 +60,6 @@ from .eigengroup import (
     eigengroup_bruteforce,
     eigengroup_closed,
     eigengroup_descend,
-    group_elements,
     inverse_eigengroup,
     shift_space,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "format_field",
     "format_ore",
     "format_poly",
-    "group_elements",
     "in_subfield",
     "inverse_eigengroup",
     "is_central",

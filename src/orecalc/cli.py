@@ -21,11 +21,11 @@ precondition, parse failure with column), 2 internal consistency failure.
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from .eigengroup import (
+    DEFAULT_BRUTE_CAP,
     AffineAut,
     EigengroupDesc,
     Eigenform,
@@ -298,9 +298,9 @@ def _cmd_oracle(args):
     res = eigengroup(f)
     base = res.descend()
     structured = sorted(a.pair for a in base.elements())
-    cap = args.cap if args.cap is not None else 1 << 10
+    cap = args.cap if args.cap is not None else DEFAULT_BRUTE_CAP
     if field.q <= cap:
-        brute = sorted(a.pair for a in eigengroup_bruteforce(f))
+        brute = sorted(a.pair for a in eigengroup_bruteforce(f, cap=cap))
         if brute != structured:
             raise InternalCheckError(
                 "oracle mismatch: brute force found "
@@ -413,22 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> tuple[int, str]:
     """Executes one invocation; returns (exit code, output text)."""
-    saved_cap = os.environ.get("ORECALC_BRUTE_CAP")
     try:
         args = build_parser().parse_args(argv)
-        if args.cap is not None:
-            os.environ["ORECALC_BRUTE_CAP"] = str(args.cap)
         payload, text = args.handler(args)
     except DomainError as exc:
         return 1, f"error: {exc}"
     except Exception as exc:
         # InternalCheckError and anything unforeseen: never the caller's fault.
         return 2, f"internal error: {exc}"
-    finally:
-        if saved_cap is None:
-            os.environ.pop("ORECALC_BRUTE_CAP", None)
-        else:
-            os.environ["ORECALC_BRUTE_CAP"] = saved_cap
     if args.format == "json":
         return 0, json.dumps(payload, sort_keys=True)
     return 0, text

@@ -35,7 +35,6 @@ simply tries all (lam, mu).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -61,15 +60,11 @@ from .poly import (
 DEFAULT_BRUTE_CAP = 1 << 10
 
 
-def _brute_cap() -> int:
-    return int(os.environ.get("ORECALC_BRUTE_CAP", DEFAULT_BRUTE_CAP))
-
-
 def _require_monic_nonscalar(f: Poly) -> None:
     if f.degree < 1:
-        raise DomainError("eigengroup computations need a nonscalar polynomial")
+        raise DomainError("a nonscalar polynomial is required")
     if not f.is_monic():
-        raise DomainError("eigengroup computations need a monic polynomial")
+        raise DomainError("a monic polynomial is required")
 
 
 def _elt_json(field: FieldDesc, v: int | None):
@@ -363,10 +358,6 @@ def _trivial_desc(tower: FieldTower, level: int, over_closure: bool) -> Eigengro
     return EigengroupDesc("finite", tower, level, over_closure, 0, 1, 1, ())
 
 
-def group_elements(desc: EigengroupDesc) -> list[AffineAut]:
-    return desc.elements()
-
-
 # ---------------------------------------------------------------------------
 # Eigenforms
 # ---------------------------------------------------------------------------
@@ -646,8 +637,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     return EigengroupResult(f, tower, desc, form)
 
 
-def eigengroup(f: Poly, tower: FieldTower | None = None) -> EigengroupResult:
-    return eigengroup_closed(f, tower)
+eigengroup = eigengroup_closed
 
 
 # ---------------------------------------------------------------------------
@@ -723,57 +713,59 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
 # ---------------------------------------------------------------------------
 
 
-def _taylor_shift_vals(coeffs: list[int], F: FieldDesc, mu: int) -> list[int]:
-    b = list(coeffs)
-    if mu == 0:
-        return b
-    n = len(b)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            b[j] = F.add(b[j], F.mul(b[j + 1], mu))
-    return b
+def affine_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
+    """Sorted pairs (lam, mu), lam != 0, with f(lam*x + mu) = lam^(deg f) * g.
 
-
-def _eigen_pairs(coeffs, F: FieldDesc, values=None) -> set[tuple[int, int]]:
-    d = len(coeffs) - 1
-    vals = sorted(values) if values is not None else list(F.elements())
+    lam and mu run over the packed values given (default: all of f's field).
+    One Taylor shift f(x + mu) per mu; since f(lam*x + mu) has coefficients
+    lam^j * f(x + mu)_j, a pair matches when f(x + mu)_j = lam^(d - j) * g_j,
+    compared from the top coefficient down with early exit.
+    """
+    if f.field is not g.field:
+        raise DomainError("polynomials over different fields")
+    F = f.field
+    d = f.degree
+    if g.degree != d:
+        return []
+    vals = sorted(values) if values is not None else F.elements()
     units = [v for v in vals if v]
-    fvals = list(coeffs)
-    out = set()
+    gc = g.c
+    out = []
     for mu in vals:
-        b = _taylor_shift_vals(fvals, F, mu)
+        b = f.compose_affine(1, mu).c
         for lam in units:
             pw = 1
-            ok = True
             for j in range(d, -1, -1):
-                if b[j] != F.mul(pw, fvals[j]):
-                    ok = False
+                if b[j] != F.mul(pw, gc[j]):
                     break
                 pw = F.mul(pw, lam)
-            if ok:
-                out.add((lam, mu))
+            else:
+                out.append((lam, mu))
+    out.sort()
     return out
 
 
-def eigengroup_bruteforce(f: Poly, field: FieldDesc | None = None) -> list[AffineAut]:
+def eigengroup_bruteforce(
+    f: Poly, field: FieldDesc | None = None, *, cap: int = DEFAULT_BRUTE_CAP
+) -> list[AffineAut]:
     """All sigma_{lam,mu} over f's field with sigma(f) proportional to f.
 
-    Exhaustive over lam in F^x, mu in F; the independent oracle for every
-    structured computation.
+    Exhaustive over lam in F^x, mu in F (at most cap field elements); the
+    independent oracle for every structured computation.
     """
     _require_monic_nonscalar(f)
     if field is None:
         field = f.field
     if field is not f.field:
         raise DomainError("brute force runs over the coefficient field of f")
-    if field.q > _brute_cap():
-        raise DomainError(
-            f"field of size {field.q} exceeds the brute-force cap {_brute_cap()}"
-        )
-    return [AffineAut(field, l, m) for l, m in sorted(_eigen_pairs(f.c, field))]
+    if field.q > cap:
+        raise DomainError(f"field of size {field.q} exceeds the brute-force cap {cap}")
+    return [AffineAut(field, l, m) for l, m in affine_matches(f, f)]
 
 
-def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> set[tuple[int, int]]:
+def eigengroup_bruteforce_in_tower(
+    f: Poly, tower: FieldTower, level: int, *, cap: int = DEFAULT_BRUTE_CAP
+) -> set[tuple[int, int]]:
     """Brute-force eigen-substitution pairs with lam, mu in F_{p^level} <= L.
 
     Pairs are returned as packed values of the level field.
@@ -782,14 +774,11 @@ def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> se
     if tower.M % level:
         raise DomainError("level must divide the splitting degree")
     sub = tower.subfield_values(level)
-    if len(sub) > _brute_cap():
-        raise DomainError(
-            f"subfield of size {len(sub)} exceeds the brute-force cap {_brute_cap()}"
-        )
+    if len(sub) > cap:
+        raise DomainError(f"subfield of size {len(sub)} exceeds the brute-force cap {cap}")
     fe = lift_poly(f, tower)
     lvl = tower.level(level)
-    pairs = _eigen_pairs(fe.c, tower.ext, sub)
-    return {(lvl.lower(l).val, lvl.lower(m).val) for l, m in pairs}
+    return {(lvl.lower(l).val, lvl.lower(m).val) for l, m in affine_matches(fe, fe, sub)}
 
 
 # ---------------------------------------------------------------------------

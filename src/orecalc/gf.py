@@ -24,23 +24,13 @@ never through implicit coercions.
 
 from __future__ import annotations
 
-import os
-
 from .errors import DomainError, InternalCheckError
 
 _LOG_TABLE_LIMIT = 1 << 16
 
-# Default desk-scale caps; overridable per call or via the environment.
+# Default desk-scale caps; overridable per call.
 DEFAULT_P_CAP = 13
 DEFAULT_Q_CAP = 1 << 20
-
-
-def _p_cap() -> int:
-    return int(os.environ.get("ORECALC_P_CAP", DEFAULT_P_CAP))
-
-
-def _q_cap() -> int:
-    return int(os.environ.get("ORECALC_Q_CAP", DEFAULT_Q_CAP))
 
 
 def is_prime(n: int) -> bool:
@@ -355,9 +345,9 @@ def GF(p: int, m: int = 1, modulus=None, *, p_cap: int | None = None, q_cap: int
         raise DomainError(f"{p} is not prime")
     if m < 1:
         raise DomainError("extension degree must be >= 1")
-    if p > (p_cap if p_cap is not None else _p_cap()):
+    if p > (p_cap if p_cap is not None else DEFAULT_P_CAP):
         raise DomainError(f"characteristic {p} exceeds the configured cap")
-    if p**m > (q_cap if q_cap is not None else _q_cap()):
+    if p**m > (q_cap if q_cap is not None else DEFAULT_Q_CAP):
         raise DomainError(f"field size {p}^{m} exceeds the configured cap")
     if modulus is None:
         mod = canonical_modulus(p, m)
@@ -545,42 +535,17 @@ class FpSpan:
         return combo
 
 
-def fp_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right null space of the matrix given by rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c] % p, p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c] % p
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-mat[ri][fc]) % p
-        out.append(v)
-    return out
+def span_values(field: FieldDesc, basis_vals) -> tuple[int, ...]:
+    """Sorted packed values of the F_p-span of the given packed values."""
+    vals = {0}
+    for b in basis_vals:
+        bv = b if isinstance(b, int) else field.element(b).val
+        cur = list(vals)
+        step = 0
+        for _ in range(1, field.p):
+            step = field.add(step, bv)
+            vals.update(field.add(v, step) for v in cur)
+    return tuple(sorted(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -744,25 +709,20 @@ class FieldTower:
             vals = tuple(range(ext.q))
             self._subfield_cache[j] = vals
             return vals
-        # kernel of (Frobenius^j - id) as an F_p-linear map on L
-        cols = []
+        # kernel of Frobenius^j - id on L: an image that depends on the
+        # earlier ones, img_i = sum c_t img_t, gives e_i - sum c_t e_t
+        span = FpSpan(ext.p, ext.m)
+        kern = []
         for i in range(ext.m):
             basis_val = ext._pw[i]
-            img = ext.sub(ext.frob(basis_val, j), basis_val)
-            cols.append(ext.unpack(img))
-        rows = [[cols[i][r] for i in range(ext.m)] for r in range(ext.m)]
-        kern = fp_nullspace(rows, ext.p)
+            img = ext.unpack(ext.sub(ext.frob(basis_val, j), basis_val))
+            coords = span.coords(img)
+            if coords is not None:
+                kern.append(ext.pack([-c for c in coords] + [1]))
+            span.add(img)
         if len(kern) != j:
             raise InternalCheckError("subfield dimension mismatch")
-        vals = {0}
-        for b in kern:
-            bval = ext.pack(b)
-            cur = list(vals)
-            step = 0
-            for _ in range(1, ext.p):
-                step = ext.add(step, bval)
-                vals.update(ext.add(v, step) for v in cur)
-        out = tuple(sorted(vals))
+        out = span_values(ext, kern)
         if len(out) != ext.p**j:
             raise InternalCheckError("subfield enumeration mismatch")
         self._subfield_cache[j] = out

@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eigengroup import AffineAut, EigengroupDesc, eigengroup
+from .eigengroup import (
+    AffineAut,
+    EigengroupDesc,
+    _require_monic_nonscalar,
+    affine_matches,
+    eigengroup,
+)
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc
 from .ore import OreAlgebra, OreElement
@@ -85,11 +91,6 @@ class OreHom:
         rhs = self.dst.element(self.src.f.compose_affine(self.lam, self.mu))
         if lhs != rhs:
             raise InternalCheckError("relation transport fails for the claimed map")
-
-    def is_homomorphism(self) -> bool:
-        ix, iy = self.image_x(), self.image_y()
-        lhs = iy * ix - ix * iy
-        return lhs == self.dst.element(self.src.f.compose_affine(self.lam, self.mu))
 
     def affine_part(self) -> AffineAut:
         return AffineAut(self.field, self.lam, self.mu)
@@ -186,10 +187,7 @@ class AutGroupDesc:
 
 def aut_group(f: Poly) -> AutGroupDesc:
     """Automorphism group of Lambda(f) for monic nonscalar f."""
-    if f.degree < 1:
-        raise DomainError("the algebra of a constant has no interesting form here")
-    if not f.is_monic():
-        raise DomainError("automorphism groups are computed for monic f")
+    _require_monic_nonscalar(f)
     algebra = OreAlgebra(f)
     eigen = eigengroup(f).descend()
     desc = AutGroupDesc(algebra, eigen)
@@ -230,26 +228,16 @@ class IsoResult:
 def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
     """Decide Lambda(f) ~ Lambda(g) and produce a verified witness map.
 
-    The criterion is g = alpha^(-d) f(alpha*x + beta); the scan over (alpha,
-    beta) is exhaustive and the first witness in (alpha, beta) order is
+    The criterion is g = alpha^(-d) f(alpha*x + beta); affine_matches scans
+    every (alpha, beta) and the first witness in (alpha, beta) order is
     returned after transporting the defining relation through it.
     """
-    for h in (f, g):
-        if h.degree < 1:
-            raise DomainError("isomorphism testing needs nonscalar polynomials")
-        if not h.is_monic():
-            raise DomainError("isomorphism testing needs monic polynomials")
-    if f.field is not g.field:
-        raise DomainError("polynomials over different fields")
-    F = f.field
-    d = f.degree
-    if g.degree != d:
+    _require_monic_nonscalar(f)
+    _require_monic_nonscalar(g)
+    matches = affine_matches(f, g)
+    if not matches:
         return IsoResult(False, None, None, None)
-    for alpha in F.units():
-        scale = F.inv(F.pow(alpha, d))
-        for beta in F.elements():
-            if g == f.compose_affine(alpha, beta).scale_value(scale):
-                hom = OreHom(OreAlgebra(f), OreAlgebra(g), alpha, beta, Poly.zero(F))
-                hom.verify()
-                return IsoResult(True, alpha, beta, hom)
-    return IsoResult(False, None, None, None)
+    alpha, beta = matches[0]
+    hom = OreHom(OreAlgebra(f), OreAlgebra(g), alpha, beta, Poly.zero(f.field))
+    hom.verify()
+    return IsoResult(True, alpha, beta, hom)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .eigengroup import _elt_json, _poly_json
+from .eigengroup import _elt_json, _poly_json, _require_monic_nonscalar
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, tower_over
 from .ore import OreAlgebra
@@ -254,11 +254,6 @@ class SimpleModuleSpec:
             "p_i": _poly_json(self.p_i),
             "q": _poly_json(self.q),
         }
-
-
-def _require_monic_nonscalar(f: Poly) -> None:
-    if f.degree < 1 or not f.is_monic():
-        raise DomainError("a monic nonscalar polynomial is required")
 
 
 def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:

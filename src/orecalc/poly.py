@@ -14,6 +14,7 @@ from math import gcd
 
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, FpSpan, FqElement, divisors, prime_factors, tower_over
+from .gf import span_values  # noqa: F401  (re-exported)
 
 
 class Poly:
@@ -266,20 +267,22 @@ class Poly:
         return acc
 
     def compose_affine(self, lam: int, mu: int) -> "Poly":
-        """self(lam*x + mu) by Horner on packed values."""
+        """self(lam*x + mu): an in-place Taylor shift by mu on packed values,
+        then the coefficient of x^i times lam^i."""
         F = self.field
-        acc = Poly.zero(F)
-        inner = Poly.from_values(F, (mu, lam))
-        for c in reversed(self.c):
-            acc = acc * inner + Poly.from_values(F, (c,))
-        return acc
-
-    def shift(self, c) -> "Poly":
-        """self(x + c)."""
-        return self.compose_affine(1, self.field.element(c).val)
-
-    def scale(self, v) -> "Poly":
-        return self * v
+        add, mul = F.add, F.mul
+        b = list(self.c)
+        n = len(b)
+        if mu:
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    b[j] = add(b[j], mul(b[j + 1], mu))
+        if lam != 1:
+            pw = 1
+            for i in range(1, n):
+                pw = mul(pw, lam)
+                b[i] = mul(b[i], pw)
+        return Poly.from_values(F, b)
 
     def scale_value(self, v: int) -> "Poly":
         """Multiply by the field element with the given packed value."""
@@ -494,9 +497,9 @@ class RootMultiset:
 def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMultiset:
     """Exact root multiset of f over (a tower splitting) f.
 
-    Roots are found by exhaustive evaluation over the subfield F_{p^{k d}} of
-    the splitting field for each distinct-degree factor degree d, then
-    multiplicities by repeated exact division.
+    The distinct roots come from roots_in_ext, the multiplicities from
+    repeated exact division; a tower that misses a factor's splitting field
+    leaves a nonconstant remainder and is refused as bad input.
     """
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
@@ -509,21 +512,11 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     cached = tower.root_cache.get((id(f.field), f.c))
     if cached is not None:
         return cached
-    k = tower.k
     fe = lift_poly(f, tower)
-    degs = distinct_degree_split(f)
     L = tower.ext
-    roots = set()
-    for d in degs:
-        jd = k * d
-        if tower.M % jd != 0:
-            raise InternalCheckError("tower does not contain a factor's splitting field")
-        for v in tower.subfield_values(jd):
-            if fe.eval_value(v) == 0:
-                roots.add(v)
     pairs = []
     rem = fe
-    for r in sorted(roots):
+    for r in roots_in_ext(f, tower):
         lin = Poly.from_values(L, (L.neg(r), 1))
         m = 0
         while True:
@@ -598,19 +591,6 @@ def verify_fp_subspace(field: FieldDesc, values) -> tuple[int, ...]:
             if field.add(a, b) not in s:
                 raise DomainError("set is not closed under addition")
     return tuple(vals)
-
-
-def span_values(field: FieldDesc, basis_vals) -> tuple[int, ...]:
-    """Sorted packed values of the F_p-span of the given packed values."""
-    vals = {0}
-    for b in basis_vals:
-        bv = b if isinstance(b, int) else field.element(b).val
-        cur = list(vals)
-        step = 0
-        for _ in range(1, field.p):
-            step = field.add(step, bv)
-            vals.update(field.add(v, step) for v in cur)
-    return tuple(sorted(vals))
 
 
 def space_basis(field: FieldDesc, values) -> tuple[int, ...]:

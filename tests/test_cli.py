@@ -130,6 +130,16 @@ def test_oracle_exhaustive():
     assert data["match"] is True and data["mode"] == "sampled" and data["checked"] == 256
 
 
+def test_oracle_ignores_environment_cap(monkeypatch):
+    # the cap reaches the brute force only through --cap
+    monkeypatch.setenv("ORECALC_BRUTE_CAP", "4")
+    data = run_json(["oracle", "--field", "GF(9)", "--f", "x^2+1"])
+    assert data["match"] is True and data["mode"] == "exhaustive"
+    saved = dict(os.environ)
+    run_json(["oracle", "--field", "GF(9)", "--f", "x^2+1", "--cap", "4"])
+    assert dict(os.environ) == saved
+
+
 def test_text_format():
     code, out = run(["eigengroup", "--field", "GF(5)", "--f", "x*(x+1)^2", "--format", "text"])
     assert code == 0 and "{id}, order 1" in out
@@ -174,7 +184,7 @@ def test_parse_errors_carry_column():
 
 
 def test_internal_check_exit_2(monkeypatch):
-    monkeypatch.setattr(cli, "eigengroup_bruteforce", lambda f: [])
+    monkeypatch.setattr(cli, "eigengroup_bruteforce", lambda f, cap: [])
     code, out = run(["oracle", "--field", "GF(3)", "--f", "x^2"])
     assert code == 2
     assert out.startswith("internal error:")

@@ -8,7 +8,6 @@ from orecalc.gf import (
     FpSpan,
     canonical_modulus,
     divisors,
-    fp_nullspace,
     in_subfield,
     is_prime,
     min_field_of_unity,
@@ -213,12 +212,13 @@ def test_fp_span_and_nullspace():
     assert span.coords([0, 1]) is not None
     assert FpSpan(3, 2).coords([1, 0]) is None
 
-    rows = [[1, 2, 0], [0, 0, 0]]
-    null = fp_nullspace(rows, 3)
-    for vec in null:
-        for row in rows:
-            assert sum(r * v for r, v in zip(row, vec)) % 3 == 0
-    assert len(null) == 2
+    # the Frobenius kernel behind subfield_values, against brute-force fixed points
+    for p, M in ((2, 6), (3, 4), (5, 2)):
+        tw = tower_over(GF(p), M)
+        L = tw.ext
+        for j in divisors(M):
+            fixed = tuple(v for v in L.elements() if L.frob(v, j) == v)
+            assert tw.subfield_values(j) == fixed
 
 
 def test_field_size_caps():

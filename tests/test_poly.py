@@ -108,7 +108,7 @@ def test_compose_affine_is_substitution():
 def test_shift_and_scale():
     F = GF(5)
     f = Poly(F, (0, 0, 1))  # x^2
-    assert f.shift(1) == Poly(F, (1, 2, 1))
+    assert f.compose_affine(1, 1) == Poly(F, (1, 2, 1))
     assert f.scale_value(3) == Poly(F, (0, 0, 3))
     assert (f * 3).c == (0, 0, 3)
 
@@ -160,6 +160,13 @@ def test_roots_split_in_extension():
     assert roots == list(rm.distinct())
     for r in roots:
         assert lift_poly(f, tower).eval_value(r) == 0
+
+
+def test_roots_over_a_tower_that_does_not_split():
+    F = GF(3)
+    f = Poly(F, (1, 0, 1))  # x^2 + 1 needs F_9
+    with pytest.raises(DomainError, match="does not split"):
+        roots_with_multiplicity(f, tower_over(F, 1))
 
 
 @pytest.mark.parametrize("p,deg", [(2, 5), (3, 4)])
