@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, FpSpan, divisors, primitive_root_of_unity
+from .gf import FieldDesc, FieldTower, FpSpan, divisors, primitive_root_of_unity, span_values
 from .poly import (
     Poly,
     contract_exponents,
@@ -52,7 +52,6 @@ from .poly import (
     roots_in_ext,
     roots_with_multiplicity,
     space_basis,
-    span_values,
     splitting_tower,
     verify_fp_subspace,
 )
@@ -763,9 +762,7 @@ def eigengroup_bruteforce(
     return [AffineAut(field, l, m) for l, m in affine_matches(f, f)]
 
 
-def eigengroup_bruteforce_in_tower(
-    f: Poly, tower: FieldTower, level: int, *, cap: int = DEFAULT_BRUTE_CAP
-) -> set[tuple[int, int]]:
+def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> set[tuple[int, int]]:
     """Brute-force eigen-substitution pairs with lam, mu in F_{p^level} <= L.
 
     Pairs are returned as packed values of the level field.
@@ -774,6 +771,7 @@ def eigengroup_bruteforce_in_tower(
     if tower.M % level:
         raise DomainError("level must divide the splitting degree")
     sub = tower.subfield_values(level)
+    cap = DEFAULT_BRUTE_CAP
     if len(sub) > cap:
         raise DomainError(f"subfield of size {len(sub)} exceeds the brute-force cap {cap}")
     fe = lift_poly(f, tower)

@@ -14,7 +14,6 @@ from math import gcd
 
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, FpSpan, FqElement, divisors, prime_factors, tower_over
-from .gf import span_values  # noqa: F401  (re-exported)
 
 
 class Poly:
@@ -498,14 +497,16 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     """Exact root multiset of f over (a tower splitting) f.
 
     The distinct roots come from roots_in_ext, the multiplicities from
-    repeated exact division; a tower that misses a factor's splitting field
-    leaves a nonconstant remainder and is refused as bad input.
+    repeated exact division.  A caller's tower that misses a factor's
+    splitting field leaves a nonconstant remainder and is refused as bad
+    input; on the tower built here that remainder is an internal fault.
     """
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
     if f.is_constant():
         raise DomainError("roots of a constant")
-    if tower is None:
+    supplied = tower is not None
+    if not supplied:
         tower = splitting_tower(f)
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
@@ -529,7 +530,9 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
             raise InternalCheckError("claimed root fails division")
         pairs.append((r, m))
     if rem.degree != 0:
-        raise DomainError("input does not split over the provided tower")
+        if supplied:
+            raise DomainError("input does not split over the provided tower")
+        raise InternalCheckError("splitting tower does not split the input")
     # exact product reconstruction
     check = Poly.from_values(L, (rem.c[0] if rem.c else 1,))
     for r, m in pairs:

@@ -1,14 +1,14 @@
 """Property sweeps for the affine substitution x -> lam*x + mu.
 
-Poly.compose is the independent oracle: the Taylor shift in compose_affine,
-the (lam, mu) scan in affine_matches and the witness of are_isomorphic are
-each checked against plain composition.
+Poly.compose is the independent oracle: the (lam, mu) scan in
+affine_matches and the witness of are_isomorphic are each checked against a
+plain double loop of compositions.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orecalc.eigengroup import affine_matches
@@ -16,7 +16,6 @@ from orecalc.gf import GF
 from orecalc.lambda_aut import are_isomorphic
 from orecalc.poly import Poly
 
-SHIFT_FIELDS = [GF(13), GF(2, 8), GF(3, 5)]
 # small enough for a q(q-1) loop of full compositions
 SCAN_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
 
@@ -36,15 +35,6 @@ def oracle_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
 
 
 @st.composite
-def shift_cases(draw):
-    F = draw(st.sampled_from(SHIFT_FIELDS))
-    f = Poly.from_values(F, draw(st.lists(st.integers(0, F.q - 1), max_size=7)))
-    lam = draw(st.one_of(st.just(1), st.integers(1, F.q - 1)))
-    mu = draw(st.one_of(st.just(0), st.integers(0, F.q - 1)))
-    return f, lam, mu
-
-
-@st.composite
 def scan_pairs(draw, monic=False):
     """(f, g) of one degree; g is an affine image of f about half the time."""
     F = draw(st.sampled_from(SCAN_FIELDS))
@@ -59,16 +49,6 @@ def scan_pairs(draw, monic=False):
         low = draw(st.lists(st.integers(0, F.q - 1), min_size=d, max_size=d))
         g = Poly.from_values(F, low + [1 if monic else draw(st.integers(1, F.q - 1))])
     return f, g
-
-
-@settings(max_examples=150, deadline=None)
-@given(shift_cases())
-@example((Poly.zero(GF(2, 8)), 1, 0))
-@example((Poly.zero(GF(13)), 5, 7))
-@example((Poly.constant(GF(3, 5), 2), 100, 17))
-def test_compose_affine_is_composition(case):
-    f, lam, mu = case
-    assert f.compose_affine(lam, mu) == substitute(f, lam, mu)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from orecalc.errors import DomainError
-from orecalc.gf import GF, tower_over
+from orecalc import poly as poly_mod
+from orecalc.errors import DomainError, InternalCheckError
+from orecalc.gf import GF, span_values, tower_over
 from orecalc.poly import (
     Poly,
     decompose_through,
@@ -25,7 +26,6 @@ from orecalc.poly import (
     roots_in_ext,
     roots_in_field,
     roots_with_multiplicity,
-    span_values,
     splitting_degree,
     splitting_tower,
 )
@@ -91,15 +91,18 @@ def test_derivative_and_evaluation():
 
 def test_compose_affine_is_substitution():
     rng = random.Random(3)
-    for F in (GF(3), GF(2, 2), GF(3, 2)):
+    for F in (GF(3), GF(2, 2), GF(3, 2), GF(13), GF(2, 8), GF(3, 5)):
+        cases = [(Poly.zero(F), 1, 0), (Poly.zero(F), F.q - 1, 1), (Poly.constant(F, 2), F.q - 1, 1)]
         for _ in range(60):
-            f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 5))])
-            lam = rng.randrange(1, F.q)
-            mu = rng.randrange(F.q)
+            f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(rng.randrange(0, 8))])
+            lam = rng.choice((1, rng.randrange(1, F.q)))
+            mu = rng.choice((0, rng.randrange(F.q)))
+            cases.append((f, lam, mu))
+        for f, lam, mu in cases:
             inner = Poly.from_values(F, (mu, lam))
             assert f.compose_affine(lam, mu) == f.compose(inner)
             assert f.compose_affine(1, 0) == f
-            for v in F.elements():
+            for v in rng.sample(range(F.q), min(F.q, 16)):
                 lhs = f.compose_affine(lam, mu).eval_value(v)
                 rhs = f.eval_value(F.add(F.mul(lam, v), mu))
                 assert lhs == rhs
@@ -167,6 +170,14 @@ def test_roots_over_a_tower_that_does_not_split():
     f = Poly(F, (1, 0, 1))  # x^2 + 1 needs F_9
     with pytest.raises(DomainError, match="does not split"):
         roots_with_multiplicity(f, tower_over(F, 1))
+
+
+def test_roots_over_a_short_built_tower_is_an_internal_fault(monkeypatch):
+    F = GF(3)
+    f = Poly(F, (1, 0, 1))
+    monkeypatch.setattr(poly_mod, "splitting_tower", lambda g: tower_over(g.field, 1))
+    with pytest.raises(InternalCheckError, match="splitting tower"):
+        roots_with_multiplicity(f)
 
 
 @pytest.mark.parametrize("p,deg", [(2, 5), (3, 4)])
