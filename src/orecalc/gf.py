@@ -11,9 +11,11 @@ the thin operator-overloading wrapper around (field, value).
 
 Moduli default to the lexicographically smallest monic irreducible of the
 required degree (scanning packed values upward), so field construction is
-reproducible across runs.  Multiplication, inversion and powering go through
-discrete-log tables built from the smallest multiplicative generator; fields
-too large for tables (q > 2^16) fall back to direct polynomial arithmetic.
+reproducible across runs.  Prime fields (m = 1) compute on plain ints mod p
+and keep no tables.  In extension fields, multiplication, inversion and
+powering go through discrete-log tables built from the smallest
+multiplicative generator; fields too large for tables (q > 2^16) fall back
+to direct polynomial arithmetic.
 
 A FieldTower fixes a base K = F_{p^k} inside an extension L = F_{p^M},
 k | M, with the embedding stored explicitly: for every level j | M the image
@@ -23,6 +25,8 @@ never through implicit coercions.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .errors import DomainError, InternalCheckError
 
@@ -68,8 +72,8 @@ def divisors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Bootstrap polynomial arithmetic over F_p on plain coefficient lists
-# (low degree first).  Only used to validate/choose moduli and to multiply in
-# fields without log tables.
+# (low degree first).  Only used to validate/choose moduli, to find generators
+# and to multiply in extension fields without log tables.
 # ---------------------------------------------------------------------------
 
 
@@ -157,10 +161,13 @@ class FieldDesc:
         self.q = p**m
         self.modulus = modulus
         self._pw = tuple(p**i for i in range(m + 1))
-        self._has_tables = self.q <= _LOG_TABLE_LIMIT
+        self._has_tables = m > 1 and self.q <= _LOG_TABLE_LIMIT
         if self._has_tables:
-            self._digits = [tuple(_unpack_int(v, m, p)) for v in range(self.q)]
-            self._neg = [self.pack(tuple((-d) % p for d in dig)) for dig in self._digits]
+            # product varies its last entry fastest, packing varies digit 0 fastest
+            self._digits = [t[::-1] for t in product(range(p), repeat=m)]
+            self._neg = [0]
+            for pw in self._pw[:m]:
+                self._neg = [a + (-c % p) * pw for c in range(p) for a in self._neg]
             self._build_log_tables()
         else:
             self._digits = None
@@ -196,18 +203,34 @@ class FieldDesc:
         raise InternalCheckError("no multiplicative generator found")
 
     def _build_log_tables(self) -> None:
-        self.generator = self._find_generator()
+        self.generator = g = self._find_generator()
+        # x -> g*x is F_p-linear: tabulate it on the low h digits and on the
+        # high m - h digits, so each power of g is one sum of two lookups
+        h = (self.m + 1) // 2
+        imgs = [self._mul_slow(self._pw[i], g) for i in range(self.m)]
+        lo, hi = self._linear_images(imgs[:h]), self._linear_images(imgs[h:])
+        ph, add = self._pw[h], self.add
         q1 = self.q - 1
         exp = [1] * q1
         cur = 1
         for i in range(1, q1):
-            cur = self._mul_slow(cur, self.generator)
+            cur = add(lo[cur % ph], hi[cur // ph])
             exp[i] = cur
         log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i
         self._exp = exp
         self._log = log
+
+    def _linear_images(self, imgs: list[int]) -> list[int]:
+        """Entry sum c_i p^i holds sum c_i imgs[i], for all digit vectors c."""
+        out = [0]
+        for img in imgs:
+            mults = [0]
+            for _ in range(1, self.p):
+                mults.append(self.add(mults[-1], img))
+            out = [self.add(a, cm) for cm in mults for a in out]
+        return out
 
     # -- packing -------------------------------------------------------------
 
@@ -227,6 +250,8 @@ class FieldDesc:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a + b) % self.p
         da, db, p = self.unpack(a), self.unpack(b), self.p
         v = 0
         for i in range(self.m):
@@ -238,11 +263,15 @@ class FieldDesc:
             return a
         if self._neg is not None:
             return self._neg[a]
+        if self.m == 1:
+            return -a % self.p
         return self.pack(tuple((-d) % self.p for d in self.unpack(a)))
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -250,6 +279,8 @@ class FieldDesc:
             return 0
         if self._has_tables:
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if self.m == 1:
+            return a * b % self.p
         return self._mul_slow(a, b)
 
     def inv(self, a: int) -> int:
@@ -257,7 +288,16 @@ class FieldDesc:
             raise DomainError("inverse of zero")
         if self._has_tables:
             return self._exp[(-self._log[a]) % (self.q - 1)]
+        if self.m == 1:
+            return pow(a, self.p - 2, self.p)
         return self._pow_slow(a, self.q - 2)
+
+    def row_sub(self, v, c: int, row) -> list[int]:
+        """The vector v - c*row, entrywise."""
+        if self.m == 1:
+            p = self.p
+            return [(a - c * b) % p for a, b in zip(v, row)]
+        return [self.sub(a, self.mul(c, b)) for a, b in zip(v, row)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -271,6 +311,8 @@ class FieldDesc:
             raise DomainError("inverse of zero")
         if self._has_tables:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
+        if self.m == 1:
+            return pow(a, e % (self.q - 1), self.p)
         if e < 0:
             a, e = self._pow_slow(a, self.q - 2), -e
         return self._pow_slow(a, e % (self.q - 1)) if e else 1

@@ -141,7 +141,7 @@ def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
 class _Span:
     """Row space over F with online Gaussian elimination on packed vectors."""
 
-    def __init__(self, F: FieldDesc, width: int):
+    def __init__(self, F: FieldDesc):
         self.F = F
         self.rows: list[tuple[int, ...]] = []
         self.pivots: list[int] = []
@@ -150,13 +150,16 @@ class _Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def add(self, vec) -> bool:
-        F = self.F
+    def _reduce(self, vec) -> list[int]:
         v = list(vec)
         for row, piv in zip(self.rows, self.pivots):
             if v[piv]:
-                c = v[piv]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+                v = self.F.row_sub(v, v[piv], row)
+        return v
+
+    def add(self, vec) -> bool:
+        F = self.F
+        v = self._reduce(vec)
         piv = next((i for i, a in enumerate(v) if a), None)
         if piv is None:
             return False
@@ -166,19 +169,13 @@ class _Span:
         return True
 
     def contains(self, vec) -> bool:
-        F = self.F
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                c = v[piv]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return not any(v)
+        return not any(self._reduce(vec))
 
 
 def word_span_dim(F: FieldDesc, X, Y, cap: int | None = None) -> int:
     """Dimension of the algebra spanned by words in X and Y (with identity)."""
     d = len(X)
-    span = _Span(F, d * d)
+    span = _Span(F)
     frontier = [mat_id(F, d)]
     flat = lambda M: tuple(v for row in M for v in row)  # noqa: E731
     span.add(flat(frontier[0]))
@@ -198,7 +195,7 @@ def all_basis_vectors_cyclic(F: FieldDesc, X, Y) -> bool:
     d = len(X)
     for i in range(d):
         e = tuple(1 if r == i else 0 for r in range(d))
-        span = _Span(F, d)
+        span = _Span(F)
         span.add(e)
         frontier = [e]
         while frontier and span.dim < d:

@@ -1,5 +1,7 @@
 """Finite field arithmetic: axioms, Frobenius, roots of unity, towers."""
 
+import random
+
 import pytest
 
 from orecalc.errors import DomainError
@@ -124,6 +126,32 @@ def test_multiplicative_group_cyclic(p, m):
     assert max(orders) == F.q - 1
     for a in F.units():
         assert F.pow(a, F.q - 1) == 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 12), (3, 5), (3, 8), (5, 3), (7, 4), (13, 2)])
+def test_log_tables_against_slow_powers(p, m):
+    """exp/log tables against square-and-multiply on polynomial residues."""
+    F = GF(p, m)
+    q1 = F.q - 1
+    g = F.generator
+    assert all(F.order_of(a) < q1 for a in range(2, g)) and F.order_of(g) == q1
+    rng = random.Random(q1)
+    for i in [0, 1, q1 - 1] + [rng.randrange(q1) for _ in range(40)]:
+        assert F._exp[i] == F._pow_slow(g, i)
+    assert sorted(F._exp) == list(range(1, F.q))
+    assert all(F._log[v] == i for i, v in enumerate(F._exp))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (13, 1), (5, 7)])
+def test_sub_and_row_sub(p, m):
+    F = GF(p, m)
+    rng = random.Random(F.q)
+    v = [rng.randrange(F.q) for _ in range(30)]
+    row = [rng.randrange(F.q) for _ in range(30)]
+    for a, b in zip(v, row):
+        assert F.sub(a, b) == F.add(a, F.neg(b))
+    for c in (0, 1, rng.randrange(F.q)):
+        assert F.row_sub(v, c, row) == [F.add(a, F.neg(F.mul(c, b))) for a, b in zip(v, row)]
 
 
 def test_min_field_of_unity():

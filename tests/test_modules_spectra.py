@@ -5,8 +5,9 @@ import random
 import pytest
 
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import GF, tower_over
+from orecalc.gf import GF, FpSpan, tower_over
 from orecalc.modules_spectra import (
+    _Span,
     all_basis_vectors_cyclic,
     factor_into_irreducibles,
     is_scalar_mat,
@@ -65,6 +66,33 @@ def test_word_span_and_cyclicity():
     Y = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
     assert word_span_dim(F, X, Y) == 9  # shift plus corner unit is irreducible
     assert all_basis_vectors_cyclic(F, X, Y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_span_agrees_with_fp_span(p):
+    """The word-span echelon over GF(p) against the F_p echelon of gf.
+
+    Rows are random combinations of a few random vectors, so ranks fall
+    short of the width; half the probes are combinations of the rows.
+    """
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(6):
+        width = rng.randrange(1, 9)
+        base = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randrange(1, width + 1))]
+        span, ref = _Span(F), FpSpan(p, width)
+
+        def combo(vecs):
+            cs = [rng.randrange(p) for _ in vecs]
+            return [sum(c * v[i] for c, v in zip(cs, vecs)) % p for i in range(width)]
+
+        rows = [combo(base) for _ in range(width + 2)]
+        for row in rows:
+            assert span.add(row) == ref.add(row)
+        assert span.dim == ref.rank
+        for _ in range(20):
+            probe = combo(rows) if rng.random() < 0.5 else [rng.randrange(p) for _ in range(width)]
+            assert span.contains(probe) == ref.contains(probe)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +246,22 @@ def test_off_f_random_sweep():
             assert is_scalar_mat(F, z2, rho.val)
             assert word_span_dim(F, spec.X, spec.Y) == p * p
             assert all_basis_vectors_cyclic(F, spec.X, spec.Y)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_off_f_largest_prime_fields(p):
+    """One seeded module over each of the largest prime fields."""
+    F = GF(p)
+    rng = random.Random(p)
+    while True:
+        f = Poly.from_values(F, [rng.randrange(p) for _ in range(3)] + [1])
+        xi, rho = rng.randrange(p), rng.randrange(p)
+        if f.eval_value(F.pth_root(xi)) != 0:
+            break
+    spec = simple_module_off_f(f, F.from_value(xi), F.from_value(rho))
+    assert spec.dim == p
+    assert word_span_dim(F, spec.X, spec.Y) == p * p
+    assert all_basis_vectors_cyclic(F, spec.X, spec.Y)
 
 
 def test_off_f_distinct_characters_separate_modules():
