@@ -648,8 +648,9 @@ class TowerLevel:
             self.pows = tuple(ext.pow(self.gen_img, i) for i in range(j))
             self._solver = None
             return
-        vals = tower.subfield_values(j)
-        roots = [v for v in vals if _eval_fp_poly(desc.modulus, v, ext) == 0]
+        from .poly import Poly, split_roots
+
+        roots = split_roots(Poly(ext, desc.modulus))
         if len(roots) != j:
             raise InternalCheckError("embedding root count mismatch")
         self.gen_img = min(roots)
@@ -682,14 +683,6 @@ class TowerLevel:
         if coords is None:
             raise DomainError("value does not lie in the requested subfield")
         return FqElement(self.desc, self.desc.pack(coords))
-
-
-def _eval_fp_poly(coeffs, v: int, field: FieldDesc) -> int:
-    """Evaluate a polynomial with prime-subfield coefficients at a packed value."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, v), c % field.p)
-    return acc
 
 
 class FieldTower:

@@ -3,12 +3,16 @@ the eigengroup machinery needs: exact root multisets over a splitting tower,
 exponent decompositions f = f_1^(p^s), additive polynomials f_V, multiplier
 fields, and decomposition through a fixed inner polynomial.
 
+Roots come from the distinct-degree parts over the base field, split into
+linear factors over the tower extension (Cantor-Zassenhaus), not from scans.
+
 Coefficients are stored low degree first as packed field values; the zero
 polynomial is the empty tuple.  Polynomials are immutable and hashable.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd
 
@@ -202,10 +206,10 @@ class Poly:
         F = self.field
         rem = list(self.c)
         db = o.degree
-        inv_lb = F.inv(o.lc)
+        inv_lb = 1 if o.lc == 1 else F.inv(o.lc)
         quo = [0] * max(0, len(rem) - db)
         while len(rem) - 1 >= db and rem:
-            c = F.mul(rem[-1], inv_lb)
+            c = rem[-1] if inv_lb == 1 else F.mul(rem[-1], inv_lb)
             shift = len(rem) - 1 - db
             quo[shift] = c
             for i, bi in enumerate(o.c):
@@ -409,11 +413,12 @@ def radical(f: Poly) -> Poly:
     return out
 
 
-def distinct_degree_split(f: Poly) -> list[int]:
-    """Sorted degrees d such that f has an irreducible factor of degree d."""
+def distinct_degree_parts(f: Poly) -> list[tuple[int, Poly]]:
+    """Pairs (d, g_d), d ascending, for each d such that f has an irreducible
+    factor of degree d; g_d is the monic product of those distinct factors."""
     g = radical(f)
     q = f.field.q
-    degs = []
+    parts = []
     x = Poly.x(f.field)
     h = x % g
     d = 0
@@ -424,10 +429,15 @@ def distinct_degree_split(f: Poly) -> list[int]:
         h = poly_pow_mod(h, q, g)
         gd = g.gcd(h - x)
         if gd.degree > 0:
-            degs.append(d)
+            parts.append((d, gd))
             g = g // gd
             h = h % g if g.degree > 0 else h
-    return degs
+    return parts
+
+
+def distinct_degree_split(f: Poly) -> list[int]:
+    """Sorted degrees d such that f has an irreducible factor of degree d."""
+    return [d for d, _ in distinct_degree_parts(f)]
 
 
 def splitting_degree(f: Poly) -> int:
@@ -510,7 +520,7 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
         tower = splitting_tower(f)
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
-    cached = tower.root_cache.get((id(f.field), f.c))
+    cached = tower.root_cache.get(f.c)
     if cached is not None:
         return cached
     fe = lift_poly(f, tower)
@@ -540,12 +550,12 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     if check != fe:
         raise InternalCheckError("root multiset does not reconstruct the polynomial")
     out = RootMultiset(f, tower, tuple(pairs))
-    tower.root_cache[(id(f.field), f.c)] = out
+    tower.root_cache[f.c] = out
     return out
 
 
 def roots_in_field(f: Poly) -> list[int]:
-    """Packed values v in f's own field with f(v) = 0 (exhaustive scan)."""
+    """Packed values v in f's own field with f(v) = 0 (exhaustive scan; test oracle)."""
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
     return [v for v in f.field.elements() if f.eval_value(v) == 0]
@@ -556,8 +566,8 @@ def roots_in_ext(f: Poly, tower: FieldTower) -> list[int]:
 
     f is over the tower base; the extension need not split f, only the roots
     that happen to lie in it are returned.  An irreducible factor of degree d
-    contributes roots exactly when F_{p^{k d}} embeds in the extension, so the
-    scan runs over those subfields only.
+    has its roots in the extension exactly when k*d divides M, so only those
+    distinct-degree parts of radical(f) are lifted and split by split_roots.
     """
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
@@ -565,17 +575,50 @@ def roots_in_ext(f: Poly, tower: FieldTower) -> list[int]:
         raise DomainError("roots of the zero polynomial")
     if f.is_constant():
         return []
-    k = tower.k
+    roots = []
+    for d, gd in distinct_degree_parts(f):
+        if tower.M % (tower.k * d) == 0:
+            roots += split_roots(lift_poly(gd, tower))
     fe = lift_poly(f, tower)
-    found = set()
-    for d in distinct_degree_split(f):
-        jd = k * d
-        if tower.M % jd != 0:
+    if any(fe.eval_value(r) for r in roots):
+        raise InternalCheckError("a split root is not a root of the input")
+    return sorted(roots)
+
+
+def split_roots(g: Poly) -> list[int]:
+    """Sorted roots of a monic g that is a product of distinct linear factors
+    over its field F_Q, by equal-degree splitting: a random h = a*x + b
+    (a != 0) splits g by gcd(g, h^((Q-1)/2) - 1) for odd p and by the trace
+    gcd(g, sum_{i<m} h^(2^i) mod g) for p = 2.  a is random because for p = 2
+    the trace of x + b is constant on Frobenius orbits of roots; b is random
+    in all of F_Q because a b in a subfield never separates its conjugates.
+    The generator is local and seeded per call; the output is sorted.
+    """
+    F, rng = g.field, random.Random(0)
+    out, todo = [], [g]
+    while todo:
+        u = todo.pop()
+        if u.degree <= 1:
+            out.extend(F.neg(u.c[0]) for _ in range(u.degree))
             continue
-        for v in tower.subfield_values(jd):
-            if fe.eval_value(v) == 0:
-                found.add(v)
-    return sorted(found)
+        for _ in range(64):  # failed draws in a row before the split is declared faulty
+            h = Poly.from_values(F, (rng.randrange(F.q), rng.randrange(1, F.q)))
+            if F.p == 2:
+                t = s = h % u
+                for _ in range(F.m - 1):
+                    t = (t * t) % u
+                    s = s + t
+            else:
+                s = poly_pow_mod(h, (F.q - 1) // 2, u) - 1
+            w = u.gcd(s)
+            if 0 < w.degree < u.degree:
+                todo += [w, u // w]
+                break
+        else:
+            raise InternalCheckError("equal-degree splitting found no split")
+    if len(set(out)) != g.degree or any(g.eval_value(r) for r in out):
+        raise InternalCheckError("split roots do not account for the degree")
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

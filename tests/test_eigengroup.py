@@ -17,7 +17,14 @@ from orecalc.eigengroup import (
     inverse_eigengroup,
     shift_space,
 )
-from orecalc.poly import Poly, f_V, monic_polys, multiplier_field, splitting_tower
+from orecalc.poly import (
+    Poly,
+    f_V,
+    monic_polys,
+    multiplier_field,
+    roots_with_multiplicity,
+    splitting_tower,
+)
 
 
 def pairs_of(auts):
@@ -250,6 +257,25 @@ def test_trivial_group_example():
     res = eigengroup(f)
     assert res.closure.is_trivial()
     assert res.eigenform.case == "none"
+    assert res.descend().order() == 1
+
+
+@pytest.mark.parametrize(
+    "p,coeffs,M",
+    [
+        (5, {0: 1, 6: 1, 7: 1}, 7),  # x^7 + x^6 + 1 over GF(5), L = GF(5^7)
+        (2, {0: 1, 3: 1, 17: 1}, 17),  # x^17 + x^3 + 1 over GF(2), L = GF(2^17)
+    ],
+)
+def test_reach_over_a_splitting_field_without_tables(p, coeffs, M):
+    """Splitting fields beyond the log-table limit: every root is found by
+    equal-degree splitting, not by a scan of L."""
+    F = GF(p)
+    f = Poly(F, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+    res = eigengroup(f)
+    assert res.tower.M == M and not res.tower.ext._has_tables
+    assert len(roots_with_multiplicity(f, res.tower).distinct()) == f.degree
+    assert res.closure.is_trivial()
     assert res.descend().order() == 1
 
 

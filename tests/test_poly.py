@@ -165,6 +165,66 @@ def test_roots_split_in_extension():
         assert lift_poly(f, tower).eval_value(r) == 0
 
 
+def _random_irreducible(rng, K, e):
+    while True:
+        g = Poly.from_values(K, [rng.randrange(K.q) for _ in range(e)] + [1])
+        if is_irreducible(g):
+            return g
+
+
+# (p, k, extension degrees M), each with k | M and |L| = p^M <= 3000
+_SPLIT_TOWERS = [
+    (2, 1, (1, 4, 6, 11)), (2, 2, (2, 4, 6, 10)), (2, 3, (3, 6, 9)),
+    (3, 1, (1, 2, 6, 7)), (3, 2, (2, 4, 6)), (3, 3, (3, 6)),
+    (5, 1, (1, 2, 4)), (5, 2, (2, 4)), (5, 3, (3,)),
+    (7, 1, (1, 2, 4)), (7, 2, (2, 4)), (7, 3, (3,)),
+    (13, 1, (1, 3)), (13, 2, (2,)), (13, 3, (3,)),
+]
+
+
+@pytest.mark.parametrize("p,k,degrees", _SPLIT_TOWERS)
+def test_split_roots_against_scan_oracle(p, k, degrees):
+    """roots_in_ext (equal-degree splitting) equals the scan of all of L, on
+    inputs the tower splits and on inputs it does not; the embedding root
+    of the base generator is the smallest root of the base modulus in L."""
+    rng = random.Random(p * 100 + k)
+    K = GF(p, k)
+    for M in degrees:
+        tw = tower_over(K, M)
+        L = tw.ext
+        r = M // k
+        e_out = next(e for e in range(2, r + 3) if r % e)  # no roots in L
+        divs = [e for e in range(1, r + 1) if r % e == 0]
+        split = Poly.one(K)
+        for e in sorted({1, r, rng.choice(divs)}):
+            split = split * _random_irreducible(rng, K, e)
+        cases = [
+            split,
+            split * _random_irreducible(rng, K, e_out),
+            _random_irreducible(rng, K, e_out) ** 2,
+            split * split * Poly.x(K),
+            Poly.from_values(K, [rng.randrange(K.q) for _ in range(rng.randint(1, 7))] + [1]),
+        ]
+        for f in cases:
+            roots = roots_in_ext(f, tw)
+            assert roots == roots_in_field(lift_poly(f, tw))
+        assert len(roots_in_ext(split, tw)) == split.degree
+        assert roots_in_ext(cases[2], tw) == []
+        assert tw.level(k).gen_img == min(roots_in_field(Poly(L, K.modulus)))
+
+
+def test_split_roots_are_reproducible_and_leave_global_random_alone():
+    F = GF(2)
+    f = Poly(F, (0, 1, 1)) * Poly(F, (1, 1, 1)) * Poly(F, (1, 1, 0, 1)) * Poly(F, (1, 1, 0, 0, 0, 0, 1))
+    tower = tower_over(F, 6)  # x(x + 1)(x^2 + x + 1)(x^3 + x + 1)(x^6 + x + 1)
+    state = random.getstate()
+    first = roots_in_ext(f, tower)
+    assert random.getstate() == state
+    random.seed(12345)
+    assert roots_in_ext(f, tower) == first
+    assert len(first) == 13 and first == sorted(first)
+
+
 def test_roots_over_a_tower_that_does_not_split():
     F = GF(3)
     f = Poly(F, (1, 0, 1))  # x^2 + 1 needs F_9
