@@ -418,9 +418,11 @@ def run(argv) -> tuple[int, str]:
         payload, text = args.handler(args)
     except DomainError as exc:
         return 1, f"error: {exc}"
-    except Exception as exc:
-        # InternalCheckError and anything unforeseen: never the caller's fault.
+    except InternalCheckError as exc:
         return 2, f"internal error: {exc}"
+    except Exception as exc:
+        # never the caller's fault; the type names an exception without a message
+        return 2, f"internal error: unexpected {type(exc).__name__}: {exc}"
     if args.format == "json":
         return 0, json.dumps(payload, sort_keys=True)
     return 0, text

@@ -39,9 +39,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, FpSpan, divisors, primitive_root_of_unity, span_values
+from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values
 from .poly import (
     Poly,
+    RootMultiset,
     contract_exponents,
     decompose_through,
     exponent_decomp,
@@ -217,10 +218,10 @@ class ShiftSpace:
         return self._e
 
 
-def shift_space(f: Poly, level: int | None = None, tower: FieldTower | None = None) -> ShiftSpace:
-    """Shift space of f at the given subfield level (default: the whole of L)."""
-    _require_monic_nonscalar(f)
-    rm = roots_with_multiplicity(f, tower)
+def shift_space(rm: RootMultiset, level: int | None = None) -> ShiftSpace:
+    """Shift space of the root multiset of f at the given subfield level of
+    its tower (default: the whole of L)."""
+    _require_monic_nonscalar(rm.poly)
     tower = rm.tower
     if len(rm.pairs) == 1:
         raise DomainError("shift space needs at least two distinct roots")
@@ -238,10 +239,10 @@ def shift_space(f: Poly, level: int | None = None, tower: FieldTower | None = No
             continue
         if all(mult.get(L.add(r, delta)) == m for r, m in rm.pairs):
             qual.add(delta)
-    vals = tuple(sorted(qual))
-    if span_values(L, vals) != vals:
+    basis = space_basis(L, qual)
+    if len(qual) != L.p ** len(basis):
         raise InternalCheckError("qualifying shifts failed to form a subspace")
-    return ShiftSpace(tower, level, space_basis(L, vals))
+    return ShiftSpace(tower, level, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +516,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     f1d_roots = roots_in_ext(f1.derivative(), tower)
 
     # Step 3 (computed early; it is also condition (c) of the fast path).
-    ss = shift_space(f, tower=tower)
+    ss = shift_space(rm)
     v_vals = ss.values()
 
     # Step 2: triviality fast path; re-derived structurally below and the two
@@ -669,7 +670,7 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
 
     n_k, lam_k, nu_k = 1, 1, 0
     if desc.n > 1:
-        span = FpSpan(L.p, L.m)
+        span = Span(L.prime_field)
         vb = list(desc.v_basis)
         for b in vb:
             span.add(L.unpack(b))
@@ -687,10 +688,7 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
             coords = span.coords(L.unpack(target))
             if coords is None:
                 continue
-            vpart = 0
-            for c, gv in zip(coords[: len(vb)], vb):
-                vpart = L.add(vpart, L.mul(gv, c % L.p))
-            mu2 = L.sub(target, vpart)
+            mu2 = L.sub(target, L.dot(coords[: len(vb)], vb))
             if not tower.in_subfield(mu2, level):
                 raise InternalCheckError("descent shift correction left the subfield")
             n_k = desc.n // i2

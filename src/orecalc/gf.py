@@ -26,6 +26,7 @@ never through implicit coercions.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 from .errors import DomainError, InternalCheckError
@@ -299,6 +300,16 @@ class FieldDesc:
             return [(a - c * b) % p for a, b in zip(v, row)]
         return [self.sub(a, self.mul(c, b)) for a, b in zip(v, row)]
 
+    def dot(self, u, v) -> int:
+        """The inner product sum u_i v_i."""
+        if self.m == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        acc = 0
+        for a, b in zip(u, v):
+            if a and b:
+                acc = self.add(acc, self.mul(a, b))
+        return acc
+
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
@@ -362,6 +373,11 @@ class FieldDesc:
     def gen(self) -> "FqElement":
         """The residue class of t (zero when m == 1 and modulus is t)."""
         return FqElement(self, self._pw[1] if self.m > 1 else (-self.modulus[0]) % self.p)
+
+    @property
+    def prime_field(self) -> "FieldDesc":
+        """F_p, over which digit vectors (unpacked values) are computed."""
+        return GF(self.p, p_cap=self.p)
 
     def elements(self):
         return range(self.q)
@@ -495,86 +511,90 @@ class FqElement:
 
 
 # ---------------------------------------------------------------------------
-# F_p linear algebra on digit vectors (used for subfields, shift spaces,
-# descent).  Vectors are sequences of ints mod p.
+# Linear algebra over a field: one echelon for word spans over F and, over the
+# prime field, for digit vectors (subfields, shift spaces, descent).
 # ---------------------------------------------------------------------------
 
 
-class FpSpan:
-    """Incrementally echelonized F_p-span with coordinate recovery.
+class Span:
+    """Row space over F, echelonized as vectors are added.
 
-    Maintains full reduced echelon form: every stored row vanishes at the
-    pivot columns of all other rows, so a single reduction pass is exact.
-    Each row also records its expression over the generators fed to add(),
-    so coords() can rewrite span members over the original generators.
+    Every stored row is monic at its pivot (its first nonzero entry) and
+    vanishes at the pivots of the rows stored before it, so one pass in
+    storage order reduces a vector.  Each row keeps the multipliers of its
+    own reduction, from which coords() rewrites a member of the span over
+    the added vectors that enlarged it.
     """
 
-    def __init__(self, p: int, dim: int):
-        self.p = p
-        self.dim = dim
-        self.gens: list[tuple[int, ...]] = []
-        # rows: (pivot index, vector, combination over self.gens)
-        self._rows: list[tuple[int, list[int], list[int]]] = []
+    def __init__(self, F: FieldDesc):
+        self.F = F
+        self._pivots: list[int] = []
+        self._rows: list[list[int]] = []
+        # per row: (index, c) of the rows subtracted from its added vector,
+        # and the inverse of the pivot entry that the reduction left
+        self._mults: list[list[tuple[int, int]]] = []
+        self._inv: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def basis(self) -> list[tuple[int, ...]]:
-        return [tuple(vec) for _, vec, _ in self._rows]
-
-    def _reduce(self, vec) -> tuple[list[int], list[int]]:
-        p = self.p
-        v = [c % p for c in vec]
-        combo = [0] * len(self.gens)
-        for piv, row, rcombo in self._rows:
+    def _reduce(self, vec) -> tuple[list[int], list[tuple[int, int]]]:
+        v, mults, row_sub = list(vec), [], self.F.row_sub
+        for i, (piv, row) in enumerate(zip(self._pivots, self._rows)):
             c = v[piv]
             if c:
-                for i in range(self.dim):
-                    v[i] = (v[i] - c * row[i]) % p
-                for i, rc in enumerate(rcombo):
-                    combo[i] = (combo[i] + c * rc) % p
-        return v, combo
+                mults.append((i, c))
+                v = row_sub(v, c, row)
+        return v, mults
 
     def add(self, vec) -> bool:
-        """Add a generator; returns True when it enlarges the span."""
-        p = self.p
-        vec = tuple(c % p for c in vec)
-        v, combo = self._reduce(vec)  # vec = v + combo . gens
-        self.gens.append(vec)
-        combo.append(0)
-        for piv in range(self.dim):
-            if v[piv]:
-                inv = pow(v[piv], p - 2, p)
-                row = [(x * inv) % p for x in v]
-                # row = inv*vec - inv*(combo . gens), vec being the new gen
-                rcombo = [(-x * inv) % p for x in combo]
-                rcombo[-1] = inv % p
-                ngens = len(self.gens)
-                rows = []
-                for piv2, row2, rcombo2 in self._rows:
-                    c2 = row2[piv]
-                    if c2:
-                        row2 = [(a - c2 * b) % p for a, b in zip(row2, row)]
-                        padded = list(rcombo2) + [0] * (ngens - len(rcombo2))
-                        rcombo2 = [(a - c2 * b) % p for a, b in zip(padded, rcombo)]
-                    rows.append((piv2, row2, rcombo2))
-                rows.append((piv, row, rcombo))
-                rows.sort(key=lambda r: r[0])
-                self._rows = rows
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        v, _ = self._reduce(vec)
-        return not any(v)
+        """Add a vector; returns True when it enlarges the span."""
+        F = self.F
+        v, mults = self._reduce(vec)
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return False
+        inv = F.inv(v[piv])
+        self._pivots.append(piv)
+        self._rows.append([F.mul(a, inv) for a in v])
+        self._mults.append(mults)
+        self._inv.append(inv)
+        return True
 
     def coords(self, vec) -> list[int] | None:
-        """Coefficients over the generator list, or None if outside the span."""
-        v, combo = self._reduce(vec)
+        """Coefficients over the added vectors that enlarged the span, in the
+        order they were added, or None when vec lies outside the span."""
+        F = self.F
+        v, mults = self._reduce(vec)
         if any(v):
             return None
-        return combo
+        # vec = sum d_i row_i, and added vector k = row_k / inv_k + sum c row_i
+        # over its own multipliers; substitute from the last row down
+        d = [0] * self.rank
+        for i, c in mults:
+            d[i] = c
+        for k in range(self.rank - 1, -1, -1):
+            d[k] = F.mul(d[k], self._inv[k])
+            if d[k]:
+                for i, c in self._mults[k]:
+                    d[i] = F.sub(d[i], F.mul(d[k], c))
+        return d
+
+    def basis(self) -> list[tuple[int, ...]]:
+        """The reduced echelon basis, sorted by pivot (unique for the space)."""
+        F = self.F
+        order = sorted(range(self.rank), key=self._pivots.__getitem__)
+        rows = [self._rows[i] for i in order]
+        pivots = [self._pivots[i] for i in order]
+        # a row is zero before its pivot, so clearing column piv needs only
+        # the rows of smaller pivot; going down keeps cleared columns clear
+        for k in range(len(rows) - 1, -1, -1):
+            piv = pivots[k]
+            for i in range(k):
+                if rows[i][piv]:
+                    rows[i] = F.row_sub(rows[i], rows[i][piv], rows[k])
+        return [tuple(r) for r in rows]
 
 
 def span_values(field: FieldDesc, basis_vals) -> tuple[int, ...]:
@@ -655,7 +675,7 @@ class TowerLevel:
             raise InternalCheckError("embedding root count mismatch")
         self.gen_img = min(roots)
         self.pows = tuple(ext.pow(self.gen_img, i) for i in range(j))
-        solver = FpSpan(ext.p, ext.m)
+        solver = Span(ext.prime_field)
         for pw in self.pows:
             solver.add(ext.unpack(pw))
         if solver.rank != j:
@@ -667,13 +687,7 @@ class TowerLevel:
         val = a.val if isinstance(a, FqElement) else a
         if self.desc is self.tower.ext:
             return val
-        dig = self.desc.unpack(val)
-        ext = self.tower.ext
-        out = 0
-        for c, pw in zip(dig, self.pows):
-            if c:
-                out = ext.add(out, ext.mul(c, pw))
-        return out
+        return self.tower.ext.dot(self.desc.unpack(val), self.pows)
 
     def lower(self, v: int) -> FqElement:
         """The level element whose lift is v; DomainError when v is outside."""
@@ -696,7 +710,6 @@ class FieldTower:
         self.ext = base if ext_degree == base.m else GF(base.p, ext_degree)
         self._levels: dict[int, TowerLevel] = {}
         self._subfield_cache: dict[int, tuple[int, ...]] = {}
-        self.root_cache: dict = {}
 
     @property
     def k(self) -> int:
@@ -733,7 +746,8 @@ class FieldTower:
         return self.ext.frob(v, j) == v
 
     def subfield_values(self, j: int) -> tuple[int, ...]:
-        """Sorted packed ext-values of the subfield F_{p^j}, via Frobenius fixed points."""
+        """Sorted packed ext-values of the subfield F_{p^j}: the F_p-span of
+        the embedded power basis of level j."""
         hit = self._subfield_cache.get(j)
         if hit is not None:
             return hit
@@ -741,25 +755,11 @@ class FieldTower:
             raise DomainError(f"F_{{p^{j}}} is not a subfield of F_{{p^{self.M}}}")
         ext = self.ext
         if j == self.M:
-            vals = tuple(range(ext.q))
-            self._subfield_cache[j] = vals
-            return vals
-        # kernel of Frobenius^j - id on L: an image that depends on the
-        # earlier ones, img_i = sum c_t img_t, gives e_i - sum c_t e_t
-        span = FpSpan(ext.p, ext.m)
-        kern = []
-        for i in range(ext.m):
-            basis_val = ext._pw[i]
-            img = ext.unpack(ext.sub(ext.frob(basis_val, j), basis_val))
-            coords = span.coords(img)
-            if coords is not None:
-                kern.append(ext.pack([-c for c in coords] + [1]))
-            span.add(img)
-        if len(kern) != j:
-            raise InternalCheckError("subfield dimension mismatch")
-        out = span_values(ext, kern)
-        if len(out) != ext.p**j:
-            raise InternalCheckError("subfield enumeration mismatch")
+            out = tuple(range(ext.q))
+        else:
+            out = span_values(ext, self.level(j).pows)
+            if len(out) != ext.p**j:
+                raise InternalCheckError("subfield enumeration mismatch")
         self._subfield_cache[j] = out
         return out
 

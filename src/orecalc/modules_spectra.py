@@ -44,7 +44,7 @@ from math import comb
 
 from .eigengroup import _elt_json, _poly_json, _require_monic_nonscalar
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, tower_over
+from .gf import FieldDesc, Span, tower_over
 from .ore import OreAlgebra
 from .poly import (
     Poly,
@@ -82,34 +82,12 @@ def mat_scale(F: FieldDesc, A, s: int):
 
 
 def mat_mul(F: FieldDesc, A, B):
-    d = len(A)
     Bt = tuple(zip(*B))
-    out = []
-    for r in range(d):
-        Ar = A[r]
-        row = []
-        for c in range(d):
-            acc = 0
-            for a, b in zip(Ar, Bt[c]):
-                if a and b:
-                    acc = F.add(acc, F.mul(a, b))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(F.dot(row, col) for col in Bt) for row in A)
 
 
 def mat_vec(F: FieldDesc, A, v):
-    return tuple(
-        _dot(F, row, v) for row in A
-    )
-
-
-def _dot(F: FieldDesc, row, v):
-    acc = 0
-    for a, b in zip(row, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
+    return tuple(F.dot(row, v) for row in A)
 
 
 def mat_pow(F: FieldDesc, A, e: int):
@@ -138,49 +116,15 @@ def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
     return A == mat_scale(F, mat_id(F, len(A)), s)
 
 
-class _Span:
-    """Row space over F with online Gaussian elimination on packed vectors."""
-
-    def __init__(self, F: FieldDesc):
-        self.F = F
-        self.rows: list[tuple[int, ...]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec) -> list[int]:
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                v = self.F.row_sub(v, v[piv], row)
-        return v
-
-    def add(self, vec) -> bool:
-        F = self.F
-        v = self._reduce(vec)
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
-            return False
-        inv = F.inv(v[piv])
-        self.rows.append(tuple(F.mul(a, inv) for a in v))
-        self.pivots.append(piv)
-        return True
-
-    def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
-
-
 def word_span_dim(F: FieldDesc, X, Y, cap: int | None = None) -> int:
     """Dimension of the algebra spanned by words in X and Y (with identity)."""
     d = len(X)
-    span = _Span(F)
+    span = Span(F)
     frontier = [mat_id(F, d)]
     flat = lambda M: tuple(v for row in M for v in row)  # noqa: E731
     span.add(flat(frontier[0]))
     limit = cap if cap is not None else d * d
-    while frontier and span.dim < limit:
+    while frontier and span.rank < limit:
         new = []
         for W in frontier:
             for A in (X, Y):
@@ -188,17 +132,17 @@ def word_span_dim(F: FieldDesc, X, Y, cap: int | None = None) -> int:
                 if span.add(flat(WA)):
                     new.append(WA)
         frontier = new
-    return span.dim
+    return span.rank
 
 
 def all_basis_vectors_cyclic(F: FieldDesc, X, Y) -> bool:
     d = len(X)
     for i in range(d):
         e = tuple(1 if r == i else 0 for r in range(d))
-        span = _Span(F)
+        span = Span(F)
         span.add(e)
         frontier = [e]
-        while frontier and span.dim < d:
+        while frontier and span.rank < d:
             new = []
             for v in frontier:
                 for A in (X, Y):
@@ -206,7 +150,7 @@ def all_basis_vectors_cyclic(F: FieldDesc, X, Y) -> bool:
                     if span.add(w):
                         new.append(w)
             frontier = new
-        if span.dim != d:
+        if span.rank != d:
             return False
     return True
 
@@ -366,13 +310,7 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
         """g(X) e_col using the already-built columns (col < current i)."""
         vec = [0] * p
         for c in reversed(g.c):
-            nxt = [0] * p
-            for idx, val in enumerate(vec):
-                if val:
-                    for r in range(p):
-                        if Xr[r][idx]:
-                            nxt[r] = K.add(nxt[r], K.mul(Xr[r][idx], val))
-            vec = nxt
+            vec = [K.dot(row, vec) for row in Xr]
             if c:
                 vec[col] = K.add(vec[col], c)
         return vec
@@ -384,10 +322,7 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
             cb = comb(i, t) % p
             if not cb:
                 continue
-            contrib = apply_poly_partial(phis[t - 1], i - t)
-            for r in range(p):
-                if contrib[r]:
-                    col[r] = K.sub(col[r], K.mul(cb, contrib[r]))
+            col = K.row_sub(col, cb, apply_poly_partial(phis[t - 1], i - t))
         for r in range(p):
             Xr[r][i] = col[r]
     if tuple(tuple(row) for row in Xr) != X:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, FpSpan, FqElement, divisors, prime_factors, tower_over
+from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors, tower_over
 
 
 class Poly:
@@ -510,6 +510,8 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     repeated exact division.  A caller's tower that misses a factor's
     splitting field leaves a nonconstant remainder and is refused as bad
     input; on the tower built here that remainder is an internal fault.
+    Nothing is cached: a caller that needs the roots again keeps the
+    returned multiset (shift_space takes it as its input).
     """
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
@@ -520,9 +522,6 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
         tower = splitting_tower(f)
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
-    cached = tower.root_cache.get(f.c)
-    if cached is not None:
-        return cached
     fe = lift_poly(f, tower)
     L = tower.ext
     pairs = []
@@ -549,9 +548,7 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
         check = check * Poly.from_values(L, (L.neg(r), 1)) ** m
     if check != fe:
         raise InternalCheckError("root multiset does not reconstruct the polynomial")
-    out = RootMultiset(f, tower, tuple(pairs))
-    tower.root_cache[f.c] = out
-    return out
+    return RootMultiset(f, tower, tuple(pairs))
 
 
 def roots_in_field(f: Poly) -> list[int]:
@@ -627,21 +624,22 @@ def split_roots(g: Poly) -> list[int]:
 
 
 def verify_fp_subspace(field: FieldDesc, values) -> tuple[int, ...]:
-    """Check closure of a finite set under addition/F_p-scaling; returns sorted values."""
-    vals = sorted({field.element(v).val if not isinstance(v, int) else v for v in values})
-    s = set(vals)
-    if 0 not in s:
+    """Check that a finite set is an F_p-subspace; returns the sorted values.
+
+    A set containing 0 is a subspace exactly when it has p^rank elements,
+    rank being the dimension of its span.
+    """
+    vals = tuple(sorted({field.element(v).val if not isinstance(v, int) else v for v in values}))
+    if 0 not in vals:
         raise DomainError("an F_p-subspace must contain 0")
-    for a in vals:
-        for b in vals:
-            if field.add(a, b) not in s:
-                raise DomainError("set is not closed under addition")
-    return tuple(vals)
+    if len(vals) != field.p ** len(space_basis(field, vals)):
+        raise DomainError("set is not closed under addition")
+    return vals
 
 
 def space_basis(field: FieldDesc, values) -> tuple[int, ...]:
-    """Echelon F_p-basis (as packed values) of the span of the given values."""
-    span = FpSpan(field.p, field.m)
+    """Reduced echelon F_p-basis (as packed values) of the span of the given values."""
+    span = Span(field.prime_field)
     for v in values:
         span.add(field.unpack(v if isinstance(v, int) else field.element(v).val))
     return tuple(field.pack(b) for b in span.basis())

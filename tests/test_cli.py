@@ -190,6 +190,16 @@ def test_internal_check_exit_2(monkeypatch):
     assert out.startswith("internal error:")
 
 
+def test_unexpected_exception_names_its_type(monkeypatch):
+    def boom(args):
+        raise Exception()
+
+    monkeypatch.setitem(cli._COMMANDS, "centre", boom)
+    code, out = run(["centre", "--field", "GF(3)", "--f", "x"])
+    assert code == 2
+    assert out == "internal error: unexpected Exception: "
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as ei:
         run(["--help"])
@@ -273,3 +283,21 @@ def test_console_script_installed(installed_checkout, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["z2"] == "y^3 + 2*y"
+
+
+def test_traced_cli_prints_the_untraced_answer():
+    """The benchmark's traced CLI patches orecalc's functions by name; a
+    rename in the package must not change or break its answer."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for args in (
+        ["eigengroup", "--field", "GF(9)", "--f", "x^9-x"],
+        ["simple-module", "--field", "GF(5)", "--f", "x^2+1", "--xi", "1", "--rho", "3"],
+        ["isomorphic", "--field", "GF(3)", "--f", "x^3-x+1", "--g", "x^3-x+2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "perfbench" / "spans.py"), *args],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == run(args)[1]

@@ -115,22 +115,23 @@ def test_bruteforce_preconditions_and_cap():
 
 def test_shift_space_examples():
     F3, F5 = GF(3), GF(5)
-    ss = shift_space(Poly(F3, (0, 2, 0, 1)))  # x^3 - x
+    ss = shift_space(roots_with_multiplicity(Poly(F3, (0, 2, 0, 1))))  # x^3 - x
     assert set(ss.values()) == {0, 1, 2}
     assert ss.e == 1
     f = Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2
-    assert shift_space(f).dim == 0  # multiplicities 1 and 2 differ
-    assert shift_space(Poly(F3, (2, 0, 1))).dim == 0  # x^2 - 1
+    assert shift_space(roots_with_multiplicity(f)).dim == 0  # multiplicities 1 and 2 differ
+    assert shift_space(roots_with_multiplicity(Poly(F3, (2, 0, 1)))).dim == 0  # x^2 - 1
     with pytest.raises(DomainError):
-        shift_space(Poly(F3, (1, 2, 1)))  # (x+1)^2 has a single root
+        shift_space(roots_with_multiplicity(Poly(F3, (1, 2, 1))))  # (x+1)^2 has a single root
 
 
 def test_shift_space_levels():
     F3 = GF(3)
     f = Poly.from_values(F3, [0, 2] + [0] * 7 + [1])  # x^9 - x
-    full = shift_space(f)
+    rm = roots_with_multiplicity(f)
+    full = shift_space(rm)
     assert len(full.values()) == 9 and full.e == 2
-    level1 = shift_space(f, level=1)
+    level1 = shift_space(rm, level=1)
     assert len(level1.values()) == 3
     assert set(level1.values()) == set(level1.tower.subfield_values(1))
 
@@ -332,6 +333,18 @@ def test_descend_takes_power_of_the_cycle():
     down = res.descend()
     assert down.n == 2 and down.order() == 2
     assert pairs_of(down.elements()) == {(1, 0), (2, 0)}
+    assert pairs_of(down.elements()) == pairs_of(eigengroup_bruteforce(f))
+
+
+def test_descend_moves_the_centre_by_a_shift_from_V():
+    F9 = GF(3, 2)
+    f = Poly.from_values(F9, (1, 4, 0, 1))  # x^3 + [1,1]*x + 1
+    res = eigengroup(f)
+    c = res.closure
+    assert c.n == 2 and c.v_basis and not res.tower.in_subfield(c.nu, 2)
+    # the centre nu of the closure lies outside K; its V-coset meets K
+    down = res.descend()
+    assert (down.n, down.nu) == (2, 3)
     assert pairs_of(down.elements()) == pairs_of(eigengroup_bruteforce(f))
 
 

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import GF, FpSpan, tower_over
+from orecalc.gf import GF, Span, tower_over
 from orecalc.modules_spectra import (
-    _Span,
     all_basis_vectors_cyclic,
     factor_into_irreducibles,
     is_scalar_mat,
@@ -68,31 +67,74 @@ def test_word_span_and_cyclicity():
     assert all_basis_vectors_cyclic(F, X, Y)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_span_agrees_with_fp_span(p):
-    """The word-span echelon over GF(p) against the F_p echelon of gf.
+def _combination(F, coeffs, vecs, width):
+    out = [0] * width
+    for c, v in zip(coeffs, vecs):
+        out = [F.add(a, F.mul(c, b)) for a, b in zip(out, v)]
+    return out
 
-    Rows are random combinations of a few random vectors, so ranks fall
-    short of the width; half the probes are combinations of the rows.
+
+def _enumerate_span(F, vecs, width):
+    """Every F-combination of vecs, by brute force."""
+    out = {(0,) * width}
+    for v in vecs:
+        out = {tuple(_combination(F, (1, c), (u, v), width)) for u in out for c in F.elements()}
+    return out
+
+
+def _check_span_against_enumeration(F, rng):
+    """Span(F) against the enumerated span: add, rank, coords and basis.
+
+    Rows are random combinations of a few random vectors (at most five, or
+    three over fields larger than 5, so the enumeration stays small), so
+    ranks fall short of the width; half the probes are combinations of the
+    rows.
     """
-    F = GF(p)
-    rng = random.Random(p)
     for _ in range(6):
         width = rng.randrange(1, 9)
-        base = [[rng.randrange(p) for _ in range(width)] for _ in range(rng.randrange(1, width + 1))]
-        span, ref = _Span(F), FpSpan(p, width)
+        nbase = rng.randrange(1, 6 if F.q <= 5 else 4)
+        base = [[rng.randrange(F.q) for _ in range(width)] for _ in range(nbase)]
 
         def combo(vecs):
-            cs = [rng.randrange(p) for _ in vecs]
-            return [sum(c * v[i] for c, v in zip(cs, vecs)) % p for i in range(width)]
+            return _combination(F, [rng.randrange(F.q) for _ in vecs], vecs, width)
 
-        rows = [combo(base) for _ in range(width + 2)]
-        for row in rows:
-            assert span.add(row) == ref.add(row)
-        assert span.dim == ref.rank
+        span, added, members = Span(F), [], {(0,) * width}
+        for row in [combo(base) for _ in range(width + 2)]:
+            grows = tuple(row) not in members
+            assert span.add(row) == grows
+            if grows:
+                added.append(row)
+                members = _enumerate_span(F, added, width)
+        assert span.rank == len(added) and len(members) == F.q**span.rank
         for _ in range(20):
-            probe = combo(rows) if rng.random() < 0.5 else [rng.randrange(p) for _ in range(width)]
-            assert span.contains(probe) == ref.contains(probe)
+            probe = combo(added) if rng.random() < 0.5 else [rng.randrange(F.q) for _ in range(width)]
+            coords = span.coords(probe)
+            if tuple(probe) in members:
+                assert len(coords) == span.rank
+                assert _combination(F, coords, added, width) == probe
+            else:
+                assert coords is None
+        # reduced echelon: pivots rise, each row is 1 at its pivot and every
+        # other row is 0 there, and the rows span the same set
+        basis = span.basis()
+        pivots = [next(i for i, a in enumerate(b) if a) for b in basis]
+        assert len(basis) == span.rank and pivots == sorted(set(pivots))
+        for k, piv in enumerate(pivots):
+            assert [b[piv] for b in basis] == [int(i == k) for i in range(len(basis))]
+        assert _enumerate_span(F, basis, width) == members
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_span_agrees_with_fp_span(p):
+    """The echelon behind word spans over GF(p) against the F_p-span
+    enumerated by brute force."""
+    _check_span_against_enumeration(GF(p), random.Random(p))
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2)])
+def test_span_over_residue_fields(p, m):
+    """Word spans over a residue field F_i = K[x]/(p_i) run over GF(p^m)."""
+    _check_span_against_enumeration(GF(p, m), random.Random(p * m))
 
 
 # ---------------------------------------------------------------------------

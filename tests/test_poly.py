@@ -26,8 +26,10 @@ from orecalc.poly import (
     roots_in_ext,
     roots_in_field,
     roots_with_multiplicity,
+    space_basis,
     splitting_degree,
     splitting_tower,
+    verify_fp_subspace,
 )
 
 
@@ -331,6 +333,19 @@ def test_f_V_closed_forms():
     assert f_V(GF(5), (0,), 3) == Poly(GF(5), (-3, 1))
     with pytest.raises(DomainError):
         f_V(GF(5), (0, 1, 2), 0)  # not closed under addition
+
+
+def test_space_basis_and_subspace_rank_check():
+    # digit vectors run over the prime field even above the default p cap
+    F = GF(17, 2, p_cap=17)
+    assert space_basis(F, (0, 1, 5, 17, 18)) == (1, 17)
+    assert space_basis(F, (0, 3 * 17 + 5)) == (1 + 4 * 17,)  # (5, 3) / 5 = (1, 4)
+    assert len(verify_fp_subspace(F, span_values(F, (1 + 4 * 17,)))) == 17
+    # {0, 1, t} in GF(9) has 3 = p^1 elements but spans all 9
+    F9 = GF(3, 2)
+    with pytest.raises(DomainError):
+        verify_fp_subspace(F9, (0, 1, 3))
+    assert verify_fp_subspace(F9, (0, 3, 6)) == (0, 3, 6)
 
 
 def test_f_V_is_additive_with_kernel_V():
