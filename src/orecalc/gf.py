@@ -22,11 +22,25 @@ k | M, with the embedding stored explicitly: for every level j | M the image
 of the canonical degree-j generator is the packed-smallest root of its
 modulus in L.  All subfield tests, lifts and lowerings go through the tower,
 never through implicit coercions.
+
+Packed F_p vectors
+------------------
+Over a prime field, linear algebra keeps a whole vector in one int: entry i
+sits in slot i, a field of `width` bytes in native byte order, and slots
+are not reduced mod p until they are read.  A row operation v - c*row is
+then the single big-int step v + (p - c)*row, and a matrix product row is
+one sum of packed rows scaled by entries.  The width is the fewest bytes
+(rounded up to an array item size when there is one) that hold the largest
+value a slot can reach: (p-1) + n(p-1)^2 in a Span of length-n vectors,
+which meets at most n stored rows, and n(p-1)^2 in a product with inner
+dimension n.  Only Span and FieldDesc.mat_mul use the format.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from itertools import product
 
 from .errors import DomainError, InternalCheckError
@@ -69,6 +83,34 @@ def prime_factors(n: int) -> list[int]:
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
+
+
+# Array item sizes (bytes) with their typecodes, for packing and unpacking
+# slots of those widths in C.
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for values up to bound."""
+    need = max(1, (bound.bit_length() + 7) // 8)
+    return next((w for w in sorted(_SLOT_CODES) if w >= need), need)
+
+
+def _pack(vec, width: int) -> int:
+    """The entries of vec (nonnegative, each fitting width bytes) in slots."""
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        return int.from_bytes(array(code, vec).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join(a.to_bytes(width, sys.byteorder) for a in vec), sys.byteorder)
+
+
+def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
+    """The n slots of x, each reduced mod p."""
+    raw = x.to_bytes(n * width, sys.byteorder)
+    code = _SLOT_CODES.get(width)
+    if code is not None:
+        return [a % p for a in array(code, raw)]
+    return [int.from_bytes(raw[i : i + width], sys.byteorder) % p for i in range(0, len(raw), width)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +337,6 @@ class FieldDesc:
 
     def row_sub(self, v, c: int, row) -> list[int]:
         """The vector v - c*row, entrywise."""
-        if self.m == 1:
-            p = self.p
-            return [(a - c * b) % p for a, b in zip(v, row)]
         return [self.sub(a, self.mul(c, b)) for a, b in zip(v, row)]
 
     def dot(self, u, v) -> int:
@@ -309,6 +348,18 @@ class FieldDesc:
             if a and b:
                 acc = self.add(acc, self.mul(a, b))
         return acc
+
+    def mat_mul(self, A, B) -> tuple[tuple[int, ...], ...]:
+        """The product A B of row-major matrices.  Over a prime field each row
+        of B is packed once, so a row of the product is one sum of packed rows
+        scaled by the entries of a row of A, unpacked mod p."""
+        if self.m > 1:
+            Bt = tuple(zip(*B))
+            return tuple(tuple(self.dot(row, col) for col in Bt) for row in A)
+        p, cols = self.p, len(B[0]) if B else 0
+        width = _slot_width(len(B) * (p - 1) ** 2)
+        packed = [_pack(row, width) for row in B]
+        return tuple(tuple(_unpack(sum(map(operator.mul, row, packed)), cols, width, p)) for row in A)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -524,29 +575,72 @@ class Span:
     storage order reduces a vector.  Each row keeps the multipliers of its
     own reduction, from which coords() rewrites a member of the span over
     the added vectors that enlarged it.
+
+    Over a prime field a row is stored packed (see the module docstring):
+    the first vector fixes the length n, and slots are sized for
+    (p-1) + n(p-1)^2, since a vector with entries below p meets at most n
+    stored rows, each reduced below p and scaled by at most p - 1.  A slot
+    is reduced mod p only when it is read: at a pivot, and when the reduced
+    vector is unpacked.  Over an extension field rows are lists and the row
+    operation is FieldDesc.row_sub.
     """
 
     def __init__(self, F: FieldDesc):
         self.F = F
         self._pivots: list[int] = []
-        self._rows: list[list[int]] = []
+        self._rows: list = []  # packed ints over a prime field, lists otherwise
         # per row: (index, c) of the rows subtracted from its added vector,
         # and the inverse of the pivot entry that the reduction left
         self._mults: list[list[tuple[int, int]]] = []
         self._inv: list[int] = []
+        self._n: int | None = None  # vector length, fixed by the first vector
+        self._width = 0  # bytes per slot of a packed row
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec) -> tuple[list[int], list[tuple[int, int]]]:
-        v, mults, row_sub = list(vec), [], self.F.row_sub
-        for i, (piv, row) in enumerate(zip(self._pivots, self._rows)):
-            c = v[piv]
+    def _load(self, vec):
+        """vec in the form rows are stored in."""
+        if self._n is None:
+            p = self.F.p
+            self._n = len(vec)
+            self._width = _slot_width(p - 1 + self._n * (p - 1) ** 2)
+        elif len(vec) != self._n:
+            raise DomainError("vectors of one span must have one length")
+        if self.F.m > 1:
+            return list(vec)
+        return _pack(vec, self._width)
+
+    def _unload(self, v) -> list[int]:
+        """The entries of a loaded vector, reduced."""
+        if self.F.m > 1:
+            return v
+        return _unpack(v, self._n, self._width, self.F.p)
+
+    def _eliminate(self, v, pivots, rows) -> tuple:
+        """Loaded v minus the multiples of the rows that clear it at their
+        pivots, in order, with the (index, multiplier) of each subtraction."""
+        F, mults = self.F, []
+        if F.m > 1:
+            for i, (piv, row) in enumerate(zip(pivots, rows)):
+                c = v[piv]
+                if c:
+                    mults.append((i, c))
+                    v = F.row_sub(v, c, row)
+            return v, mults
+        p, bits = F.p, 8 * self._width
+        mask = (1 << bits) - 1
+        for i, (piv, row) in enumerate(zip(pivots, rows)):
+            c = (v >> piv * bits & mask) % p
             if c:
                 mults.append((i, c))
-                v = row_sub(v, c, row)
+                v += (p - c) * row
         return v, mults
+
+    def _reduce(self, vec) -> tuple[list[int], list[tuple[int, int]]]:
+        v, mults = self._eliminate(self._load(vec), self._pivots, self._rows)
+        return self._unload(v), mults
 
     def add(self, vec) -> bool:
         """Add a vector; returns True when it enlarges the span."""
@@ -557,7 +651,7 @@ class Span:
             return False
         inv = F.inv(v[piv])
         self._pivots.append(piv)
-        self._rows.append([F.mul(a, inv) for a in v])
+        self._rows.append(self._load([F.mul(a, inv) for a in v]))
         self._mults.append(mults)
         self._inv.append(inv)
         return True
@@ -583,18 +677,16 @@ class Span:
 
     def basis(self) -> list[tuple[int, ...]]:
         """The reduced echelon basis, sorted by pivot (unique for the space)."""
-        F = self.F
         order = sorted(range(self.rank), key=self._pivots.__getitem__)
         rows = [self._rows[i] for i in order]
         pivots = [self._pivots[i] for i in order]
-        # a row is zero before its pivot, so clearing column piv needs only
-        # the rows of smaller pivot; going down keeps cleared columns clear
-        for k in range(len(rows) - 1, -1, -1):
-            piv = pivots[k]
-            for i in range(k):
-                if rows[i][piv]:
-                    rows[i] = F.row_sub(rows[i], rows[i][piv], rows[k])
-        return [tuple(r) for r in rows]
+        # a row is zero before its pivot, so only rows of larger pivot need
+        # clearing from it; going up, those are final and clear of each
+        # other's pivots, and each result is reloaded reduced before use
+        for k in range(len(rows) - 2, -1, -1):
+            v, _ = self._eliminate(rows[k], pivots[k + 1 :], rows[k + 1 :])
+            rows[k] = self._load(self._unload(v))
+        return [tuple(self._unload(r)) for r in rows]
 
 
 def span_values(field: FieldDesc, basis_vals) -> tuple[int, ...]:

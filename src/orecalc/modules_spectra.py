@@ -40,7 +40,7 @@ bound.  Krull and global dimension are both the constant 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .eigengroup import _elt_json, _poly_json, _require_monic_nonscalar
 from .errors import DomainError, InternalCheckError
@@ -82,8 +82,7 @@ def mat_scale(F: FieldDesc, A, s: int):
 
 
 def mat_mul(F: FieldDesc, A, B):
-    Bt = tuple(zip(*B))
-    return tuple(tuple(F.dot(row, col) for col in Bt) for row in A)
+    return F.mat_mul(A, B)
 
 
 def mat_vec(F: FieldDesc, A, v):
@@ -463,23 +462,27 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
         tw = tower_over(K, K.m * j)
         Fj = tw.ext
         fpj = lift_poly(fp, tw)
-        proper = [t for t in range(1, j) if j % t == 0]
+        # the Frobenius of Fj over K as a table, and deg[v] = [K(v) : K], the
+        # length of v's orbit under it; (xi, rho) lies in a proper subfield
+        # exactly when lcm(deg[xi], deg[rho]) < j
+        fr = [Fj.frob(v, tw.k) for v in Fj.elements()]
+        deg = [0] * Fj.q
+        for v in Fj.elements():
+            if not deg[v]:
+                orbit = [v]
+                while fr[orbit[-1]] != v:
+                    orbit.append(fr[orbit[-1]])
+                for w in orbit:
+                    deg[w] = len(orbit)
         for xi in Fj.elements():
             if fpj.eval_value(xi) == 0:
                 continue
             for rho in Fj.elements():
-                if any(
-                    tw.in_subfield(xi, tw.k * t) and tw.in_subfield(rho, tw.k * t)
-                    for t in proper
-                ):
+                if lcm(deg[xi], deg[rho]) != j:
                     continue
-                w = (Fj.frob(xi, tw.k), Fj.frob(rho, tw.k))
-                is_min = True
-                while w != (xi, rho):
-                    if w < (xi, rho):
-                        is_min = False
-                        break
-                    w = (Fj.frob(w[0], tw.k), Fj.frob(w[1], tw.k))
-                if is_min:
+                w = (fr[xi], fr[rho])
+                while w > (xi, rho):
+                    w = (fr[w[0]], fr[w[1]])
+                if w == (xi, rho):
                     points.append((j, xi, rho))
     return SpectrumDesc(f, tuple(factors), tuple(points), degree_bound)

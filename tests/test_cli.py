@@ -294,6 +294,8 @@ def test_traced_cli_prints_the_untraced_answer():
         ["eigengroup", "--field", "GF(9)", "--f", "x^9-x"],
         ["simple-module", "--field", "GF(5)", "--f", "x^2+1", "--xi", "1", "--rho", "3"],
         ["isomorphic", "--field", "GF(3)", "--f", "x^3-x+1", "--g", "x^3-x+2"],
+        ["spectrum", "--field", "GF(7)", "--f", "x^3+x+1", "--degree-bound", "2"],
+        ["simple-module", "--field", "GF(13)", "--f", "x^3+x+1", "--xi", "2", "--rho", "5"],
     ):
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "perfbench" / "spans.py"), *args],

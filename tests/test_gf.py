@@ -238,6 +238,8 @@ def test_fp_span_and_nullspace():
     assert span.rank == 2
     assert span.coords([0, 1]) == [1, 1]
     assert span.basis() == [(1, 0), (0, 1)]
+    with pytest.raises(DomainError):
+        span.add([1, 0, 1])  # the first vector fixed the length (and slot width)
     assert Span(GF(3)).coords([1, 0]) is None
 
     # subfield_values, against brute-force Frobenius fixed points
@@ -247,6 +249,102 @@ def test_fp_span_and_nullspace():
         for j in divisors(M):
             fixed = tuple(v for v in L.elements() if L.frob(v, j) == v)
             assert tw.subfield_values(j) == fixed
+
+
+class _ListSpan:
+    """Reference echelon over GF(p) on entry lists, one entry at a time: the
+    row operation that packed rows replace.  Stored rows are reduced, monic
+    at the pivot and zero at the pivots stored before them."""
+
+    def __init__(self, p):
+        self.p, self.pivots, self.rows = p, [], []
+
+    def reduce(self, vec):
+        v = list(vec)
+        for piv, row in zip(self.pivots, self.rows):
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % self.p for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, self.p)
+        self.pivots.append(piv)
+        self.rows.append([a * inv % self.p for a in v])
+        return True
+
+    def basis(self):
+        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
+        rows = [self.rows[i] for i in order]
+        for k in range(len(rows) - 1, -1, -1):
+            piv = self.pivots[order[k]]
+            for i in range(k):
+                c = rows[i][piv]
+                if c:
+                    rows[i] = [(a - c * b) % self.p for a, b in zip(rows[i], rows[k])]
+        return [tuple(r) for r in rows]
+
+
+def _check_span_against_list_echelon(F, vectors, probes):
+    """Span(F) and _ListSpan agree on add, rank, coords and basis()."""
+    span, ref, added = Span(F), _ListSpan(F.p), []
+    for v in vectors:
+        grows = ref.add(v)
+        assert span.add(v) == grows
+        if grows:
+            added.append(v)
+    assert span.rank == len(ref.rows)
+    assert span.basis() == ref.basis()
+    for probe in probes:
+        coords = span.coords(probe)
+        if any(ref.reduce(probe)):
+            assert coords is None
+        else:
+            # the added vectors are independent, so coordinates are unique
+            combo = [sum(c * a for c, a in zip(coords, col)) % F.p for col in zip(*added)]
+            assert len(coords) == len(added) and combo == list(probe)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_span_matches_the_list_echelon(p):
+    F, rng = GF(p), random.Random(p)
+    for _ in range(30):
+        n = rng.randrange(1, 25)
+        base = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(1, n + 2))]
+
+        def combo():
+            return [sum(rng.randrange(p) * b[i] for b in base) % p for i in range(n)]
+
+        vectors = [combo() for _ in range(n + 3)]
+        probes = [combo() for _ in range(5)] + [[rng.randrange(p) for _ in range(n)] for _ in range(5)]
+        _check_span_against_list_echelon(F, vectors, probes)
+
+
+def test_span_slots_at_the_width_bound():
+    """Every reduction of u uses the largest multiplier p - 1 on rows whose
+    entries after the pivot are all p - 1, so the last slot of u collects
+    168 (p-1)^2 = 24,192: more than one byte holds."""
+    p, n = 13, 169
+    F = GF(p)
+    rows = [[0] * k + [1] + [p - 1] * (n - 1 - k) for k in range(n)]
+    # after k reductions slot k holds u_k + 144 k = u_k + k (mod 13): u_k = 1 - k
+    u = [(1 - k) % p for k in range(n)]
+    _check_span_against_list_echelon(F, rows[:-1] + [u], [u, rows[-1]])
+    _check_span_against_list_echelon(F, rows, [u, [p - 1] * n])
+
+
+def test_span_over_a_prime_above_two_to_the_32():
+    """Slots for p > 2^32 need more than 8 bytes."""
+    p = 4294967311
+    F, rng = GF(p, p_cap=p, q_cap=p), random.Random(7)
+    base = [[rng.randrange(p) for _ in range(8)] for _ in range(5)]
+    vectors = [[sum(rng.randrange(p) * b[i] for b in base) % p for i in range(8)] for _ in range(8)]
+    probes = vectors[:3] + [[rng.randrange(p) for _ in range(8)] for _ in range(3)]
+    _check_span_against_list_echelon(F, vectors + [[p - 1] * 8], probes)
 
 
 def test_field_size_caps():

@@ -51,6 +51,21 @@ def test_matrix_arithmetic():
             for i, c in enumerate(g.c):
                 naive = mat_add(F, naive, mat_scale(F, mat_pow(F, A, i), c))
             assert mat_poly(F, g, A) == naive
+    # packed products at full module size, and a prime above 2^32, whose
+    # slots need more than 8 bytes, against the triple loop
+    big = 4294967311
+    shapes = ((GF(13), 13, 13, 13), (GF(13), 13, 7, 11), (GF(big, p_cap=big, q_cap=big), 3, 4, 2))
+    for F, r, k, c in shapes:
+        p = F.p
+
+        def rand(rows, cols):
+            return tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
+
+        for A, B in ((rand(r, k), rand(k, c)), (((p - 1,) * k,) * r, ((p - 1,) * c,) * k)):
+            triple = tuple(
+                tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(c)) for i in range(r)
+            )
+            assert mat_mul(F, A, B) == triple
 
 
 def test_word_span_and_cyclicity():
@@ -65,6 +80,13 @@ def test_word_span_and_cyclicity():
     Y = ((0, 0, 1), (0, 0, 0), (0, 0, 0))
     assert word_span_dim(F, X, Y) == 9  # shift plus corner unit is irreducible
     assert all_basis_vectors_cyclic(F, X, Y)
+    # commuting diagonals over GF(13): the words are the diagonal matrices
+    # constant on the 12 classes of i mod 12, far below p^2 = 169
+    F = GF(13)
+    X = tuple(tuple(i % 4 if i == j else 0 for j in range(13)) for i in range(13))
+    Y = tuple(tuple(i % 3 if i == j else 0 for j in range(13)) for i in range(13))
+    assert word_span_dim(F, X, Y) == 12
+    assert not all_basis_vectors_cyclic(F, X, Y)
 
 
 def _combination(F, coeffs, vecs, width):
@@ -436,6 +458,40 @@ def test_spectrum_points_degree_two():
     d = sp.describe()
     deg2 = [e for e in d["max_off_f"] if e["degree"] == 2]
     assert all(isinstance(e["xi"], list) for e in deg2)
+    # the Frobenius tables against the element-wise enumeration
+    for K, f, bound in (
+        (GF(2), Poly(GF(2), (1, 1, 1)), 4),
+        (GF(3), Poly(GF(3), (1, 2, 0, 1)), 3),
+        (GF(2, 2), Poly(GF(2, 2), (2, 1, 1)), 2),
+    ):
+        assert spectrum(f, bound).max_off_f == _points_by_enumeration(f, bound)
+
+
+def _points_by_enumeration(f, bound):
+    """Closed points (j, xi, rho) off V(f^p) by field-element Frobenius: no
+    coordinate pair in a proper subfield, and least in its orbit."""
+    K = f.field
+    fp = Poly.from_values(K, (K.frob(c) for c in f.c))
+    points = []
+    for j in range(1, bound + 1):
+        tw = tower_over(K, K.m * j)
+        Fj, fpj = tw.ext, lift_poly(fp, tw)
+        for xi in Fj.elements():
+            if fpj.eval_value(xi) == 0:
+                continue
+            for rho in Fj.elements():
+                if any(
+                    tw.in_subfield(xi, tw.k * t) and tw.in_subfield(rho, tw.k * t)
+                    for t in range(1, j)
+                    if j % t == 0
+                ):
+                    continue
+                orbit = [(xi, rho)]
+                for _ in range(j - 1):
+                    orbit.append((Fj.frob(orbit[-1][0], tw.k), Fj.frob(orbit[-1][1], tw.k)))
+                if min(orbit) == (xi, rho):
+                    points.append((j, xi, rho))
+    return tuple(points)
 
 
 def test_spectrum_validation():
