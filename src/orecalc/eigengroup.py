@@ -30,7 +30,7 @@ bases are echelonized; identical inputs produce identical descriptors.
 The inverse problem (realize a prescribed subgroup H as G_f) is solved by
 explicit witness polynomials per subgroup shape, and every structured result
 can be compared against `eigengroup_bruteforce`, the independent oracle that
-simply tries all (lam, mu).
+shifts f by every mu and solves a coefficient equation for lam.
 """
 
 from __future__ import annotations
@@ -714,9 +714,13 @@ def affine_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
     """Sorted pairs (lam, mu), lam != 0, with f(lam*x + mu) = lam^(deg f) * g.
 
     lam and mu run over the packed values given (default: all of f's field).
-    One Taylor shift f(x + mu) per mu; since f(lam*x + mu) has coefficients
-    lam^j * f(x + mu)_j, a pair matches when f(x + mu)_j = lam^(d - j) * g_j,
-    compared from the top coefficient down with early exit.
+    One Taylor shift b = f(x + mu) per mu; since f(lam*x + mu) has
+    coefficients lam^k * b_k, a pair matches when b_k = lam^(d - k) * g_k for
+    every k.  The largest j < d with g_j != 0 solves for lam: only the units
+    with lam^(d - j) = b_j / g_j, looked up in a table built once per call,
+    are compared from the top coefficient down with early exit.  When
+    g = g_d * x^d no coefficient involves lam, and every unit is a
+    candidate exactly when b = g.
     """
     if f.field is not g.field:
         raise DomainError("polynomials over different fields")
@@ -727,13 +731,23 @@ def affine_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
     vals = sorted(values) if values is not None else F.elements()
     units = [v for v in vals if v]
     gc = g.c
+    j = next((k for k in range(d - 1, -1, -1) if gc[k]), None)
+    if j is not None:
+        by_power: dict[int, list[int]] = {}
+        for lam in units:
+            by_power.setdefault(F.pow(lam, d - j), []).append(lam)
+        inv_gj = F.inv(gc[j])
     out = []
     for mu in vals:
         b = f.compose_affine(1, mu).c
-        for lam in units:
+        if j is None:
+            candidates = units if b == gc else ()
+        else:
+            candidates = by_power.get(F.mul(b[j], inv_gj), ())
+        for lam in candidates:
             pw = 1
-            for j in range(d, -1, -1):
-                if b[j] != F.mul(pw, gc[j]):
+            for k in range(d, -1, -1):
+                if b[k] != F.mul(pw, gc[k]):
                     break
                 pw = F.mul(pw, lam)
             else:
@@ -747,8 +761,9 @@ def eigengroup_bruteforce(
 ) -> list[AffineAut]:
     """All sigma_{lam,mu} over f's field with sigma(f) proportional to f.
 
-    Exhaustive over lam in F^x, mu in F (at most cap field elements); the
-    independent oracle for every structured computation.
+    Exhaustive over mu in F (at most cap field elements), with lam in F^x
+    solved from the coefficients by affine_matches; the independent oracle
+    for every structured computation.
     """
     _require_monic_nonscalar(f)
     if field is None:

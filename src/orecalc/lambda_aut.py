@@ -228,9 +228,10 @@ class IsoResult:
 def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
     """Decide Lambda(f) ~ Lambda(g) and produce a verified witness map.
 
-    The criterion is g = alpha^(-d) f(alpha*x + beta); affine_matches scans
-    every (alpha, beta) and the first witness in (alpha, beta) order is
-    returned after transporting the defining relation through it.
+    The criterion is g = alpha^(-d) f(alpha*x + beta); affine_matches shifts
+    f by every beta and solves for alpha, and the first witness in
+    (alpha, beta) order is returned after transporting the defining relation
+    through it.
     """
     _require_monic_nonscalar(f)
     _require_monic_nonscalar(g)

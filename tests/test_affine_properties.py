@@ -1,6 +1,6 @@
 """Property sweeps for the affine substitution x -> lam*x + mu.
 
-Poly.compose is the independent oracle: the (lam, mu) scan in
+Poly.compose is the independent oracle: the lam solve in
 affine_matches and the witness of are_isomorphic are each checked against a
 plain double loop of compositions.
 """
@@ -11,27 +11,37 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orecalc.eigengroup import affine_matches
+import random
+
+from orecalc.eigengroup import affine_matches, eigengroup_bruteforce_in_tower
 from orecalc.gf import GF
 from orecalc.lambda_aut import are_isomorphic
-from orecalc.poly import Poly
+from orecalc.poly import Poly, lift_poly, splitting_tower
 
 # small enough for a q(q-1) loop of full compositions
-SCAN_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
+SCAN_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4)]
 
 
 def substitute(f: Poly, lam: int, mu: int) -> Poly:
     return f.compose(Poly.from_values(f.field, (mu, lam)))
 
 
-def oracle_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
+def oracle_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
     F = f.field
+    vals = list(F.elements()) if values is None else list(values)
     return sorted(
         (lam, mu)
-        for lam in F.units()
-        for mu in F.elements()
+        for lam in vals
+        if lam
+        for mu in vals
         if substitute(f, lam, mu) == g.scale_value(F.pow(lam, f.degree))
     )
+
+
+def image(f: Poly, lam: int, mu: int) -> Poly:
+    """lam^-d f(lam*x + mu): the g that (lam, mu) carries f to."""
+    F = f.field
+    return substitute(f, lam, mu).scale_value(F.inv(F.pow(lam, f.degree)))
 
 
 @st.composite
@@ -44,7 +54,7 @@ def scan_pairs(draw, monic=False):
     if draw(st.booleans()):
         lam = draw(st.integers(1, F.q - 1))
         mu = draw(st.integers(0, F.q - 1))
-        g = substitute(f, lam, mu).scale_value(F.inv(F.pow(lam, d)))
+        g = image(f, lam, mu)
     else:
         low = draw(st.lists(st.integers(0, F.q - 1), min_size=d, max_size=d))
         g = Poly.from_values(F, low + [1 if monic else draw(st.integers(1, F.q - 1))])
@@ -71,3 +81,100 @@ def test_isomorphism_witness_is_the_first_match(pair):
     assert res.isomorphic == bool(matches)
     if matches:
         assert (res.alpha, res.beta) == min(matches)
+
+
+# ---------------------------------------------------------------------------
+# Explicit cases for the branches of the lam solve, which hypothesis reaches
+# rarely: a deep pinning coefficient, g = x^d, p | d, unequal leading terms.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("F", [GF(13), GF(2, 4)], ids=["GF13", "GF2_4"])
+@pytest.mark.parametrize("d,k", [(4, 0), (4, 1), (5, 2), (6, 0), (6, 3)])
+def test_deep_pinning_coefficient(F, d, k):
+    """g_{d-1} = 0 and g_k != 0 for some k < d - 1, so lam is solved from
+    lam^e with e = d - k >= 2, a power several units share."""
+    rng = random.Random(f"deep/{F.q}/{d}/{k}")
+    for _ in range(3):
+        c = [0] * d + [1]
+        c[0] = rng.randrange(1, F.q)
+        c[k] = rng.randrange(1, F.q)
+        h = Poly.from_values(F, c)
+        a = rng.randrange(F.q)
+        f = substitute(h, 1, a)  # h(x + a), dense in general
+        g = image(h, rng.randrange(1, F.q), 0)  # sparse: same zero pattern as h
+        assert g.c[d - 1] == 0 and any(g.c[:d - 1])
+        matches = affine_matches(f, g)
+        assert any(mu == F.neg(a) for _, mu in matches)
+        assert matches == oracle_matches(f, g)
+        other = Poly.from_values(F, (F.add(g.c[0], rng.randrange(1, F.q)),) + g.c[1:])
+        assert affine_matches(f, other) == oracle_matches(f, other)
+
+
+@pytest.mark.parametrize(
+    "F", [GF(13), GF(2, 4), GF(3, 2), GF(2, 2)], ids=["GF13", "GF2_4", "GF3_2", "GF2_2"]
+)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_monomial_target_takes_every_unit(F, d):
+    """g = x^d pins no lam: every unit matches at the one mu that undoes the
+    shift of f = (x - a)^d, and nothing matches an f with two distinct roots."""
+    g = Poly.from_values(F, [0] * d + [1])
+    for a in (0, 1, F.q - 1):
+        lin = Poly.from_values(F, (F.neg(a), 1))
+        f = lin ** d
+        want = sorted((lam, a) for lam in F.units())
+        assert affine_matches(f, g) == oracle_matches(f, g) == want
+        if d > 1:
+            f1 = lin ** (d - 1) * Poly.from_values(F, (F.neg(F.add(a, 1)), 1))
+            assert affine_matches(f1, g) == oracle_matches(f1, g) == []
+
+
+@pytest.mark.parametrize("F", [GF(3, 2), GF(2, 2)], ids=["GF3_2", "GF2_2"])
+def test_p_divides_degree(F):
+    """p | d: the x^(d-1) coefficient of the image does not involve mu."""
+    rng = random.Random(f"pdiv/{F.q}")
+    for d in (F.p, 2 * F.p):
+        for _ in range(6):
+            f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+            partner = image(f, rng.randrange(1, F.q), rng.randrange(F.q))
+            other = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+            for g in (partner, other):
+                assert affine_matches(f, g) == oracle_matches(f, g)
+            assert affine_matches(f, partner)
+
+
+@pytest.mark.parametrize("F", [GF(7), GF(3, 2), GF(2, 3)], ids=["GF7", "GF3_2", "GF2_3"])
+def test_unequal_leading_coefficients(F):
+    """Non-monic f and g: an image keeps the leading coefficient, and a g
+    with another leading coefficient matches nothing."""
+    rng = random.Random(f"lead/{F.q}")
+    for _ in range(6):
+        f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(3)] + [rng.randrange(2, F.q)])
+        g = image(f, rng.randrange(1, F.q), rng.randrange(F.q))
+        assert affine_matches(f, g) == oracle_matches(f, g) != []
+        c = rng.randrange(2, F.q)
+        g2 = g.scale_value(c)
+        assert g2.c[-1] != f.c[-1]
+        assert affine_matches(f, g2) == oracle_matches(f, g2) == []
+
+
+@pytest.mark.parametrize("p,coeffs,level", [
+    (2, (1, 1, 0, 0, 1), 2),  # x^4 + x + 1, L = GF(2^4)
+    (2, (1, 1, 0, 0, 1), 4),
+    (2, (1, 0, 1, 1), 3),  # x^3 + x^2 + 1, L = GF(2^3) x GF(2^2) below
+    (3, (2, 0, 1, 0, 1), 2),  # x^4 + x^2 + 2
+    (3, (1, 2, 0, 1), 3),  # x^3 + 2x + 1, L = GF(3^3)
+])
+def test_bruteforce_in_tower_is_the_restricted_double_loop(p, coeffs, level):
+    """values = the subfield values of a tower level: the eigen-substitution
+    pairs with lam, mu in that subfield, against the double loop there."""
+    f = Poly.from_values(GF(p), coeffs)
+    tower = splitting_tower(f, extra_degrees=(2,))
+    sub = tower.subfield_values(level)
+    fe = lift_poly(f, tower)
+    want = oracle_matches(fe, fe, sub)
+    assert affine_matches(fe, fe, sub) == want
+    lvl = tower.level(level)
+    assert eigengroup_bruteforce_in_tower(f, tower, level) == {
+        (lvl.lower(l).val, lvl.lower(m).val) for l, m in want
+    }

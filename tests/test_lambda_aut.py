@@ -5,10 +5,10 @@ import random
 import pytest
 
 from orecalc.errors import DomainError
-from orecalc.gf import GF
+from orecalc.gf import GF, tower_over
 from orecalc.lambda_aut import LambdaAut, OreHom, aut_group, are_isomorphic
 from orecalc.ore import OreAlgebra
-from orecalc.poly import Poly, monic_polys
+from orecalc.poly import Poly, is_irreducible, monic_polys, roots_in_ext
 
 
 def rand_elem(A, rng, ydeg=2, xdeg=3):
@@ -233,3 +233,30 @@ def test_iso_partitions_cubics_over_F3():
     for cls in seen:
         for g in cls:
             assert orbits[g] == cls  # closure under the group action
+
+
+@pytest.mark.parametrize("p,k", [(2, 12), (3, 8)])
+def test_iso_reach_on_large_fields(p, k):
+    """are_isomorphic runs without a field cap: over GF(2^12) and GF(3^8) a
+    partner gets a witness that carries f to g by substitution, and a cubic
+    with another number of roots in K is rejected."""
+    F = GF(p, k)
+    rng = random.Random(f"iso-reach/{p}/{k}")
+    f = Poly.one(F)
+    for r in rng.sample(range(F.q), 3):
+        f = f * Poly.from_values(F, (F.neg(r), 1))
+    alpha, beta = rng.randrange(1, F.q), rng.randrange(F.q)
+    g = f.compose(Poly.from_values(F, (beta, alpha))).scale_value(F.inv(F.pow(alpha, 3)))
+    res = are_isomorphic(f, g)
+    assert res.isomorphic
+    sub = Poly.from_values(F, (res.beta, res.alpha))
+    assert f.compose(sub) == g.scale_value(F.pow(res.alpha, 3))
+    res.hom.verify()
+    while True:
+        q2 = Poly.from_values(F, (rng.randrange(F.q), rng.randrange(F.q), 1))
+        if is_irreducible(q2):
+            break
+    h = Poly.from_values(F, (F.neg(rng.randrange(F.q)), 1)) * q2
+    K = tower_over(F, k)  # the trivial tower: roots in K itself
+    assert len(roots_in_ext(h, K)) == 1 and len(roots_in_ext(f, K)) == 3
+    assert not are_isomorphic(f, h).isomorphic
