@@ -24,11 +24,16 @@ by reducing x * y^i modulo the left ideal generated by x - xi^(1/p) and
 z2 - rho (commuting x past y^i with the binomial rewrite rule and recursing
 on the lower-order terms), and the two matrices must agree exactly.
 
-Simplicity checks are Burnside-style word spans.  Off f the centre acts by
-the scalars (xi, rho) and the word algebra must fill the full p x p matrix
-ring.  On f the image algebra F_i[Y] is a field, not a matrix ring, so the
-honest criteria are: word span of dimension deg q, and every basis vector
-cyclic under the action.
+Off f, simplicity rests on an eigenline certificate.  With a = xi^(1/p) and
+N = X - a (nilpotent, as X^p = xi) it asks for N e_0 = 0, rank N = p - 1 and
+e_0 generating K^p under X and Y.  Over any extension L, a nonzero X- and
+Y-stable W meets ker N = L e_0 (N is nilpotent on W, and rank does not
+depend on the field), so W contains e_0 and hence L^p: the module is
+absolutely simple, so by Burnside the words in X and Y span all p x p
+matrices and every nonzero vector is cyclic.  On f the image algebra F_i[Y]
+is a field, not a matrix ring, so the criteria are a word span of dimension
+deg q and every basis vector cyclic; the word span stays as that check and
+as the off-f test oracle.
 
 The spectrum of Lambda: minimal primes are the irreducible factors p_i of f
 (computed through Frobenius orbits of the roots), the height-one completely
@@ -39,6 +44,7 @@ bound.  Krull and global dimension are both the constant 2.
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass
 from math import comb, lcm
 
@@ -115,15 +121,14 @@ def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
     return A == mat_scale(F, mat_id(F, len(A)), s)
 
 
-def word_span_dim(F: FieldDesc, X, Y, cap: int | None = None) -> int:
+def word_span_dim(F: FieldDesc, X, Y) -> int:
     """Dimension of the algebra spanned by words in X and Y (with identity)."""
     d = len(X)
     span = Span(F)
     frontier = [mat_id(F, d)]
     flat = lambda M: tuple(v for row in M for v in row)  # noqa: E731
     span.add(flat(frontier[0]))
-    limit = cap if cap is not None else d * d
-    while frontier and span.rank < limit:
+    while frontier and span.rank < d * d:
         new = []
         for W in frontier:
             for A in (X, Y):
@@ -134,24 +139,37 @@ def word_span_dim(F: FieldDesc, X, Y, cap: int | None = None) -> int:
     return span.rank
 
 
+def cyclic_span_dim(F: FieldDesc, X, Y, v) -> int:
+    """Dimension of the span of the words in X and Y applied to v."""
+    span = Span(F)
+    frontier = [v] if span.add(v) else []
+    while frontier and span.rank < len(v):
+        new = []
+        for u in frontier:
+            for A in (X, Y):
+                w = mat_vec(F, A, u)
+                if span.add(w):
+                    new.append(w)
+        frontier = new
+    return span.rank
+
+
+def eigenline_certificate(F: FieldDesc, X, Y, a: int) -> bool:
+    """N = X - a kills e_0 and has rank d - 1, and e_0 generates F^d under X
+    and Y.  When N is nilpotent this proves the module absolutely simple
+    (see the module docstring)."""
+    d = len(X)
+    N = mat_sub(F, X, mat_scale(F, mat_id(F, d), a))
+    rows = Span(F)
+    for row in N:
+        rows.add(row)
+    kills_e0 = not any(row[0] for row in N)
+    return kills_e0 and rows.rank == d - 1 and cyclic_span_dim(F, X, Y, mat_id(F, d)[0]) == d
+
+
 def all_basis_vectors_cyclic(F: FieldDesc, X, Y) -> bool:
     d = len(X)
-    for i in range(d):
-        e = tuple(1 if r == i else 0 for r in range(d))
-        span = Span(F)
-        span.add(e)
-        frontier = [e]
-        while frontier and span.rank < d:
-            new = []
-            for v in frontier:
-                for A in (X, Y):
-                    w = mat_vec(F, A, v)
-                    if span.add(w):
-                        new.append(w)
-            frontier = new
-        if span.rank != d:
-            return False
-    return True
+    return all(cyclic_span_dim(F, X, Y, e) == d for e in mat_id(F, d))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +290,15 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
     return SimpleModuleSpec("on_f", f, F, d, X, Y, p_i=p_i, q=q)
 
 
+def _off_f_reproducer(f: Poly, xi: int, rho: int) -> str:
+    """The CLI line that builds the off-f module of f at (xi, rho)."""
+    K = f.field
+    field = repr(K) if K.m == 1 else f"GF({K.p}^{K.m}, mod={','.join(map(str, K.modulus))})"
+    xi, rho = repr(K.from_value(xi)), repr(K.from_value(rho))
+    args = ["simple-module", "--field", field, "--f", repr(f), "--xi", xi, "--rho", rho]
+    return "reproduce: " + shlex.join(["orecalc", *args])
+
+
 def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     """The p-dimensional simple module at m = (x^p - xi, z2 - rho), off V(f^p)."""
     _require_monic_nonscalar(f)
@@ -302,30 +329,33 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     # independent re-derivation: reduce x*y^i modulo the left ideal
     # generated by x - a (and z2 - rho, which never enters below y^p)
     # via x y^i = y^i x - sum_{t>=1} C(i,t) delta^t(x) y^(i-t) and
-    # delta^t(x) = delta^(t-1)(f), then recurse on the polynomial actions.
-    Xr = [[0] * p for _ in range(p)]
-
-    def apply_poly_partial(g: Poly, col: int):
-        """g(X) e_col using the already-built columns (col < current i)."""
-        vec = [0] * p
-        for c in reversed(g.c):
-            vec = [K.dot(row, vec) for row in Xr]
-            if c:
-                vec[col] = K.add(vec[col], c)
-        return vec
-
+    # delta^t(x) = delta^(t-1)(f).  On the columns j < i built so far x acts
+    # as a + N with N^p = 0, so phi(x) e_j = sum_{k<p} (D^k phi)(a) N^k e_j:
+    # Hasse derivatives from phi mod (x - a)^p = x^p - xi, shifted by a, and
+    # N^k e_j built once, with column j.
+    xp = Poly.from_values(K, [K.neg(xi)] + [0] * (p - 1) + [1])
+    taylor = [(g % xp).compose_affine(1, a).c for g in phis]
+    N = [[0] * p for _ in range(p)]
+    npows = []  # npows[j][k] = N^k e_j, for k <= j (N^k e_j = 0 beyond)
     for i in range(p):
         col = [0] * p
-        col[i] = a
         for t in range(1, i + 1):
             cb = comb(i, t) % p
-            if not cb:
-                continue
-            col = K.row_sub(col, cb, apply_poly_partial(phis[t - 1], i - t))
+            if cb:
+                for c, v in zip(taylor[t - 1], npows[i - t]):
+                    if c:
+                        col = K.row_sub(col, K.mul(cb, c), v)
         for r in range(p):
-            Xr[r][i] = col[r]
-    if tuple(tuple(row) for row in Xr) != X:
-        raise InternalCheckError("x-action table disagrees with the ideal reduction")
+            N[r][i] = col[r]
+        pw = [[int(r == i) for r in range(p)]]
+        while len(pw) <= i:
+            pw.append(mat_vec(K, N, pw[-1]))
+        npows.append(pw)
+    if mat_add(K, N, mat_scale(K, mat_id(K, p), a)) != X:
+        raise InternalCheckError(
+            "stage=off_f.x_table: x-action table disagrees with the ideal reduction; "
+            + _off_f_reproducer(f, xi, rho)
+        )
 
     # y-action: cyclic shift with y^p = rho + c(x) y on the module
     alg = OreAlgebra(f)
@@ -347,10 +377,11 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     z2_mat = mat_sub(K, mat_pow(K, Y, p), mat_mul(K, c_of_X, Y))
     if not is_scalar_mat(K, z2_mat, rho):
         raise InternalCheckError("z2 does not act as rho")
-    if word_span_dim(K, X, Y) != p * p:
-        raise InternalCheckError("word span must be the full matrix algebra off f")
-    if not all_basis_vectors_cyclic(K, X, Y):
-        raise InternalCheckError("a basis vector fails to generate the module")
+    if not eigenline_certificate(K, X, Y, a):
+        raise InternalCheckError(
+            "stage=off_f.simplicity: the eigenline certificate fails; "
+            + _off_f_reproducer(f, xi, rho)
+        )
 
     return SimpleModuleSpec("off_f", f, K, p, X, Y, xi=xi, rho=rho)
 

@@ -1,13 +1,21 @@
 """Simple modules over the Ore extensions and the spectrum bookkeeping."""
 
+import json
 import random
+import shlex
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orecalc import cli, modules_spectra
 from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, Span, tower_over
 from orecalc.modules_spectra import (
     all_basis_vectors_cyclic,
+    cyclic_span_dim,
+    eigenline_certificate,
     factor_into_irreducibles,
     is_scalar_mat,
     mat_add,
@@ -73,6 +81,7 @@ def test_word_span_and_cyclicity():
     N = ((0, 1), (0, 0))  # one shared nilpotent: commutative, not simple
     assert word_span_dim(F, N, N) == 2
     assert not all_basis_vectors_cyclic(F, N, N)  # e_0 reaches only e_0
+    assert [cyclic_span_dim(F, N, N, v) for v in ((1, 0), (0, 1), (0, 0))] == [1, 2, 0]
     M = ((0, 0), (1, 0))
     assert word_span_dim(F, N, M) == 4  # e_01 and e_10 generate M_2
     assert all_basis_vectors_cyclic(F, N, M)
@@ -259,6 +268,49 @@ def test_on_f_dimension_law_sweep():
 # ---------------------------------------------------------------------------
 
 
+def horner_x_table(f, a):
+    """The x-action on {y^i 1} by reducing x y^i modulo the left ideal of
+    x - a, with phi_{t-1}(X) e_{i-t} evaluated by Horner on the columns built
+    so far for every pair (i, t): the oracle for the Taylor re-derivation
+    inside simple_module_off_f."""
+    K = f.field
+    p = K.p
+    phis = [f]
+    for _ in range(max(0, p - 2)):
+        phis.append(f * phis[-1].derivative())
+    Xr = [[0] * p for _ in range(p)]
+
+    def apply_poly_partial(g, col):
+        vec = [0] * p
+        for c in reversed(g.c):
+            vec = [K.dot(row, vec) for row in Xr]
+            if c:
+                vec[col] = K.add(vec[col], c)
+        return vec
+
+    for i in range(p):
+        col = [0] * p
+        col[i] = a
+        for t in range(1, i + 1):
+            cb = comb(i, t) % p
+            if cb:
+                col = K.row_sub(col, cb, apply_poly_partial(phis[t - 1], i - t))
+        for r in range(p):
+            Xr[r][i] = col[r]
+    return tuple(tuple(row) for row in Xr)
+
+
+def check_off_f_oracles(spec):
+    """The eigenline certificate holds, and so do the slow checks it replaced:
+    the full word span, every basis vector cyclic, and the Horner table."""
+    F, p, X, Y = spec.field, spec.dim, spec.X, spec.Y
+    a = F.pth_root(spec.xi)
+    assert eigenline_certificate(F, X, Y, a)
+    assert word_span_dim(F, X, Y) == p * p
+    assert all_basis_vectors_cyclic(F, X, Y)
+    assert horner_x_table(spec.f, a) == X
+
+
 def test_off_f_explicit_char3():
     K = GF(3)
     f = Poly(K, (0, 0, 1))  # x^2: c = (f f')' = (2x^3)' = 0
@@ -288,7 +340,7 @@ def test_off_f_rejects_points_on_the_locus():
 
 def test_off_f_random_sweep():
     rng = random.Random(31)
-    for F in (GF(3), GF(2, 2), GF(3, 2)):
+    for F in (GF(3), GF(2, 2), GF(3, 2), GF(5), GF(7)):
         p = F.p
         built = 0
         while built < 8:
@@ -304,17 +356,19 @@ def test_off_f_random_sweep():
             lhs = mat_sub(F, mat_mul(F, spec.Y, spec.X), mat_mul(F, spec.X, spec.Y))
             assert lhs == mat_poly(F, f, spec.X)
             assert is_scalar_mat(F, mat_pow(F, spec.X, p), xi.val)
-            c = f.derivative() if p == 2 else (f * f.derivative()).derivative()
-            c_of_x = mat_poly(F, c, spec.X)
+            c = f  # c = (delta^(p-2) f)' with delta(g) = f g'
+            for _ in range(p - 2):
+                c = f * c.derivative()
+            c_of_x = mat_poly(F, c.derivative(), spec.X)
             z2 = mat_sub(F, mat_pow(F, spec.Y, p), mat_mul(F, c_of_x, spec.Y))
             assert is_scalar_mat(F, z2, rho.val)
-            assert word_span_dim(F, spec.X, spec.Y) == p * p
-            assert all_basis_vectors_cyclic(F, spec.X, spec.Y)
+            check_off_f_oracles(spec)
 
 
 @pytest.mark.parametrize("p", [11, 13])
-def test_off_f_largest_prime_fields(p):
-    """One seeded module over each of the largest prime fields."""
+def test_off_f_largest_prime_fields(p, monkeypatch):
+    """One seeded module over each of the largest prime fields; the slow
+    simplicity checks run here only as oracles, never inside simple_module_off_f."""
     F = GF(p)
     rng = random.Random(p)
     while True:
@@ -322,10 +376,98 @@ def test_off_f_largest_prime_fields(p):
         xi, rho = rng.randrange(p), rng.randrange(p)
         if f.eval_value(F.pth_root(xi)) != 0:
             break
+
+    def not_off_f(*args):
+        raise AssertionError("simple_module_off_f ran a slow simplicity check")
+
+    monkeypatch.setattr(modules_spectra, "word_span_dim", not_off_f)
+    monkeypatch.setattr(modules_spectra, "all_basis_vectors_cyclic", not_off_f)
     spec = simple_module_off_f(f, F.from_value(xi), F.from_value(rho))
+    monkeypatch.undo()
     assert spec.dim == p
-    assert word_span_dim(F, spec.X, spec.Y) == p * p
-    assert all_basis_vectors_cyclic(F, spec.X, spec.Y)
+    check_off_f_oracles(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eigenline_certificate_implies_full_word_span(data):
+    """X = a + N with N strictly upper triangular (so nilpotent) and Y
+    arbitrary: whenever the certificate holds, the words span all d x d
+    matrices.  Half the draws make the superdiagonal of N units, so that
+    rank N = d - 1 and the Krylov condition decides."""
+    F = data.draw(st.sampled_from([GF(2), GF(3)]))
+    d = data.draw(st.integers(1, 4))
+    a = data.draw(st.integers(0, F.q - 1))
+    unit_superdiagonal = data.draw(st.booleans())
+    X = [[a if r == c else 0 for c in range(d)] for r in range(d)]
+    for r in range(d):
+        for c in range(r + 1, d):
+            low = 1 if unit_superdiagonal and c == r + 1 else 0
+            X[r][c] = data.draw(st.integers(low, F.q - 1))
+    X = tuple(tuple(row) for row in X)
+    Y = tuple(tuple(data.draw(st.integers(0, F.q - 1)) for _ in range(d)) for _ in range(d))
+    if eigenline_certificate(F, X, Y, a):
+        assert word_span_dim(F, X, Y) == d * d
+        assert all_basis_vectors_cyclic(F, X, Y)
+
+
+@pytest.mark.parametrize("F", [GF(5), GF(2, 2), GF(3, 2)], ids=["GF5", "GF2_2", "GF3_2"])
+def test_eigenline_certificate_rejections(F):
+    """A rank drop of X - a, Y = X (under which e_0 spans only itself), and
+    the commuting pair X^T, X^T (rank p - 1 and e_0 cyclic, but the kernel of
+    X^T - a is the line of e_{p-1}) each fail the certificate."""
+    f = Poly.from_values(F, (1, 1, 1))
+    xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)) != 0)
+    spec = simple_module_off_f(f, F.from_value(xi), F.one)
+    X, Y, a, p = spec.X, spec.Y, F.pth_root(xi), spec.dim
+    assert eigenline_certificate(F, X, Y, a)
+    for j in range(p - 1):
+        cut = [list(row) for row in X]
+        cut[j][j + 1] = 0  # X - a keeps e_0 in its kernel at rank p - 2
+        assert not eigenline_certificate(F, tuple(map(tuple, cut)), Y, a)
+    assert not eigenline_certificate(F, X, X, a)
+    Xt = tuple(zip(*X))
+    assert cyclic_span_dim(F, Xt, Xt, mat_id(F, p)[0]) == p and word_span_dim(F, Xt, Xt) == p
+    assert not eigenline_certificate(F, Xt, Xt, a)
+
+
+def _off_f_module_via(line):
+    """Run a logged reproducer through the CLI and return its X and Y."""
+    argv = shlex.split(line.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "simple-module"]
+    code, out = cli.run(argv[1:])
+    assert code == 0, out
+    payload = json.loads(out)
+    return payload["X"], payload["Y"]
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(13), GF(3, 2)], ids=["GF3", "GF13", "GF3_2"])
+def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
+    """A corrupted closed-form table fails the comparison with the Taylor
+    re-derivation, and a failed certificate names its own stage; both
+    messages end with a CLI line that rebuilds the module."""
+    f = Poly.from_values(F, (2, 0, 1, 1))
+    xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)) != 0)
+    xi, rho = F.from_value(xi), F.from_value(F.q - 1)  # packed values, not ints mod p
+    good = simple_module_off_f(f, xi, rho).describe()
+
+    eval_value = Poly.eval_value
+
+    def corrupt(self, v):  # every phi_t with t >= 1 read one off
+        return eval_value(self, v) if self == f else F.add(eval_value(self, v), 1)
+
+    monkeypatch.setattr(Poly, "eval_value", corrupt)
+    with pytest.raises(InternalCheckError, match=r"^stage=off_f\.x_table: ") as info:
+        simple_module_off_f(f, xi, rho)
+    monkeypatch.undo()
+    assert "\n" not in str(info.value)
+    assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
+
+    monkeypatch.setattr(modules_spectra, "eigenline_certificate", lambda *args: False)
+    with pytest.raises(InternalCheckError, match=r"^stage=off_f\.simplicity: ") as info:
+        simple_module_off_f(f, xi, rho)
+    monkeypatch.undo()
+    assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
 
 
 def test_off_f_distinct_characters_separate_modules():
