@@ -53,7 +53,6 @@ from .poly import (
     roots_in_ext,
     roots_with_multiplicity,
     space_basis,
-    splitting_tower,
     verify_fp_subspace,
 )
 
@@ -494,9 +493,8 @@ class EigengroupResult:
 def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupResult:
     """G_f over the splitting field L together with the eigenform of f."""
     _require_monic_nonscalar(f)
-    if tower is None:
-        tower = splitting_tower(f)
     rm = roots_with_multiplicity(f, tower)
+    tower = rm.tower
     L, M, p = tower.ext, tower.M, f.field.p
     fe = lift_poly(f, tower)
     d = f.degree

@@ -12,10 +12,17 @@ the thin operator-overloading wrapper around (field, value).
 Moduli default to the lexicographically smallest monic irreducible of the
 required degree (scanning packed values upward), so field construction is
 reproducible across runs.  Prime fields (m = 1) compute on plain ints mod p
-and keep no tables.  In extension fields, multiplication, inversion and
-powering go through discrete-log tables built from the smallest
-multiplicative generator; fields too large for tables (q > 2^16) fall back
-to direct polynomial arithmetic.
+and keep no tables.  Extension fields with q <= 2^16 keep four tables:
+the digits of every packed value, and exp and log to the smallest
+multiplicative generator g, through which multiplication, inversion and
+powering go.  In characteristic 2 a sum is the XOR of packed values.  For
+odd p the fourth table holds the Zech logarithms Z(n) = log(1 + g^n)
+(K. Huber, IEEE Trans. IT 36, 1990), with no entry at n = (q-1)/2, where
+1 + g^n = 0: then a + b = g^(log a + Z(log b - log a)), -a =
+g^(log a + (q-1)/2), and a - b is the sum with that offset on log b, so no
+operand is unpacked.  Fields too large for tables (q > 2^16) add digit by
+digit (add_digits, also the test oracle for the Zech sum) and multiply by
+direct polynomial arithmetic.
 
 A FieldTower fixes a base K = F_{p^k} inside an extension L = F_{p^M},
 k | M, with the embedding stored explicitly: for every level j | M the image
@@ -205,16 +212,13 @@ class FieldDesc:
         self.modulus = modulus
         self._pw = tuple(p**i for i in range(m + 1))
         self._has_tables = m > 1 and self.q <= _LOG_TABLE_LIMIT
+        self._zech = None
         if self._has_tables:
             # product varies its last entry fastest, packing varies digit 0 fastest
             self._digits = [t[::-1] for t in product(range(p), repeat=m)]
-            self._neg = [0]
-            for pw in self._pw[:m]:
-                self._neg = [a + (-c % p) * pw for c in range(p) for a in self._neg]
             self._build_log_tables()
         else:
             self._digits = None
-            self._neg = None
             self.generator = self._find_generator()
 
     # -- construction helpers ------------------------------------------------
@@ -264,6 +268,14 @@ class FieldDesc:
             log[v] = i
         self._exp = exp
         self._log = log
+        if self.p != 2:
+            # Zech logarithms Z(n) = log(1 + g^n): adding 1 changes digit 0
+            # only, and 1 + g^n = 0 exactly at g^n = -1, n = (q-1)/2
+            p = self.p
+            self._q1, self._half = q1, q1 // 2
+            zech = [log[v - v % p + (v + 1) % p] for v in exp]
+            zech[self._half] = None
+            self._zech = zech
 
     def _linear_images(self, imgs: list[int]) -> list[int]:
         """Entry sum c_i p^i holds sum c_i imgs[i], for all digit vectors c."""
@@ -295,6 +307,22 @@ class FieldDesc:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
+        if self._zech is None:
+            return self.add_digits(a, b)
+        # a + b = g^(log a + Z(log b - log a)); a negative index wraps
+        # around, so neither index needs reducing mod q - 1
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z - self._q1]
+
+    def add_digits(self, a: int, b: int) -> int:
+        """a + b digit by digit: the sum in fields without Zech tables, and
+        the oracle for the tabled sum."""
         da, db, p = self.unpack(a), self.unpack(b), self.p
         v = 0
         for i in range(self.m):
@@ -304,18 +332,29 @@ class FieldDesc:
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        if self._neg is not None:
-            return self._neg[a]
         if self.m == 1:
             return -a % self.p
-        return self.pack(tuple((-d) % self.p for d in self.unpack(a)))
+        if self._zech is None:
+            return self.pack(tuple((-d) % self.p for d in self.unpack(a)))
+        # -1 = g^((q-1)/2)
+        return self._exp[self._log[a] - self._half] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.m == 1:
             return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        if self._zech is None:
+            return self.add_digits(a, self.neg(b))
+        if not b:
+            return a
+        log, exp = self._log, self._exp
+        lnb = log[b] - self._half  # an index of -b in exp
+        if not a:
+            return exp[lnb]
+        la = log[a]
+        z = self._zech[(lnb - la) % self._q1]
+        return 0 if z is None else exp[la + z - self._q1]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -59,7 +59,6 @@ from .poly import (
     lower_poly,
     roots_in_ext,
     roots_with_multiplicity,
-    splitting_tower,
 )
 
 # ---------------------------------------------------------------------------
@@ -443,8 +442,8 @@ def factor_into_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
     """Monic irreducible factors with multiplicities via Frobenius orbits."""
     _require_monic_nonscalar(f)
     K = f.field
-    tower = splitting_tower(f)
-    rm = roots_with_multiplicity(f, tower)
+    rm = roots_with_multiplicity(f)
+    tower = rm.tower
     L = tower.ext
     mult = rm.as_multiset()
     remaining = set(rm.distinct())

@@ -435,25 +435,22 @@ def distinct_degree_parts(f: Poly) -> list[tuple[int, Poly]]:
     return parts
 
 
-def distinct_degree_split(f: Poly) -> list[int]:
-    """Sorted degrees d such that f has an irreducible factor of degree d."""
-    return [d for d, _ in distinct_degree_parts(f)]
-
-
-def splitting_degree(f: Poly) -> int:
-    """Degree over F_p of the smallest field containing the base and all roots."""
+def splitting_degree(f: Poly, parts=None) -> int:
+    """Degree over F_p of the smallest field containing the base and all roots.
+    parts, when given, is distinct_degree_parts(f), which is then not redone."""
     if f.is_constant():
         raise DomainError("splitting degree of a constant")
     k = f.field.m
     out = 1
-    for d in distinct_degree_split(f):
+    for d, _ in distinct_degree_parts(f) if parts is None else parts:
         out = out * d // gcd(out, d)
     return k * out
 
 
-def splitting_tower(f: Poly, extra_degrees=()) -> FieldTower:
-    """Tower whose extension splits f and contains F_{p^j} for each extra j."""
-    M = splitting_degree(f)
+def splitting_tower(f: Poly, extra_degrees=(), parts=None) -> FieldTower:
+    """Tower whose extension splits f and contains F_{p^j} for each extra j;
+    parts as for splitting_degree."""
+    M = splitting_degree(f, parts)
     for j in extra_degrees:
         M = M * j // gcd(M, j)
     return tower_over(f.field, M)
@@ -511,22 +508,24 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     splitting field leaves a nonconstant remainder and is refused as bad
     input; on the tower built here that remainder is an internal fault.
     Nothing is cached: a caller that needs the roots again keeps the
-    returned multiset (shift_space takes it as its input).
+    returned multiset (shift_space takes it as its input), and f is split
+    into distinct-degree parts once, for both the tower and the roots.
     """
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
     if f.is_constant():
         raise DomainError("roots of a constant")
     supplied = tower is not None
-    if not supplied:
-        tower = splitting_tower(f)
-    if f.field is not tower.base:
+    if supplied and f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
+    parts = distinct_degree_parts(f)
+    if not supplied:
+        tower = splitting_tower(f, parts=parts)
     fe = lift_poly(f, tower)
     L = tower.ext
     pairs = []
     rem = fe
-    for r in roots_in_ext(f, tower):
+    for r in roots_in_ext(f, tower, parts):
         lin = Poly.from_values(L, (L.neg(r), 1))
         m = 0
         while True:
@@ -558,13 +557,14 @@ def roots_in_field(f: Poly) -> list[int]:
     return [v for v in f.field.elements() if f.eval_value(v) == 0]
 
 
-def roots_in_ext(f: Poly, tower: FieldTower) -> list[int]:
+def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
     """Sorted packed values in the tower extension that are roots of f.
 
     f is over the tower base; the extension need not split f, only the roots
     that happen to lie in it are returned.  An irreducible factor of degree d
     has its roots in the extension exactly when k*d divides M, so only those
     distinct-degree parts of radical(f) are lifted and split by split_roots.
+    parts, when given, is distinct_degree_parts(f), which is then not redone.
     """
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
@@ -573,7 +573,7 @@ def roots_in_ext(f: Poly, tower: FieldTower) -> list[int]:
     if f.is_constant():
         return []
     roots = []
-    for d, gd in distinct_degree_parts(f):
+    for d, gd in distinct_degree_parts(f) if parts is None else parts:
         if tower.M % (tower.k * d) == 0:
             roots += split_roots(lift_poly(gd, tower))
     fe = lift_poly(f, tower)

@@ -19,6 +19,7 @@ from orecalc.eigengroup import (
 )
 from orecalc.poly import (
     Poly,
+    exponent_decomp,
     f_V,
     monic_polys,
     multiplier_field,
@@ -278,6 +279,27 @@ def test_reach_over_a_splitting_field_without_tables(p, coeffs, M):
     assert len(roots_with_multiplicity(f, res.tower).distinct()) == f.degree
     assert res.closure.is_trivial()
     assert res.descend().order() == 1
+
+
+def test_eigengroup_splits_f_and_f1_derivative_at_most_once(split_calls):
+    """eigengroup passes one distinct-degree split of f from the tower to the
+    roots, and splits f1' once for its roots; no polynomial is split twice."""
+    calls = split_calls
+    F5, F9 = GF(5), GF(3, 2)
+    cases = [
+        Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2,  # trivial
+        Poly(F5, (-2, 1)) ** 4 - 1,  # A11
+        Poly(F9, (0, 1, 0, 1)),  # x^3 + x
+        Poly(F9, (1, 0, 1)) ** 3,  # a p-th power
+        Poly(GF(7), (3, 0, 1, 5, 1)),
+    ]
+    for f in cases:
+        calls.clear()
+        eigengroup(f)
+        assert calls.get(f) == 1
+        assert all(n == 1 for n in calls.values()), calls
+        f1d = exponent_decomp(f).f1.derivative()
+        assert set(calls) <= {f, f1d}
 
 
 def test_eigenform_expand_and_describe():

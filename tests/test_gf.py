@@ -142,6 +142,44 @@ def test_log_tables_against_slow_powers(p, m):
     assert all(F._log[v] == i for i, v in enumerate(F._exp))
 
 
+def _assert_zech_matches_digits(F, pairs):
+    """Zech add/sub/neg against digit-by-digit arithmetic on the same values."""
+    neg = lambda a: F.pack([-d for d in F.unpack(a)])  # noqa: E731
+    for a, b in pairs:
+        assert F.add(a, b) == F.add_digits(a, b), (a, b)
+        assert F.sub(a, b) == F.add_digits(a, neg(b)), (a, b)
+        assert F.neg(a) == neg(a), a
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_zech_arithmetic_exhaustive(p, m):
+    F = GF(p, m)
+    assert F._zech is not None
+    _assert_zech_matches_digits(F, [(a, b) for a in range(F.q) for b in range(F.q)])
+
+
+@pytest.mark.parametrize("p,m", [(13, 4), (5, 6), (3, 10)])
+def test_zech_arithmetic_seeded(p, m):
+    """Seeded pairs plus the edge cases: a zero operand, b = -a (where
+    log b - log a = +-(q-1)/2 and the sum vanishes), a = b (where the
+    difference vanishes), and logs at both ends of the table and around
+    (q-1)/2, where the wrapped indices reach their extremes."""
+    F = GF(p, m)
+    assert F._zech is not None
+    q1, half, exp = F.q - 1, (F.q - 1) // 2, F._exp
+    rng = random.Random(F.q)
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3000)]
+    edge_logs = [0, 1, half - 1, half, half + 1, q1 - 1] + [rng.randrange(q1) for _ in range(6)]
+    for i in edge_logs:
+        a = exp[i]
+        pairs += [(a, 0), (0, a), (a, F.neg(a)), (a, a), (a, exp[(i + half) % q1])]
+        pairs += [(a, exp[j]) for j in edge_logs]
+    pairs.append((0, 0))
+    assert any(F._log[b] - F._log[a] == half for a, b in pairs if a and b)
+    assert any(F._log[b] - F._log[a] == -half for a, b in pairs if a and b)
+    _assert_zech_matches_digits(F, pairs)
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (13, 1), (5, 7)])
 def test_sub_and_row_sub(p, m):
     F = GF(p, m)

@@ -10,7 +10,7 @@ from orecalc.gf import GF, span_values, tower_over
 from orecalc.poly import (
     Poly,
     decompose_through,
-    distinct_degree_split,
+    distinct_degree_parts,
     exponent_decomp,
     exponent_gcd,
     f_V,
@@ -237,9 +237,23 @@ def test_roots_over_a_tower_that_does_not_split():
 def test_roots_over_a_short_built_tower_is_an_internal_fault(monkeypatch):
     F = GF(3)
     f = Poly(F, (1, 0, 1))
-    monkeypatch.setattr(poly_mod, "splitting_tower", lambda g: tower_over(g.field, 1))
+    monkeypatch.setattr(poly_mod, "splitting_tower", lambda g, parts=None: tower_over(g.field, 1))
     with pytest.raises(InternalCheckError, match="splitting tower"):
         roots_with_multiplicity(f)
+
+
+def test_roots_split_the_input_once(split_calls):
+    """One distinct-degree split serves both the splitting tower and the
+    roots, with the tower built here and with one supplied."""
+    calls = split_calls
+    for F, coeffs in [(GF(3), (1, 0, 1)), (GF(5), (2, 0, 1, 3, 1)), (GF(3, 2), (5, 0, 0, 1)), (GF(7), (1,) * 6)]:
+        f = Poly.from_values(F, coeffs)
+        calls.clear()
+        rm = roots_with_multiplicity(f)
+        assert calls == {f: 1}
+        calls.clear()
+        assert roots_with_multiplicity(f, rm.tower) == rm
+        assert calls == {f: 1}
 
 
 @pytest.mark.parametrize("p,deg", [(2, 5), (3, 4)])
@@ -307,9 +321,9 @@ def test_radical_and_distinct_degree_split():
     F = GF(3)
     f = Poly(F, (0, 1)) ** 2 * Poly(F, (1, 1))
     assert radical(f) == Poly(F, (0, 1)) * Poly(F, (1, 1))
-    assert distinct_degree_split(f) == [1]
+    assert distinct_degree_parts(f) == [(1, radical(f))]
     g = Poly(F, (1, 0, 1)) * Poly(F, (1, 1))  # irreducible quadratic times linear
-    assert distinct_degree_split(g) == [1, 2]
+    assert distinct_degree_parts(g) == [(1, Poly(F, (1, 1))), (2, Poly(F, (1, 0, 1)))]
     assert splitting_degree(g) == 2
     # x^2 + x + 1 splits already over F_4 (the generator is a root)
     assert splitting_degree(Poly.from_values(GF(2, 2), (1, 1, 1))) == 2
