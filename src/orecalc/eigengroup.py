@@ -316,23 +316,9 @@ class EigengroupDesc:
                 "the group over the closure is infinite; descend to a finite level first"
             )
         F = self.level_field
-        pairs = set()
-        if self.kind == "torus":
-            for lam in F.units():
-                pairs.add((lam, F.mul(F.sub(1, lam), self.nu)))
-        elif self.kind == "full":
-            for lam in F.units():
-                for mu in F.elements():
-                    pairs.add((lam, mu))
-        else:
-            vv = self.v_values()
-            lam = 1
-            for _ in range(self.n):
-                base = F.mul(F.sub(1, lam), self.nu)
-                for v in vv:
-                    pairs.add((lam, F.add(base, v)))
-                lam = F.mul(lam, self.lambda_n)
-        out = [AffineAut(F, l, m) for l, m in sorted(pairs)]
+        kind = "cyclic" if self.kind == "finite" else self.kind
+        pairs = _subgroup_pairs(F, kind, self.nu, self.n, self.lambda_n, self.v_values())
+        out = [AffineAut(F, l, m) for l, m in pairs]
         if len(out) != self.order():
             raise InternalCheckError("element enumeration does not match the order formula")
         return out
@@ -351,6 +337,24 @@ class EigengroupDesc:
             "V_basis": [_elt_json(F, v) for v in self.v_basis],
             "order": "infinite" if order is None else order,
         }
+
+
+def _subgroup_pairs(F: FieldDesc, kind: str, nu: int = 0, n: int = 1, lam1: int = 1, v_vals=(0,)):
+    """Sorted pairs (lam, mu) of a subgroup of the substitutions over F:
+    kind "torus" is T_nu, "full" is every substitution, and "cyclic" is
+    Sh_V x| <sigma_{lam1,(1-lam1)nu}> with lam1 of order n and V given by
+    its values v_vals."""
+    if kind == "full":
+        return [(lam, mu) for lam in F.units() for mu in F.elements()]
+    if kind == "torus":
+        pairs = {(lam, F.mul(F.sub(1, lam), nu)) for lam in F.units()}
+    else:
+        pairs, lam = set(), 1
+        for _ in range(n):
+            base = F.mul(F.sub(1, lam), nu)
+            pairs.update((lam, F.add(base, v)) for v in v_vals)
+            lam = F.mul(lam, lam1)
+    return sorted(pairs)
 
 
 def _trivial_desc(tower: FieldTower, level: int, over_closure: bool) -> EigengroupDesc:
@@ -404,11 +408,11 @@ class Eigenform:
             return self.g.compose(f_V(L, self.v_values)) ** (p**self.s)
         raise InternalCheckError(f"unknown eigenform case {self.case!r}")
 
-    def verify(self) -> None:
-        """Round-trip to f and check the stated eigenvalue law exactly."""
+    def verify(self, fe: Poly) -> None:
+        """Round-trip to fe, f lifted to the splitting field, and check the
+        stated eigenvalue law exactly.  Case "none" is f itself."""
         L = self.tower.ext
-        fe = lift_poly(self.f, self.tower)
-        if self.expand() != fe:
+        if self.case != "none" and self.expand() != fe:
             raise InternalCheckError("eigenform does not expand back to f")
         if self.case in ("A10", "A11"):
             gen = AffineAut(L, self.lambda_n, L.mul(L.sub(1, self.lambda_n), self.nu))
@@ -496,11 +500,11 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     rm = roots_with_multiplicity(f, tower)
     tower = rm.tower
     L, M, p = tower.ext, tower.M, f.field.p
-    fe = lift_poly(f, tower)
+    fe = rm.lifted
     d = f.degree
     ed = exponent_decomp(f)
     s, f1 = ed.s, ed.f1
-    f1e = lift_poly(f1, tower)
+    f1e = fe if s == 0 else lift_poly(f1, tower)
     distinct = rm.distinct()
 
     # Step 1: a single distinct root gives the torus.
@@ -508,7 +512,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
         nu = distinct[0]
         desc = EigengroupDesc("torus", tower, M, True, nu, 0, 1, ())
         form = Eigenform("single_root", f, tower, nu, d, 0, s, None, (), 1)
-        form.verify()
+        form.verify(fe)
         return EigengroupResult(f, tower, desc, form)
 
     f1d_roots = roots_in_ext(f1.derivative(), tower)
@@ -552,7 +556,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
                 raise InternalCheckError("triviality fast path disagrees: search found nothing")
             desc = _trivial_desc(tower, M, True)
             form = Eigenform("none", f, tower, 0, 0, 1, s, None, (), 1)
-            form.verify()
+            form.verify(fe)
             return EigengroupResult(f, tower, desc, form)
         if c11:
             raise InternalCheckError("triviality fast path disagrees: search found a generator")
@@ -563,7 +567,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
         lam = _unity_root(n, L)
         desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ())
         form = Eigenform("A11", f, tower, nu, i, n, s, g, (), lam)
-        form.verify()
+        form.verify(fe)
         _verify_finite_generators(desc, fe)
         return EigengroupResult(f, tower, desc, form)
 
@@ -594,7 +598,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
             lam = _unity_root(n, L)
             desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
             form = Eigenform("A10", f, tower, nu, (p**s) * j, n, s, Poly.one(L), v_vals, lam)
-        form.verify()
+        form.verify(fe)
         _verify_finite_generators(desc, fe)
         return EigengroupResult(f, tower, desc, form)
 
@@ -615,7 +619,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     if not hits:
         desc = EigengroupDesc("finite", tower, M, True, 0, 1, 1, ss.basis)
         form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, v_vals, 1)
-        form.verify()
+        form.verify(fe)
         _verify_finite_generators(desc, fe)
         return EigengroupResult(f, tower, desc, form)
     first = hits[0]
@@ -630,7 +634,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     lam = _unity_root(n, L)
     desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
     form = Eigenform("A10", f, tower, nu, (p**s) * i_nu, n, s, g1 ** (p**s), v_vals, lam)
-    form.verify()
+    form.verify(fe)
     _verify_finite_generators(desc, fe)
     return EigengroupResult(f, tower, desc, form)
 
@@ -843,36 +847,15 @@ class SubgroupSpec:
 
     def elements(self) -> list[AffineAut]:
         self.validate()
-        F = self.field
-        pairs = set()
-        if self.kind == "trivial" or (self.kind == "cyclic" and self.n == 1):
-            pairs.add((1, 0))
-        elif self.kind == "cyclic":
-            lam1 = primitive_root_of_unity(self.n, F).val
-            lam = 1
-            for _ in range(self.n):
-                pairs.add((lam, F.mul(F.sub(1, lam), self.nu)))
-                lam = F.mul(lam, lam1)
-        elif self.kind == "shift" or (self.kind == "shift_cyclic" and self.n == 1):
-            for v in self.v_values():
-                pairs.add((1, v))
-        elif self.kind == "shift_cyclic":
-            lam1 = primitive_root_of_unity(self.n, F).val
-            vv = self.v_values()
-            lam = 1
-            for _ in range(self.n):
-                base = F.mul(F.sub(1, lam), self.nu)
-                for v in vv:
-                    pairs.add((lam, F.add(base, v)))
-                lam = F.mul(lam, lam1)
-        elif self.kind == "torus":
-            for lam in F.units():
-                pairs.add((lam, F.mul(F.sub(1, lam), self.nu)))
+        F, kind, n = self.field, self.kind, self.n
+        if kind in ("torus", "full"):
+            pairs = _subgroup_pairs(F, kind, self.nu)
         else:
-            for lam in F.units():
-                for mu in F.elements():
-                    pairs.add((lam, mu))
-        return [AffineAut(F, l, m) for l, m in sorted(pairs)]
+            cyclic = kind in ("cyclic", "shift_cyclic")
+            lam1 = primitive_root_of_unity(n, F).val if cyclic else 1
+            vv = self.v_values() if kind in ("shift", "shift_cyclic") else (0,)
+            pairs = _subgroup_pairs(F, "cyclic", self.nu, n if cyclic else 1, lam1, vv)
+        return [AffineAut(F, l, m) for l, m in pairs]
 
 
 def inverse_eigengroup(spec: SubgroupSpec) -> Poly:

@@ -10,19 +10,24 @@ needed) and O(1) hashing.  FieldDesc works on packed integers; FqElement is
 the thin operator-overloading wrapper around (field, value).
 
 Moduli default to the lexicographically smallest monic irreducible of the
-required degree (scanning packed values upward), so field construction is
-reproducible across runs.  Prime fields (m = 1) compute on plain ints mod p
-and keep no tables.  Extension fields with q <= 2^16 keep four tables:
-the digits of every packed value, and exp and log to the smallest
-multiplicative generator g, through which multiplication, inversion and
-powering go.  In characteristic 2 a sum is the XOR of packed values.  For
-odd p the fourth table holds the Zech logarithms Z(n) = log(1 + g^n)
-(K. Huber, IEEE Trans. IT 36, 1990), with no entry at n = (q-1)/2, where
-1 + g^n = 0: then a + b = g^(log a + Z(log b - log a)), -a =
-g^(log a + (q-1)/2), and a - b is the sum with that offset on log b, so no
-operand is unpacked.  Fields too large for tables (q > 2^16) add digit by
-digit (add_digits, also the test oracle for the Zech sum) and multiply by
-direct polynomial arithmetic.
+required degree (scanning packed values upward, each candidate tested by
+Rabin's test, poly.is_irreducible, over F_p), so field construction is
+reproducible across runs; an explicit modulus passes the same test.  Prime
+fields (m = 1) compute on plain ints mod p and keep no tables.  Extension
+fields with q <= 2^16 keep four tables: the digits of every packed value,
+and exp and log to the smallest multiplicative generator g, through which
+multiplication, inversion and powering go.  In characteristic 2 a sum is
+the XOR of packed values.  For odd p the fourth table holds the Zech
+logarithms Z(n) = log(1 + g^n) (K. Huber, IEEE Trans. IT 36, 1990), with no
+entry at n = (q-1)/2, where 1 + g^n = 0: then a + b =
+g^(log a + Z(log b - log a)), -a = g^(log a + (q-1)/2), and a - b is the sum
+with that offset on log b, so no operand is unpacked.  Fields too large
+for tables (q > 2^16) add digit by digit (add_digits, also the test oracle
+for the Zech sum) and multiply by one Kronecker product of slot-packed
+digit vectors (D. Harvey, J. Symbolic Comput. 44, 2009), whose high slots
+are folded back through the stored slot-packed images of t^m, ...,
+t^(2m-2); the same product finds the generator and the log tables of the
+smaller fields.
 
 A FieldTower fixes a base K = F_{p^k} inside an extension L = F_{p^M},
 k | M, with the embedding stored explicitly: for every level j | M the image
@@ -40,7 +45,9 @@ one sum of packed rows scaled by entries.  The width is the fewest bytes
 (rounded up to an array item size when there is one) that hold the largest
 value a slot can reach: (p-1) + n(p-1)^2 in a Span of length-n vectors,
 which meets at most n stored rows, and n(p-1)^2 in a product with inner
-dimension n.  Only Span and FieldDesc.mat_mul use the format.
+dimension n.  Span and FieldDesc.mat_mul use the format, and so does
+FieldDesc._mul_slow on the digit vectors of extension-field elements, with
+slots sized for m(p-1)^2 + p.
 """
 
 from __future__ import annotations
@@ -120,57 +127,6 @@ def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], sys.byteorder) % p for i in range(0, len(raw), width)]
 
 
-# ---------------------------------------------------------------------------
-# Bootstrap polynomial arithmetic over F_p on plain coefficient lists
-# (low degree first).  Only used to validate/choose moduli, to find generators
-# and to multiply in extension fields without log tables.
-# ---------------------------------------------------------------------------
-
-
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lb) % p
-        shift = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _fp_trim(a)
-    return a
-
-
-def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for deg in range(1, d // 2 + 1):
-        for v in range(p**deg):
-            g = _unpack_int(v, deg, p) + [1]
-            if not _fp_mod(f, g, p):
-                return False
-    return True
-
-
 def _unpack_int(v: int, m: int, p: int) -> list[int]:
     out = []
     for _ in range(m):
@@ -182,18 +138,26 @@ def _unpack_int(v: int, m: int, p: int) -> list[int]:
 _MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
+def _is_irreducible(p: int, coeffs) -> bool:
+    """Rabin's test (poly.is_irreducible) on a coefficient vector over F_p."""
+    from .poly import Poly, is_irreducible
+
+    return is_irreducible(Poly.from_values(GF(p, p_cap=p), coeffs))
+
+
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Packed-smallest monic irreducible of degree m over F_p."""
+    if m == 1:
+        return (0, 1)
     key = (p, m)
     hit = _MODULUS_CACHE.get(key)
     if hit is not None:
         return hit
     for v in range(p**m):
-        cand = _unpack_int(v, m, p) + [1]
-        if _fp_is_irreducible(cand, p):
-            mod = tuple(cand)
-            _MODULUS_CACHE[key] = mod
-            return mod
+        cand = (*_unpack_int(v, m, p), 1)
+        if v % p and _is_irreducible(p, cand):  # t divides a zero constant term
+            _MODULUS_CACHE[key] = cand
+            return cand
     raise InternalCheckError(f"no irreducible of degree {m} over F_{p}")
 
 
@@ -213,6 +177,14 @@ class FieldDesc:
         self._pw = tuple(p**i for i in range(m + 1))
         self._has_tables = m > 1 and self.q <= _LOG_TABLE_LIMIT
         self._zech = None
+        # for _mul_slow: the slot width of a Kronecker product, and the
+        # slot-packed images of t^(m+i) mod modulus for i < m - 1
+        self._kw = w = _slot_width(m * (p - 1) ** 2 + p)
+        t_m = [-c % p for c in modulus[:m]]
+        img, self._red = t_m, []
+        for _ in range(m - 1):
+            self._red.append(_pack(img, w))
+            img = [(a + img[-1] * c) % p for a, c in zip([0, *img[:-1]], t_m)]
         if self._has_tables:
             # product varies its last entry fastest, packing varies digit 0 fastest
             self._digits = [t[::-1] for t in product(range(p), repeat=m)]
@@ -224,11 +196,17 @@ class FieldDesc:
     # -- construction helpers ------------------------------------------------
 
     def _mul_slow(self, a: int, b: int) -> int:
-        pa = _unpack_int(a, self.m, self.p)
-        pb = _unpack_int(b, self.m, self.p)
-        prod = _fp_mul(pa, pb, self.p)
-        prod = _fp_mod(prod, list(self.modulus), self.p)
-        return sum(c * self._pw[i] for i, c in enumerate(prod))
+        """a*b without tables: one Kronecker product of the packed digit
+        vectors, whose slot m + i then adds its multiple of the image of
+        t^(m+i); slots are reduced mod p when they are read.  A prime-field
+        operand scales the other's digits."""
+        p, m, w = self.p, self.m, self._kw
+        if a < p or b < p:
+            c, v = (a, b) if a < p else (b, a)
+            return self.pack([c * d for d in self.unpack(v)])
+        prod = _unpack(_pack(self.unpack(a), w) * _pack(self.unpack(b), w), 2 * m - 1, w, p)
+        acc = _pack(prod[:m], w) + sum(map(operator.mul, prod[m:], self._red))
+        return self.pack(_unpack(acc, m, w, p))
 
     def _pow_slow(self, a: int, e: int) -> int:
         r = 1
@@ -345,7 +323,7 @@ class FieldDesc:
         if self.m == 1:
             return (a - b) % self.p
         if self._zech is None:
-            return self.add_digits(a, self.neg(b))
+            return self.pack([x - y for x, y in zip(self.unpack(a), self.unpack(b))])
         if not b:
             return a
         log, exp = self._log, self._exp
@@ -503,7 +481,7 @@ def GF(p: int, m: int = 1, modulus=None, *, p_cap: int | None = None, q_cap: int
         mod = tuple(c % p for c in modulus)
         if len(mod) != m + 1 or mod[-1] != 1:
             raise DomainError("modulus must be monic of the stated degree")
-        if not _fp_is_irreducible(list(mod), p):
+        if not _is_irreducible(p, mod):
             raise DomainError("modulus is reducible")
     key = (p, m, mod)
     field = _FIELD_CACHE.get(key)

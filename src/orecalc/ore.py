@@ -239,13 +239,16 @@ class OreElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        out = list(self.terms) + [Poly.zero(self.algebra.field)] * (len(o.terms) - len(self.terms))
+        for i, t in enumerate(o.terms):
+            out[i] = out[i] - t
+        return OreElement(self.algebra, out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

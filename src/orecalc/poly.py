@@ -154,13 +154,17 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        F = self.field
+        out = list(self.c) + [0] * (len(o.c) - len(self.c))
+        for i, v in enumerate(o.c):
+            out[i] = F.sub(out[i], v)
+        return Poly.from_values(F, out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElement)):
@@ -476,12 +480,14 @@ class RootMultiset:
 
     pairs is sorted by packed root value; the construction asserts that the
     multiplicities account for the whole degree and that the monic product
-    of (x - root)^mult reproduces the lifted polynomial exactly.
+    of (x - root)^mult reproduces the lifted polynomial exactly.  lifted is
+    that polynomial, poly over the tower extension.
     """
 
     poly: Poly
     tower: FieldTower
     pairs: tuple[tuple[int, int], ...]
+    lifted: Poly
 
     def distinct(self) -> tuple[int, ...]:
         return tuple(r for r, _ in self.pairs)
@@ -547,7 +553,7 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
         check = check * Poly.from_values(L, (L.neg(r), 1)) ** m
     if check != fe:
         raise InternalCheckError("root multiset does not reconstruct the polynomial")
-    return RootMultiset(f, tower, tuple(pairs))
+    return RootMultiset(f, tower, tuple(pairs), fe)
 
 
 def roots_in_field(f: Poly) -> list[int]:

@@ -109,6 +109,9 @@ def test_acceptance_2_inverse_roundtrip():
             spec.validate()
             f = inverse_eigengroup(spec)
             realized = eigengroup(f).descend()
+            # the spec and the descent share one pair enumerator; brute
+            # force over K is the independent reference for both
+            assert pairs_of(spec.elements()) == pairs_of(eigengroup_bruteforce(f))
             assert realized.element_pairs() == pairs_of(spec.elements()), (
                 F.p,
                 F.m,

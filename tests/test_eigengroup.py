@@ -604,3 +604,35 @@ def test_inverse_validation():
         SubgroupSpec("shift_cyclic", F4, n=2, v_basis=(1,)).validate()
     with pytest.raises(DomainError):
         SubgroupSpec("mystery", F3).validate()
+
+
+@pytest.mark.parametrize(
+    "p,coeffs",
+    [
+        (3, [0, 0, 0, 1]),  # x^3 = (x)^(3^1): s = 1, torus
+        (2, [1, 1, 0, 1]),  # irreducible cubic, trivial group
+        (5, [4, 0, 0, 0, 1]),  # x^4 - 1, cyclic of order 4
+        (3, [0, 2, 0, 1]),  # x^3 - x, shifts by F_3
+        (2, [0, 1, 0, 0, 0, 1, 0, 0, 0, 1]),  # x^9 + x^5 + x: V != 0
+    ],
+)
+def test_eigengroup_lifts_f_at_most_twice(monkeypatch, p, coeffs):
+    """f itself (by identity) is lifted to L only by the root multiset and
+    the root check inside it; eigengroup_closed reuses that lift."""
+    import sys
+
+    from orecalc import poly as poly_mod
+
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+    f = Poly(GF(p), coeffs)
+    real, calls = poly_mod.lift_poly, []
+
+    def counting(g, tower):
+        calls.append(g is f)
+        return real(g, tower)
+
+    monkeypatch.setattr(poly_mod, "lift_poly", counting)
+    monkeypatch.setattr(eg_mod, "lift_poly", counting)
+    res = eigengroup(f)
+    assert 1 <= sum(calls) <= 2
+    assert res.descend().element_pairs() == pairs_of(eigengroup_bruteforce(f))

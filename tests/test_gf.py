@@ -60,6 +60,117 @@ def test_canonical_moduli_are_deterministic_and_known():
         assert mod == canonical_modulus(p, m)
 
 
+# ---------------------------------------------------------------------------
+# Schoolbook arithmetic over F_p on coefficient lists (low degree first): the
+# trial-division modulus search and the product that FieldDesc._mul_slow and
+# the Rabin search in gf.py replaced, kept here as their oracles.
+# ---------------------------------------------------------------------------
+
+
+def _fp_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _fp_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _fp_trim(out)
+
+
+def _fp_mod(a, b, p):
+    a, inv_lb = _fp_trim(list(a)), pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c, shift = a[-1] * inv_lb % p, len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bi) % p
+        _fp_trim(a)
+    return a
+
+
+def _fp_digits(v, m, p):
+    out = []
+    for _ in range(m):
+        v, r = divmod(v, p)
+        out.append(r)
+    return out
+
+
+def _fp_is_irreducible(f, p):
+    """Trial division by every monic polynomial of degree <= deg(f)/2."""
+    d = len(f) - 1
+    if d < 1:
+        return False
+    return all(
+        _fp_mod(f, _fp_digits(v, k, p) + [1], p)
+        for k in range(1, d // 2 + 1)
+        for v in range(p**k)
+    )
+
+
+def _fp_trial_modulus(p, m):
+    """The packed-smallest monic irreducible of degree m, by trial division."""
+    return next(
+        tuple(c) for v in range(p**m) if _fp_is_irreducible(c := _fp_digits(v, m, p) + [1], p)
+    )
+
+
+def _fp_field_mul(F, a, b):
+    """a*b in F by the schoolbook product reduced mod the modulus."""
+    prod = _fp_mul(list(F.unpack(a)), list(F.unpack(b)), F.p)
+    return F.pack(_fp_mod(prod, list(F.modulus), F.p))
+
+
+def test_canonical_modulus_matches_trial_division():
+    for p in (2, 3, 5, 7, 11, 13):
+        m = 1
+        while p**m <= 1 << 12:
+            assert canonical_modulus(p, m) == _fp_trial_modulus(p, m), (p, m)
+            m += 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_explicit_modulus_classified_as_by_trial_division(p):
+    """Every monic of degree 1..4 is accepted as a modulus exactly when it
+    is irreducible, and a reducible one is refused by name."""
+    for m in range(1, 5):
+        for v in range(p**m):
+            mod = _fp_digits(v, m, p) + [1]
+            if _fp_is_irreducible(mod, p):
+                assert GF(p, m, mod).modulus == tuple(mod)
+            else:
+                with pytest.raises(DomainError, match="modulus is reducible"):
+                    GF(p, m, mod)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (13, 2)])
+def test_mul_slow_exhaustive(p, m):
+    """The Kronecker product equals the schoolbook one and the log tables."""
+    F = GF(p, m)
+    for a in range(F.q):
+        for b in range(F.q):
+            got = F._mul_slow(a, b)
+            assert got == _fp_field_mul(F, a, b) == F.mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 12), (5, 8), (7, 7), (13, 5)])
+def test_mul_slow_seeded_without_tables(p, m):
+    F = GF(p, m)
+    assert F._digits is None
+    rng = random.Random(F.q)
+    edge = [0, 1, F.q - 1, F._pw[m - 1], *range(2, p)]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(1500)]
+    pairs += [(a, rng.randrange(F.q)) for a in edge for _ in range(10)]
+    for a, b in pairs:
+        assert F.mul(a, b) == _fp_field_mul(F, a, b), (a, b)
+
+
 @pytest.mark.parametrize("p,m", ALL_FIELDS)
 def test_field_axioms_exhaustive(p, m):
     """Exhaustive ring/field axioms for every field with p^m <= 128.

@@ -1,12 +1,17 @@
-"""Golden CLI outputs over tabled odd extension fields.
+"""Golden CLI outputs over tabled odd extension fields, fields without
+tables and fields with an explicit modulus.
 
 Each entry is a query, its exit code and the sha256 of the bytes main()
-writes for it (the output line plus its newline).  The queries were drawn
-from a seeded generator over GF(3^2), GF(5^2), GF(7^2), GF(3^3) and
+writes for it (the output line plus its newline).  The first 42 queries were
+drawn from a seeded generator over GF(3^2), GF(5^2), GF(7^2), GF(3^3) and
 GF(13^2): random monic polynomials, structured ones with nontrivial groups,
-and isomorphic partners g = f(lam*x + mu) made monic.  The digests pin the
-output bytes, so a change to field arithmetic or to root finding that moves
-any answer, any ordering or any rendering fails here.
+and isomorphic partners g = f(lam*x + mu) made monic.  The rest compute over
+fields of more than 2^16 elements (the base field or the splitting field),
+where products go through FieldDesc._mul_slow, or over GF(p, mod=...) with
+an explicit modulus, including one that is reducible and refused.  The
+digests pin the output bytes, so a change to field arithmetic, to modulus
+selection or to root finding that moves any answer, any ordering or any
+rendering fails here.
 """
 
 import hashlib
@@ -100,6 +105,38 @@ GOLDEN = [
      0, "d14f05b5a33caf616a8dae48860333affdcf6ab52d4bbfba57ca2a615081528b"),
     (["spectrum", "--field", "GF(5^2)", "--f", "x^5 - [4,4]*x", "--degree-bound", "1"],
      0, "77b4733d0ea01a5c1870f5561da7a5dd457560ce374565634e810b0058fd3c04"),
+    # splitting fields and base fields above 2^16 elements, which keep no tables
+    (["eigengroup", "--field", "GF(2)", "--f", "x^17+x^3+1"],
+     0, "9771f5b073448a23d8e3b562c004546ef3a570a80e034c0a9d08dd8a824a73d7"),
+    (["eigengroup", "--field", "GF(2)", "--f", "x^19+x^5+x^2+x+1"],
+     0, "fffa9f6058f7ca0c660500bc436478ac1ef7717a050d06f49f54883732092514"),
+    (["eigengroup", "--field", "GF(2)", "--f", "x^19-1"],
+     0, "ce2536c37fe591b470939580cd8ff943a861a14547ba200005c199a87835bd02"),
+    (["eigenform", "--field", "GF(2)", "--f", "x^19-1"],
+     0, "b8c820fa87e0b2eabadb13d01934908075d62e6267f3333cef3c9467e8ecdd57"),
+    (["eigenform", "--field", "GF(3)", "--f", "x^11+2*x^2+1"],
+     0, "47a93f8af84ef1283ddffc7e2b8accc4271378a624c935b88267f38f0f4b5094"),
+    (["aut-group", "--field", "GF(13)", "--f", "x^5+x+3"],
+     0, "cbf1101afb78928167e244e052d78254b642bc06944bc79d248f13c8dc1c4cfe"),
+    (["centre", "--field", "GF(2^18)", "--f", "x^3+1"],
+     0, "affa45a161286aa466a96a4960eb80f8907782d0d75897320dd5542e049cf3be"),
+    (["eigengroup", "--field", "GF(3^12)", "--f", "x^4 - x"],
+     0, "4c70da60fccc85c2d35d1581d73903abe3a0cfb6c3513ef3992f74e61bc3d6fe"),
+    (["centre", "--field", "GF(5^8)", "--f", "x^2 + [1,2,3,4,0,1,2,3]*x"],
+     0, "075a430cae56a0249d3295986360626af4f7f6a995e676f443ebf9366a73aee4"),
+    (["centre", "--field", "GF(13^5)", "--f", "x^2 + [1,2,3,4,5]*x", "--format", "text"],
+     0, "adb3d13f810e4b8eebd4d7589e5ffa03d42bb02a8ad3ff3c733b7dcbf729ec75"),
+    # explicit moduli, and the refusal of a reducible one
+    (["eigengroup", "--field", "GF(9, mod=2,2,1)", "--f", "x^3 + [1,1]*x"],
+     0, "01639b092e0f91ed809a11e3d4eba2ce235e14dc0e6360ed5a2660f385aec84f"),
+    (["aut-group", "--field", "GF(9, mod=2,2,1)", "--f", "x^2 + [0,1]*x"],
+     0, "82cc78767502796e6f4fc0c5abc0a2a78d5ef2e420ff4ecc94ae3c2740f30df6"),
+    (["isomorphic", "--field", "GF(8, mod=1,0,1,1)", "--f", "x^3 + [0,1,0]", "--g", "x^3 + [1,1,0]*x^2 + [1,0,1]*x + 1"],
+     0, "9a62af41b12ac77bf475f946dedd74e3b813a8358a7a00fbbbece3765c46e555"),
+    (["centre", "--field", "GF(25, mod=2,0,1)", "--f", "x^3 + [1,1]", "--format", "text"],
+     0, "38b8efe7bcc33ccd760557b530c44b869422d44ba02a1981452d1b5b41a301c5"),
+    (["eigengroup", "--field", "GF(4, mod=1,0,1)", "--f", "x^2"],
+     1, "bfc8c9ac548e581c31a082d06d08333c39189d98ee69be3802ccf4c3aac4f6ac"),
 ]
 
 

@@ -84,6 +84,31 @@ def test_ring_axioms_random():
         assert A.x * A.y != A.y * A.x  # noncommutative since f != 0
 
 
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 3), (3, 2), (3, 11)])
+def test_sub_is_add_of_negation(p, m):
+    """a - b == a + (-b) for polynomials and Ore elements of unequal lengths
+    (the zero one included), and with scalar and polynomial operands on
+    either side, over a prime field, a char-2 field, a tabled odd extension
+    and a field without tables."""
+    F = GF(p, m)
+    rng = random.Random(F.q)
+    A = OreAlgebra(Poly.from_values(F, [rng.randrange(F.q) for _ in range(2)] + [1]))
+
+    def rand_poly():
+        return Poly.from_values(F, [rng.randrange(F.q) for _ in range(rng.randrange(6))])
+
+    for _ in range(40):
+        a, b = rand_poly(), rand_poly()
+        c, n = F.from_value(rng.randrange(F.q)), rng.randrange(-p, p)
+        assert a - b == a + (-b) and b - a == b + (-a)
+        assert a - c == a + (-c) and c - a == c + (-a)
+        assert a - n == a + (-n) and n - a == n + (-a)
+        u, v = rand_elem(A, rng), rand_elem(A, rng)
+        assert u - v == u + (-v) and v - u == v + (-u)
+        assert u - a == u + (-a) and a - u == a + (-u)
+        assert u - n == u + (-n) and n - u == n + (-u)
+
+
 def test_mixed_algebra_arithmetic_rejected():
     F = GF(3)
     A = OreAlgebra(Poly(F, (0, 1)))
