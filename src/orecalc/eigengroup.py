@@ -35,11 +35,12 @@ shifts f by every mu and solves a coefficient equation for lam.
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values
+from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values, tower_over
 from .poly import (
     Poly,
     RootMultiset,
@@ -50,6 +51,7 @@ from .poly import (
     f_V,
     lift_poly,
     multiplier_field,
+    poly_pow_mod,
     roots_in_ext,
     roots_with_multiplicity,
     space_basis,
@@ -78,6 +80,13 @@ def _poly_json(g: Poly | None):
     if g is None:
         return None
     return [_elt_json(g.field, c) for c in g.c]
+
+
+def _reproducer(command: str, field: FieldDesc, *opts: str) -> str:
+    """The one-line CLI call that repeats a computation, for check errors."""
+    mod = ",".join(map(str, field.modulus))
+    spec = repr(field) if field.m == 1 else f"GF({field.p}^{field.m}, mod={mod})"
+    return "reproduce: " + shlex.join(["orecalc", command, "--field", spec, *opts])
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +731,9 @@ def affine_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
     with lam^(d - j) = b_j / g_j, looked up in a table built once per call,
     are compared from the top coefficient down with early exit.  When
     g = g_d * x^d no coefficient involves lam, and every unit is a
-    candidate exactly when b = g.
+    candidate exactly when b = g.  This scan is the oracle: the brute-force
+    eigengroups run on it, and solve_affine_matches, which are_isomorphic
+    calls, must agree with it.
     """
     if f.field is not g.field:
         raise DomainError("polynomials over different fields")
@@ -792,6 +803,103 @@ def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> se
     fe = lift_poly(f, tower)
     lvl = tower.level(level)
     return {(lvl.lower(l).val, lvl.lower(m).val) for l, m in affine_matches(fe, fe, sub)}
+
+
+# ---------------------------------------------------------------------------
+# Affine matches by solving for mu
+# ---------------------------------------------------------------------------
+
+
+def _bezout(ns: list[int]) -> tuple[int, list[int]]:
+    """(t, us) with t = gcd(ns) = sum(u * n for u, n in zip(us, ns))."""
+    t, us = 0, []
+    for n in ns:
+        r0, r1, x0, x1, y0, y1 = t, n, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+        t, us = r0, [u * x0 for u in us] + [y0]
+    return t, us
+
+
+def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
+    """affine_matches(f, g) over all of f's field, by solving for mu in K.
+
+    b_k(mu) = sum_{i >= k} C(i, k) f_i mu^(i - k), the x^k coefficient of
+    f(x + mu), is a polynomial in mu of degree at most d - k, and (lam, mu)
+    matches when b_k(mu) = lam^(d - k) g_k for every k.  k = d asks
+    f_d = g_d; each k < d with g_k = 0 asks b_k(mu) = 0; the largest j < d
+    with g_j != 0 gives lam^e = b_j(mu) / g_j, e = d - j; each other k with
+    g_k != 0 eliminates lam as b_j^(d-k) g_k^e - b_k^e g_j^(d-k) = 0.  The
+    candidate mu are the roots in K of the gcd G of these polynomials (each
+    one reduced modulo G as found so far).  A match has lam^(d-k) =
+    b_k(mu) / g_k wherever g_k != 0, so with sum_k u_k (d - k) = t, the gcd
+    of those exponents (t divides e), the candidate lam are the roots in K
+    of lam^t = prod_k (b_k(mu) / g_k)^(u_k): b_j(mu) / g_j alone when
+    t = 1.  Every candidate is checked against all coefficients.  With no
+    such j (g = g_d x^d) G is the gcd of all b_k, whose roots are exactly
+    the matching mu, and every unit goes with each of them.
+
+    G = 0 happens for the torus kind (f = c(x - a)^d and g = c(x - b)^d)
+    and puts every mu in K: for e = 1 the matches are exactly
+    (b_j(mu) / g_j, mu) with b_j(mu) != 0, returned in closed form; for
+    e > 1 this falls back to the scan, affine_matches(f, g).  Degree below
+    1 matches every pair when f = g.
+    """
+    if f.field is not g.field:
+        raise DomainError("polynomials over different fields")
+    F = f.field
+    d = f.degree
+    if g.degree != d or f.c[-1:] != g.c[-1:]:
+        return []
+    if d < 1:
+        return [(lam, mu) for lam in F.units() for mu in F.elements()]
+    fc, gc = f.c, g.c
+    b = [Poly.from_values(F, [F.mul(comb(i, k) % F.p, fc[i]) for i in range(k, d + 1)]) for k in range(d)]
+    j = next((k for k in range(d - 1, -1, -1) if gc[k]), None)
+    e = d - j if j is not None else 0
+    G = Poly.zero(F)
+
+    def power(h: Poly, n: int) -> Poly:
+        return h**n if G.is_zero() else poly_pow_mod(h, n, G)
+
+    for k in range(d - 1, -1, -1):
+        if k == j:
+            continue
+        if gc[k]:
+            h = power(b[j], d - k).scale_value(F.pow(gc[k], e))
+            h = h - power(b[k], e).scale_value(F.pow(gc[j], d - k))
+        else:
+            h = b[k]
+        G = G.gcd(h)
+        if G.degree == 0:
+            return []
+    if G.is_zero():
+        if e > 1:
+            return affine_matches(f, g)
+        inv_gj = F.inv(gc[j])
+        lams = ((F.mul(b[j].eval_value(mu), inv_gj), mu) for mu in F.elements())
+        return sorted((lam, mu) for lam, mu in lams if lam)
+    ks = [k for k in range(d - 1, -1, -1) if gc[k]]
+    t, us = _bezout([d - k for k in ks])
+    tower = tower_over(F, F.m)
+    out = []
+    for mu in roots_in_ext(G, tower):
+        if j is None:
+            out += [(lam, mu) for lam in F.units()]
+            continue
+        bm = [h.eval_value(mu) for h in b]
+        if not all(bm[k] for k in ks):
+            continue
+        c = 1
+        for k, u in zip(ks, us):
+            c = F.mul(c, F.pow(F.div(bm[k], gc[k]), u))
+        lams = [c] if t == 1 else roots_in_ext(Poly.from_values(F, [F.neg(c)] + [0] * (t - 1) + [1]), tower)
+        for lam in lams:
+            if all(bm[k] == F.mul(F.pow(lam, d - k), gc[k]) for k in range(d)):
+                out.append((lam, mu))
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +989,8 @@ def inverse_eigengroup(spec: SubgroupSpec) -> Poly:
             if not off:
                 raise InternalCheckError("additive map with nonzero kernel cannot be onto")
             return fv - Poly.from_values(F, (off[0],))
-        nu_aux = min(v for v in F.elements() if v not in set(vv))
+        in_v = set(vv)
+        nu_aux = next(v for v in F.elements() if v not in in_v)
         shifted = fv.compose_affine(1, F.neg(nu_aux))
         return fv * shifted * shifted
     if kind == "shift_cyclic":

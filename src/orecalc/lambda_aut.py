@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from .eigengroup import (
     AffineAut,
     EigengroupDesc,
+    _reproducer,
     _require_monic_nonscalar,
-    affine_matches,
     eigengroup,
+    solve_affine_matches,
 )
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc
@@ -228,17 +229,24 @@ class IsoResult:
 def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
     """Decide Lambda(f) ~ Lambda(g) and produce a verified witness map.
 
-    The criterion is g = alpha^(-d) f(alpha*x + beta); affine_matches shifts
-    f by every beta and solves for alpha, and the first witness in
-    (alpha, beta) order is returned after transporting the defining relation
-    through it.
+    The criterion is g = alpha^(-d) f(alpha*x + beta); solve_affine_matches
+    finds every (alpha, beta) in K from the roots of the equations left
+    after eliminating alpha, and the first witness in (alpha, beta) order is
+    returned after transporting the defining relation through it.  A
+    witness that fails the transport raises InternalCheckError at stage
+    iso.solve with the CLI line that repeats the query.  The scan
+    affine_matches, one Taylor shift per beta, is the oracle it agrees with.
     """
     _require_monic_nonscalar(f)
     _require_monic_nonscalar(g)
-    matches = affine_matches(f, g)
+    matches = solve_affine_matches(f, g)
     if not matches:
         return IsoResult(False, None, None, None)
     alpha, beta = matches[0]
     hom = OreHom(OreAlgebra(f), OreAlgebra(g), alpha, beta, Poly.zero(f.field))
-    hom.verify()
+    try:
+        hom.verify()
+    except InternalCheckError as exc:
+        line = _reproducer("isomorphic", f.field, "--f", repr(f), "--g", repr(g))
+        raise InternalCheckError(f"stage=iso.solve: {exc}; {line}") from exc
     return IsoResult(True, alpha, beta, hom)

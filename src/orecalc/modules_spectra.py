@@ -44,13 +44,12 @@ bound.  Krull and global dimension are both the constant 2.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 from math import comb, lcm
 
-from .eigengroup import _elt_json, _poly_json, _require_monic_nonscalar
+from .eigengroup import _elt_json, _poly_json, _reproducer, _require_monic_nonscalar
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, Span, tower_over
+from .gf import SPECTRUM_PAIR_CAP, FieldDesc, Span, tower_over
 from .ore import OreAlgebra
 from .poly import (
     Poly,
@@ -292,10 +291,8 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
 def _off_f_reproducer(f: Poly, xi: int, rho: int) -> str:
     """The CLI line that builds the off-f module of f at (xi, rho)."""
     K = f.field
-    field = repr(K) if K.m == 1 else f"GF({K.p}^{K.m}, mod={','.join(map(str, K.modulus))})"
     xi, rho = repr(K.from_value(xi)), repr(K.from_value(rho))
-    args = ["simple-module", "--field", field, "--f", repr(f), "--xi", xi, "--rho", rho]
-    return "reproduce: " + shlex.join(["orecalc", *args])
+    return _reproducer("simple-module", K, "--f", repr(f), "--xi", xi, "--rho", rho)
 
 
 def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
@@ -476,11 +473,22 @@ def factor_into_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
 
 def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
     """Minimal primes, height-one layer, and maximal ideals of the centre
-    off V(f^p) up to the residue degree bound."""
+    off V(f^p) up to the residue degree bound.
+
+    Degree j walks all q^(2j) pairs (xi, rho) of F_{q^j}; a bound whose
+    walk exceeds SPECTRUM_PAIR_CAP pairs in total is refused."""
     _require_monic_nonscalar(f)
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
     K = f.field
+    pairs = 0
+    for j in range(1, degree_bound + 1):
+        pairs += K.q ** (2 * j)
+        if pairs > SPECTRUM_PAIR_CAP:
+            raise DomainError(
+                f"spectrum up to residue degree {degree_bound} over a field of size {K.q} "
+                f"walks more than {SPECTRUM_PAIR_CAP} pairs (xi, rho)"
+            )
     factors = factor_into_irreducibles(f)
     for p_i, _ in factors:
         if not ((f * p_i.derivative()) % p_i).is_zero():

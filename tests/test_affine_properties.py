@@ -1,8 +1,8 @@
 """Property sweeps for the affine substitution x -> lam*x + mu.
 
-Poly.compose is the independent oracle: the lam solve in
-affine_matches and the witness of are_isomorphic are each checked against a
-plain double loop of compositions.
+Poly.compose is the independent oracle: the scan affine_matches, the solver
+solve_affine_matches and the witness of are_isomorphic are each checked
+against a plain double loop of compositions.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import random
 
-from orecalc.eigengroup import affine_matches, eigengroup_bruteforce_in_tower
+from orecalc.eigengroup import affine_matches, eigengroup_bruteforce_in_tower, solve_affine_matches
 from orecalc.gf import GF
 from orecalc.lambda_aut import are_isomorphic
 from orecalc.poly import Poly, lift_poly, splitting_tower
@@ -67,6 +67,7 @@ def test_affine_matches_is_the_double_loop(pair, data):
     f, g = pair
     got = affine_matches(f, g)
     assert got == oracle_matches(f, g)
+    assert solve_affine_matches(f, g) == got
     F = f.field
     sub = data.draw(st.sets(st.integers(0, F.q - 1)))
     assert affine_matches(f, g, sub) == [(l, m) for l, m in got if l in sub and m in sub]
@@ -106,9 +107,9 @@ def test_deep_pinning_coefficient(F, d, k):
         assert g.c[d - 1] == 0 and any(g.c[:d - 1])
         matches = affine_matches(f, g)
         assert any(mu == F.neg(a) for _, mu in matches)
-        assert matches == oracle_matches(f, g)
+        assert matches == oracle_matches(f, g) == solve_affine_matches(f, g)
         other = Poly.from_values(F, (F.add(g.c[0], rng.randrange(1, F.q)),) + g.c[1:])
-        assert affine_matches(f, other) == oracle_matches(f, other)
+        assert affine_matches(f, other) == oracle_matches(f, other) == solve_affine_matches(f, other)
 
 
 @pytest.mark.parametrize(
@@ -123,10 +124,10 @@ def test_monomial_target_takes_every_unit(F, d):
         lin = Poly.from_values(F, (F.neg(a), 1))
         f = lin ** d
         want = sorted((lam, a) for lam in F.units())
-        assert affine_matches(f, g) == oracle_matches(f, g) == want
+        assert affine_matches(f, g) == oracle_matches(f, g) == solve_affine_matches(f, g) == want
         if d > 1:
             f1 = lin ** (d - 1) * Poly.from_values(F, (F.neg(F.add(a, 1)), 1))
-            assert affine_matches(f1, g) == oracle_matches(f1, g) == []
+            assert affine_matches(f1, g) == oracle_matches(f1, g) == solve_affine_matches(f1, g) == []
 
 
 @pytest.mark.parametrize("F", [GF(3, 2), GF(2, 2)], ids=["GF3_2", "GF2_2"])
@@ -139,7 +140,7 @@ def test_p_divides_degree(F):
             partner = image(f, rng.randrange(1, F.q), rng.randrange(F.q))
             other = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
             for g in (partner, other):
-                assert affine_matches(f, g) == oracle_matches(f, g)
+                assert affine_matches(f, g) == oracle_matches(f, g) == solve_affine_matches(f, g)
             assert affine_matches(f, partner)
 
 
@@ -151,11 +152,70 @@ def test_unequal_leading_coefficients(F):
     for _ in range(6):
         f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(3)] + [rng.randrange(2, F.q)])
         g = image(f, rng.randrange(1, F.q), rng.randrange(F.q))
-        assert affine_matches(f, g) == oracle_matches(f, g) != []
+        assert affine_matches(f, g) == oracle_matches(f, g) == solve_affine_matches(f, g) != []
         c = rng.randrange(2, F.q)
         g2 = g.scale_value(c)
         assert g2.c[-1] != f.c[-1]
-        assert affine_matches(f, g2) == oracle_matches(f, g2) == []
+        assert affine_matches(f, g2) == oracle_matches(f, g2) == solve_affine_matches(f, g2) == []
+
+
+@pytest.mark.parametrize("F", [GF(5), GF(13), GF(3, 2)], ids=["GF5", "GF13", "GF3_2"])
+def test_sign_flip_passes_the_mu_equations(F):
+    """f = x^6 + a x^4 + b x^2 + c x against g, its image under x -> lam*x
+    with the x^2 coefficient negated.  The equations left after
+    eliminating lam see only squares of that coefficient (e = 2), so
+    mu = 0 is a root of their gcd; the check of the candidate against
+    every coefficient is what rejects it."""
+    rng = random.Random(f"sign/{F.q}")
+    for _ in range(4):
+        a, b, c = (rng.randrange(1, F.q) for _ in range(3))
+        f = Poly.from_values(F, (0, c, b, 0, a, 0, 1))
+        g = image(f, rng.randrange(1, F.q), 0)
+        flipped = Poly.from_values(F, g.c[:2] + (F.neg(g.c[2]),) + g.c[3:])
+        assert solve_affine_matches(f, g) == oracle_matches(f, g) != []
+        assert solve_affine_matches(f, flipped) == oracle_matches(f, flipped)
+        assert all(mu for _, mu in solve_affine_matches(f, flipped))
+
+
+@pytest.mark.parametrize("F", [GF(7), GF(2, 3), GF(3, 2)], ids=["GF7", "GF2_3", "GF3_2"])
+def test_torus_pairs_collapse(F):
+    """f = c(x - a)^d and g = c(x - b)^d leave no equation in mu (G = 0):
+    the matches are (lam, a - b*lam) for every unit lam, both for p | d
+    (the scan fallback, e > 1) and for p not dividing d (closed form)."""
+    rng = random.Random(f"torus/{F.q}")
+    for d in (1, 2, 3, F.p, 2 * F.p):
+        for _ in range(3):
+            a, b, c = rng.randrange(F.q), rng.randrange(1, F.q), rng.randrange(1, F.q)
+            f = (Poly.from_values(F, (F.neg(a), 1)) ** d).scale_value(c)
+            g = (Poly.from_values(F, (F.neg(b), 1)) ** d).scale_value(c)
+            want = sorted((lam, F.sub(a, F.mul(b, lam))) for lam in F.units())
+            assert solve_affine_matches(f, g) == oracle_matches(f, g) == want
+            if d > 1:  # one root moved off the torus: nothing matches
+                h = g * Poly.from_values(F, (F.neg(F.add(b, 1)), 1)) // Poly.from_values(F, (F.neg(b), 1))
+                assert solve_affine_matches(f, h) == oracle_matches(f, h) == []
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF{F.q}")
+def test_isomorphism_makes_no_shift_per_mu(F, shift_calls):
+    """Off the torus, are_isomorphic solves for mu instead of shifting f by
+    every mu: its only compose_affine call is the relation check of the
+    witness (the scan makes one per element of K)."""
+    rng = random.Random(f"noscan/{F.q}")
+    x = Poly.x(F)
+    for _ in range(8):
+        r1, r2 = rng.sample(range(F.q), 2)
+        f = (x - F.from_value(r1)) * (x - F.from_value(r2))
+        f = f * Poly.from_values(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 3))] + [1])
+        partner = image(f, rng.randrange(1, F.q), rng.randrange(F.q))
+        other = Poly.from_values(F, [rng.randrange(F.q) for _ in range(f.degree)] + [1])
+        for g in (partner, other):
+            shift_calls.clear()
+            res = are_isomorphic(f, g)
+            assert res.isomorphic == bool(oracle_matches(f, g))
+            assert shift_calls == ([(res.alpha, res.beta)] if res.isomorphic else [])
+    shift_calls.clear()
+    affine_matches(f, other)
+    assert len(shift_calls) == F.q
 
 
 @pytest.mark.parametrize("p,coeffs,level", [

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import pytest
 
 import orecalc.cli as cli
 from orecalc.cli import main, run
+from orecalc.gf import GF
+from orecalc.parsing import parse_poly
+from orecalc.poly import Poly
 
 
 def run_json(argv):
@@ -216,9 +220,9 @@ def test_main_streams(capsys):
     assert cap.out == "" and cap.err.startswith("error:")
 
 
-def _module_cli(args):
+def _module_cli(args, timeout=120):
     return subprocess.run(
-        [sys.executable, "-m", "orecalc", *args], capture_output=True, timeout=120
+        [sys.executable, "-m", "orecalc", *args], capture_output=True, timeout=timeout
     )
 
 
@@ -303,3 +307,72 @@ def test_traced_cli_prints_the_untraced_answer():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == run(args)[1]
+
+
+def _vector(F, f):
+    """f as a CLI coefficient vector: ints over GF(p), digit vectors above."""
+    if F.m > 1:
+        return "[" + ",".join("[" + ",".join(map(str, F.unpack(v))) + "]" for v in f.c) + "]"
+    return "[" + ",".join(map(str, f.c)) + "]"
+
+
+def test_isomorphic_reach_over_gf_2_20():
+    """The query the per-mu scan could not answer in minutes: the witness
+    comes back within the timeout and carries f to g by substitution."""
+    F = GF(2, 20)
+    f, g = parse_poly(F, "x^3+x+1"), parse_poly(F, "x^3+x^2+1")
+    args = ["isomorphic", "--field", "GF(2^20)", "--f", "x^3+x+1", "--g", "x^3+x^2+1"]
+    proc = _module_cli(args, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["isomorphic"] is True
+    alpha, beta, lam = (F.pack(data[key]) for key in ("alpha", "beta", "lambda"))
+    assert f.compose(Poly.from_values(F, (beta, alpha))) == g.scale_value(F.pow(alpha, 3))
+    assert lam == F.inv(F.pow(alpha, 3))
+
+
+def _fuzz_queries(rng, F, spec, degrees):
+    """Seeded isomorphic/aut-group queries: partners, random pairs, torus
+    pairs, and inputs the CLI must refuse (unequal degrees, non-monic).
+    Torus pairs f = (x - a)^d, g = (x - b)^d are drawn over the small fields
+    only: their match list has q - 1 pairs, too many to list over GF(2^20)
+    within the timeout."""
+    for _ in range(6):
+        d = rng.choice(degrees)
+        f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+        kind = rng.choice(["partner", "random", "torus", "degree", "non_monic", "aut"])
+        if kind == "partner":
+            lam, mu = rng.randrange(1, F.q), rng.randrange(F.q)
+            g = f.compose_affine(lam, mu).scale_value(F.inv(F.pow(lam, d)))
+        elif kind == "torus" and F.q < 1 << 10:
+            f, g = (Poly.from_values(F, (rng.randrange(F.q), 1)) ** d for _ in range(2))
+        elif kind == "degree":
+            g = f * Poly.x(F)
+        elif kind == "non_monic":
+            g = f.scale_value(rng.randrange(2, F.q)) if F.q > 2 else Poly.one(F)
+        else:
+            g = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+        if kind == "aut":
+            yield ["aut-group", "--field", spec, "--f", _vector(F, f)]
+        else:
+            yield ["isomorphic", "--field", spec, "--f", _vector(F, f), "--g", _vector(F, g)]
+
+
+@pytest.mark.parametrize("p,m,degrees", [
+    (2, 1, (1, 2, 3, 4)), (7, 1, (1, 2, 3, 7)), (3, 2, (1, 2, 3, 6)), (2, 3, (2, 3, 4)),
+    # degree >= 2: two linear polynomials over GF(2^20) always form a torus pair
+    (2, 20, (2, 3, 4)),
+], ids=["GF2", "GF7", "GF9", "GF8", "GF2_20"])
+def test_isomorphism_queries_exit_cleanly(p, m, degrees):
+    """Every seeded query answers (exit 0, JSON on stdout) or is refused
+    (exit 1, one error line) within the subprocess timeout; no traceback."""
+    F = GF(p, m)
+    spec = f"GF({p})" if m == 1 else f"GF({p}^{m})"
+    for args in _fuzz_queries(random.Random(f"fuzz/{p}/{m}"), F, spec, degrees):
+        proc = _module_cli(args, timeout=30)
+        assert proc.returncode in (0, 1), (args, proc.stderr)
+        assert b"Traceback" not in proc.stderr, (args, proc.stderr)
+        if proc.returncode == 0:
+            json.loads(proc.stdout)
+        else:
+            assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from orecalc.errors import DomainError
 from orecalc.gf import GF, primitive_root_of_unity, tower_over
 from orecalc.eigengroup import (
+    DEFAULT_BRUTE_CAP,
     AffineAut,
     EigengroupDesc,
     SubgroupSpec,
@@ -16,6 +17,7 @@ from orecalc.eigengroup import (
     eigengroup_descend,
     inverse_eigengroup,
     shift_space,
+    solve_affine_matches,
 )
 from orecalc.poly import (
     Poly,
@@ -590,6 +592,36 @@ def test_inverse_roundtrip_assorted():
     assert inverse_eigengroup(SubgroupSpec("cyclic", F3, n=1)) == inverse_eigengroup(
         SubgroupSpec("trivial", F3)
     )
+
+
+@pytest.mark.parametrize("p,k,v_dim", [(2, 20, 2), (3, 12, 1)], ids=["GF2_20", "GF3_12"])
+def test_solver_is_a_third_route_to_the_eigengroup(p, k, v_dim):
+    """G_f(K) over fields far above the brute-force cap, as the pairs that
+    solve_affine_matches finds for g = f: against the closed form descended
+    to K for a split f with trivial G_f(K) and for shift groups Sh_V
+    (V = F_p, F_{p^2}, a line off F_p), and against the prescribed subgroup
+    for inputs from inverse_eigengroup with a cyclic part, where descend
+    spans every element of K and is too slow for this suite."""
+    F = GF(p, k)
+    assert F.q > DEFAULT_BRUTE_CAP
+    w = primitive_root_of_unity(p * p - 1, F).val  # F_{p^2} = F_p + F_p w
+    rng = random.Random(f"third/{p}/{k}")
+    x = Poly.x(F)
+    split = x
+    for r in rng.sample(range(1, F.q), 3):
+        split = split * (x - F.from_value(r))
+    shifts = [SubgroupSpec("shift", F, v_basis=vb, variant="b") for vb in ((1,), (1, w), (w,))]
+    for f in [split] + [inverse_eigengroup(spec) for spec in shifts]:
+        assert solve_affine_matches(f, f) == sorted(eigengroup(f).descend().element_pairs())
+    cyclic = [
+        SubgroupSpec("cyclic", F, n=5, nu=rng.randrange(F.q)),
+        # V = F_{p^v_dim} with the full cyclic part: p^v_dim (p^v_dim - 1) pairs
+        SubgroupSpec("shift_cyclic", F, n=p**v_dim - 1, nu=rng.randrange(F.q), v_basis=(1, w)[:v_dim]),
+    ]
+    for spec in shifts + cyclic:
+        f = inverse_eigengroup(spec)
+        want = sorted(pairs_of(spec.elements()))
+        assert len(want) > 1 and solve_affine_matches(f, f) == want
 
 
 def test_inverse_validation():

@@ -1,10 +1,14 @@
 """Automorphism groups of the Ore extensions and the isomorphism test."""
 
+import json
 import random
+import shlex
 
 import pytest
 
-from orecalc.errors import DomainError
+import orecalc.cli as cli
+from orecalc import lambda_aut
+from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, tower_over
 from orecalc.lambda_aut import LambdaAut, OreHom, aut_group, are_isomorphic
 from orecalc.ore import OreAlgebra
@@ -260,3 +264,25 @@ def test_iso_reach_on_large_fields(p, k):
     K = tower_over(F, k)  # the trivial tower: roots in K itself
     assert len(roots_in_ext(h, K)) == 1 and len(roots_in_ext(f, K)) == 3
     assert not are_isomorphic(f, h).isomorphic
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(13), GF(3, 2)], ids=["GF3", "GF13", "GF3_2"])
+def test_iso_check_error_names_stage_and_reproducer(F, monkeypatch):
+    """A solver match that fails the relation transport is an internal
+    fault at stage iso.solve, reported on one line that ends with a CLI
+    call repeating the query."""
+    x = Poly.x(F)
+    f = x**3 + x + 1
+    g = f.compose_affine(1, 1)  # partner: the first witness is (1, 1) or earlier
+    good = are_isomorphic(f, g).describe()
+    monkeypatch.setattr(lambda_aut, "solve_affine_matches", lambda f, g: [(2, 0)])
+    with pytest.raises(InternalCheckError, match=r"^stage=iso\.solve: ") as info:
+        are_isomorphic(f, g)
+    monkeypatch.undo()
+    msg = str(info.value)
+    assert "\n" not in msg
+    argv = shlex.split(msg.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "isomorphic"]
+    code, out = cli.run(argv[1:])
+    assert code == 0, out
+    assert json.loads(out) == good

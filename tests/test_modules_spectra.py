@@ -3,6 +3,8 @@
 import json
 import random
 import shlex
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from orecalc import cli, modules_spectra
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import GF, Span, tower_over
+from orecalc.gf import GF, SPECTRUM_PAIR_CAP, Span, tower_over
 from orecalc.modules_spectra import (
     all_basis_vectors_cyclic,
     cyclic_span_dim,
@@ -31,7 +33,7 @@ from orecalc.modules_spectra import (
     spectrum,
     word_span_dim,
 )
-from orecalc.poly import Poly, is_irreducible, lift_poly, monic_polys, roots_in_ext
+from orecalc.poly import Poly, is_irreducible, lift_poly, monic_polys, roots_in_ext, roots_in_field
 
 
 def rand_mat(F, d, rng):
@@ -642,3 +644,21 @@ def test_spectrum_validation():
         spectrum(Poly(K, (1,)))
     with pytest.raises(DomainError):
         spectrum(Poly(K, (0, 1)), degree_bound=-1)
+
+
+def test_spectrum_pair_bound():
+    """spectrum walks sum_j q^(2j) pairs (xi, rho) up to its degree bound.
+    GF(13) up to degree 3 (4,855,539 pairs) answers; one degree more, or
+    GF(2^17) at degree 1 (2^34 pairs), is refused at once with exit 1
+    instead of growing until the process is killed."""
+    K = GF(13)
+    f = Poly(K, (1, 1, 0, 1))  # x^3 + x + 1
+    sp = spectrum(f, 3)
+    assert sum(13 ** (2 * j) for j in (1, 2, 3)) <= SPECTRUM_PAIR_CAP
+    assert {j for j, _, _ in sp.max_off_f} == {1, 2, 3}
+    assert sum(j == 1 for j, _, _ in sp.max_off_f) == (13 - len(roots_in_field(f))) * 13
+    with pytest.raises(DomainError, match="pairs"):
+        spectrum(f, 4)
+    args = ["spectrum", "--field", "GF(2^17)", "--f", "x^2+x", "--degree-bound", "1"]
+    proc = subprocess.run([sys.executable, "-m", "orecalc", *args], capture_output=True, timeout=30)
+    assert proc.returncode == 1 and proc.stderr.startswith(b"error: spectrum up to residue degree 1")
