@@ -15,17 +15,25 @@ Structure of the group (with all data L-rational):
   the group of shifts by the shift space V of f, extended by a cyclic group
   of order n prime to p fixing nu.
 
-The closed-form computation proceeds in five steps: single-root check, a
-triviality fast path (cross-checked against the structured search, never
-trusted alone), the shift space V, the V = 0 search for (nu, i, n, g) with
-f = (x-nu)^i g((x-nu)^n), and the V != 0 search for the eigenform
-f = f_V(x-nu)^i * g(f_V(x-nu)^n) through the additive polynomial f_V.
+The closed-form computation has two steps.  A single distinct root gives
+the torus.  Otherwise one centre search reads f = f1^(p^s) through its shift
+space V: f1 = G(f_V) with f_V = x and no bound on n when V = 0, and with
+G = decompose_through(f1, f_V) and n | p^e - 1 (F_{p^e} the multiplier
+field of V) when V != 0.  Each root of f1 and of f1' is a candidate centre
+nu; with w = f_V(x - nu), f1 = G(w + f_V(nu)), and stripping the power of w
+from G(y + f_V(nu)) leaves g_nu, whose prime-to-p exponent gcd (p^e - 1
+when g_nu is constant: one coset of roots) bounds n.  Hits, the candidates
+with n >= 2, lie in one V-coset with equal data and give the eigenform
+f = f_V(x-nu)^i * g(f_V(x-nu)^n), case A10 (A11 when V = 0); no hit leaves
+the shifts alone (B11) or the trivial group (V = 0).  The round trip of the
+eigenform and the laws of the stored generators are each checked once.
 
 Descent to a subfield F_{p^j} of L intersects V with the subfield and finds
 the minimal power of the cyclic generator that can be corrected into the
 subfield by a shift from V.  Canonical choices throughout: nu is the packed
-minimum of its V-coset, lambda_n is the canonical primitive root of unity,
-bases are echelonized; identical inputs produce identical descriptors.
+minimum of its V-coset (at every level), lambda_n is the canonical
+primitive root of unity, bases are echelonized; identical inputs produce
+identical descriptors.
 
 The inverse problem (realize a prescribed subgroup H as G_f) is solved by
 explicit witness polynomials per subgroup shape, and every structured result
@@ -332,9 +340,6 @@ class EigengroupDesc:
             raise InternalCheckError("element enumeration does not match the order formula")
         return out
 
-    def element_pairs(self) -> set[tuple[int, int]]:
-        return {a.pair for a in self.elements()}
-
     def describe(self) -> dict:
         F = self.level_field
         order = self.order()
@@ -406,36 +411,27 @@ class Eigenform:
             return lift_poly(self.f, self.tower)
         if self.case == "single_root":
             return Poly.from_values(L, (L.neg(self.nu), 1)) ** self.i
-        if self.case == "A11":
-            w = Poly.from_values(L, (L.neg(self.nu), 1))
-            return w**self.i * self.g.compose(w**self.n)
-        if self.case == "A10":
-            w = f_V(L, self.v_values).compose_affine(1, L.neg(self.nu))
-            return w**self.i * self.g.compose(w**self.n)
+        if self.case in ("A10", "A11"):
+            w = f_V(L, self.v_values or (0,), self.nu)
+            g = self.g if self.g.is_constant() else self.g.compose(w**self.n)
+            return w**self.i * g
         if self.case == "B11":
             p = L.p
             return self.g.compose(f_V(L, self.v_values)) ** (p**self.s)
         raise InternalCheckError(f"unknown eigenform case {self.case!r}")
 
     def verify(self, fe: Poly) -> None:
-        """Round-trip to fe, f lifted to the splitting field, and check the
-        stated eigenvalue law exactly.  Case "none" is f itself."""
+        """Round-trip to fe, f lifted to the splitting field (case "none" is
+        f itself), and the torus law for a single root; the generators of a
+        finite group are checked by _verify_finite_generators."""
         L = self.tower.ext
         if self.case != "none" and self.expand() != fe:
             raise InternalCheckError("eigenform does not expand back to f")
-        if self.case in ("A10", "A11"):
-            gen = AffineAut(L, self.lambda_n, L.mul(L.sub(1, self.lambda_n), self.nu))
-            if gen.apply(fe) != fe.scale_value(L.pow(self.lambda_n, self.i)):
-                raise InternalCheckError("eigenvalue law sigma(f) = lambda_n^i f fails")
-        elif self.case == "single_root":
+        if self.case == "single_root":
             lam = primitive_root_of_unity(L.q - 1, L).val if L.q > 2 else 1
             gen = AffineAut(L, lam, L.mul(L.sub(1, lam), self.nu))
             if gen.apply(fe) != fe.scale_value(L.pow(lam, self.i)):
                 raise InternalCheckError("torus eigenvalue law fails")
-        elif self.case == "B11":
-            for v in self.v_values:
-                if fe.compose_affine(1, v) != fe:
-                    raise InternalCheckError("shift invariance of the eigenform fails")
 
     def describe(self) -> dict:
         L = self.tower.ext
@@ -482,6 +478,15 @@ def _unity_root(n: int, field: FieldDesc) -> int:
         ) from exc
 
 
+def _coset_min(F: FieldDesc, nu: int, basis) -> int:
+    """The packed minimum of nu + span(basis) in F: nu reduced against an
+    echelon basis whose pivots sit at the most significant digit."""
+    span = Span(F.prime_field)
+    for b in basis:
+        span.add(F.unpack(b)[::-1])
+    return F.pack(span.reduce(F.unpack(nu)[::-1])[::-1])
+
+
 def _verify_finite_generators(desc: EigengroupDesc, fe: Poly) -> None:
     """Every stored generator must send f to a scalar multiple of f."""
     for gen in desc.generators():
@@ -510,139 +515,55 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     tower = rm.tower
     L, M, p = tower.ext, tower.M, f.field.p
     fe = rm.lifted
-    d = f.degree
     ed = exponent_decomp(f)
     s, f1 = ed.s, ed.f1
     f1e = fe if s == 0 else lift_poly(f1, tower)
     distinct = rm.distinct()
 
-    # Step 1: a single distinct root gives the torus.
     if len(distinct) == 1:
         nu = distinct[0]
         desc = EigengroupDesc("torus", tower, M, True, nu, 0, 1, ())
-        form = Eigenform("single_root", f, tower, nu, d, 0, s, None, (), 1)
+        form = Eigenform("single_root", f, tower, nu, f.degree, 0, s, None, (), 1)
         form.verify(fe)
         return EigengroupResult(f, tower, desc, form)
 
-    f1d_roots = roots_in_ext(f1.derivative(), tower)
-
-    # Step 3 (computed early; it is also condition (c) of the fast path).
+    # f1 = G(f_V); n is bounded by p^e - 1 when V != 0 (gcd(0, n) = n).
     ss = shift_space(rm)
-    v_vals = ss.values()
+    v_vals, fv, big_g, bound = (), Poly.x(L), f1e, 0
+    if ss.dim:
+        v_vals = ss.values()
+        fv = f_V(L, v_vals)
+        big_g = decompose_through(f1e, fv)
+        if big_g is None:
+            raise InternalCheckError("f1 must be a polynomial in f_V once V shifts f")
+        bound = p**ss.e - 1
 
-    # Step 2: triviality fast path; re-derived structurally below and the two
-    # answers must agree.
-    c11 = len(v_vals) == 1
-    if c11:
-        for nu in distinct:
-            _, w = _strip_valuation(f1e.compose_affine(1, nu))
-            if not w.is_constant() and _gcd_p_part(w) != 1:
-                c11 = False
-                break
-    if c11:
-        for nu in f1d_roots:
-            if f1e.eval_value(nu) != 0:
-                sh = f1e.compose_affine(1, nu)
-                if _gcd_p_part(sh) != 1:
-                    c11 = False
-                    break
-
-    if len(v_vals) == 1:
-        # Step 4: V = 0, search for the unique centre of a cyclic part.
-        cands = list(distinct)
-        seen = set(distinct)
-        cands.extend(r for r in f1d_roots if r not in seen)
-        hits = []
-        for nu in cands:
-            i, w = _strip_valuation(fe.compose_affine(1, nu))
-            if w.is_constant():
-                raise InternalCheckError("stripped shift became constant off the torus case")
-            n = _gcd_p_part(w)
-            if n >= 2:
-                hits.append((nu, i, w, n))
-        if not hits:
-            if not c11:
-                raise InternalCheckError("triviality fast path disagrees: search found nothing")
-            desc = _trivial_desc(tower, M, True)
-            form = Eigenform("none", f, tower, 0, 0, 1, s, None, (), 1)
-            form.verify(fe)
-            return EigengroupResult(f, tower, desc, form)
-        if c11:
-            raise InternalCheckError("triviality fast path disagrees: search found a generator")
-        if len(hits) != 1:
-            raise InternalCheckError("the eigenroot of a cyclic eigengroup must be unique")
-        nu, i, w, n = hits[0]
-        g = contract_exponents(w, n)
-        lam = _unity_root(n, L)
-        desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ())
-        form = Eigenform("A11", f, tower, nu, i, n, s, g, (), lam)
-        form.verify(fe)
-        _verify_finite_generators(desc, fe)
-        return EigengroupResult(f, tower, desc, form)
-
-    # Step 5: V != 0.
-    if c11:
-        raise InternalCheckError("triviality fast path disagrees: shift space is nonzero")
-    e = multiplier_field(L, v_vals)
-    fv = f_V(L, v_vals)
-    big_g = decompose_through(f1e, fv)
-    if big_g is None:
-        raise InternalCheckError("f1 must be a polynomial in f_V once V shifts f")
-    gvals = sorted({fv.eval_value(r) for r in distinct})
-
-    if len(gvals) == 1:
-        # All roots form one V-coset: f1 = f_V(x-nu)^j.
-        nu = min(distinct)
-        if len(distinct) != len(v_vals):
-            raise InternalCheckError("single-coset case must have |V| distinct roots")
-        j = f1.degree // len(v_vals)
-        w = fv.compose_affine(1, L.neg(nu))
-        if w**j != f1e:
-            raise InternalCheckError("single-coset eigenform reconstruction failed")
-        n = p**e - 1
-        if n == 1:
-            desc = EigengroupDesc("finite", tower, M, True, 0, 1, 1, ss.basis)
-            form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, v_vals, 1)
-        else:
-            lam = _unity_root(n, L)
-            desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
-            form = Eigenform("A10", f, tower, nu, (p**s) * j, n, s, Poly.one(L), v_vals, lam)
-        form.verify(fe)
-        _verify_finite_generators(desc, fe)
-        return EigengroupResult(f, tower, desc, form)
-
-    # Several cosets of roots: search the centres nu among roots of f1 and
-    # of f1', reading everything through w = f_V(x - nu).
+    # Candidate centres nu, read through w = f_V(x - nu): f1 = G(w + f_V(nu)).
     cands = list(distinct)
     seen = set(distinct)
-    cands.extend(r for r in f1d_roots if r not in seen)
+    cands.extend(r for r in roots_in_ext(f1.derivative(), tower) if r not in seen)
     hits = []
     for nu in cands:
-        g_sh = big_g.compose_affine(1, fv.eval_value(nu))
-        i_nu, g_nu = _strip_valuation(g_sh)
-        if g_nu.is_constant():
-            raise InternalCheckError("stripped eigenfactor became constant with several cosets")
-        n_nu = gcd(p**e - 1, _gcd_p_part(g_nu))
-        if n_nu >= 2:
-            hits.append((nu, i_nu, g_nu, n_nu))
+        at = fv.eval_value(nu)
+        i_nu, g_nu = _strip_valuation(big_g.compose_affine(1, at))
+        n = bound if g_nu.is_constant() else gcd(bound, _gcd_p_part(g_nu))
+        if n >= 2:
+            hits.append((at, nu, i_nu, g_nu, n))
     if not hits:
         desc = EigengroupDesc("finite", tower, M, True, 0, 1, 1, ss.basis)
-        form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, v_vals, 1)
-        form.verify(fe)
-        _verify_finite_generators(desc, fe)
-        return EigengroupResult(f, tower, desc, form)
-    first = hits[0]
-    for nu, i_nu, g_nu, n_nu in hits[1:]:
-        if (i_nu, g_nu, n_nu) != (first[1], first[2], first[3]):
-            raise InternalCheckError("inconsistent eigenform data across candidate centres")
-        if fv.eval_value(L.sub(nu, first[0])) != 0:
-            raise InternalCheckError("candidate centres must lie in a single V-coset")
-    nu0, i_nu, g_nu, n = first
-    nu = min(L.add(nu0, v) for v in v_vals)
-    g1 = contract_exponents(g_nu, n)
-    lam = _unity_root(n, L)
-    desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
-    form = Eigenform("A10", f, tower, nu, (p**s) * i_nu, n, s, g1 ** (p**s), v_vals, lam)
+        if ss.dim:
+            form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, v_vals, 1)
+        else:
+            form = Eigenform("none", f, tower, 0, 0, 1, s, None, (), 1)
+    else:
+        at, nu, i_nu, g_nu, n = hits[0]
+        if any(h[0] != at or h[2:] != (i_nu, g_nu, n) for h in hits):
+            raise InternalCheckError("candidate centres must lie in one V-coset with equal data")
+        nu = _coset_min(L, nu, ss.basis)
+        lam = _unity_root(n, L)
+        g = contract_exponents(g_nu, n) ** (p**s)
+        desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
+        form = Eigenform("A10" if ss.dim else "A11", f, tower, nu, p**s * i_nu, n, s, g, v_vals, lam)
     form.verify(fe)
     _verify_finite_generators(desc, fe)
     return EigengroupResult(f, tower, desc, form)
@@ -683,12 +604,8 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
     if desc.n > 1:
         span = Span(L.prime_field)
         vb = list(desc.v_basis)
-        for b in vb:
+        for b in vb + list(lvl.pows):
             span.add(L.unpack(b))
-        sub_vals = tower.subfield_values(level)
-        for wv in sub_vals:
-            span.add(L.unpack(wv))
-        gens = vb + list(sub_vals)
         for i2 in divisors(desc.n):
             if i2 == desc.n:
                 continue
@@ -704,7 +621,7 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
                 raise InternalCheckError("descent shift correction left the subfield")
             n_k = desc.n // i2
             lam_k = lower(lam2)
-            nu_k = lower(L.div(mu2, L.sub(1, lam2)))
+            nu_k = _coset_min(lvl.desc, lower(L.div(mu2, L.sub(1, lam2))), vk_basis)
             break
 
     F = lvl.desc
@@ -786,23 +703,6 @@ def eigengroup_bruteforce(
     if field.q > cap:
         raise DomainError(f"field of size {field.q} exceeds the brute-force cap {cap}")
     return [AffineAut(field, l, m) for l, m in affine_matches(f, f)]
-
-
-def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> set[tuple[int, int]]:
-    """Brute-force eigen-substitution pairs with lam, mu in F_{p^level} <= L.
-
-    Pairs are returned as packed values of the level field.
-    """
-    _require_monic_nonscalar(f)
-    if tower.M % level:
-        raise DomainError("level must divide the splitting degree")
-    sub = tower.subfield_values(level)
-    cap = DEFAULT_BRUTE_CAP
-    if len(sub) > cap:
-        raise DomainError(f"subfield of size {len(sub)} exceeds the brute-force cap {cap}")
-    fe = lift_poly(f, tower)
-    lvl = tower.level(level)
-    return {(lvl.lower(l).val, lvl.lower(m).val) for l, m in affine_matches(fe, fe, sub)}
 
 
 # ---------------------------------------------------------------------------

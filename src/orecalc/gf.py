@@ -696,6 +696,10 @@ class Span:
                     d[i] = F.sub(d[i], F.mul(d[k], c))
         return d
 
+    def reduce(self, vec) -> list[int]:
+        """vec minus the member of the span that clears it at every pivot."""
+        return self._reduce(vec)[0]
+
     def basis(self) -> list[tuple[int, ...]]:
         """The reduced echelon basis, sorted by pivot (unique for the space)."""
         order = sorted(range(self.rank), key=self._pivots.__getitem__)
@@ -822,7 +826,6 @@ class FieldTower:
         self.p = base.p
         self.ext = base if ext_degree == base.m else GF(base.p, ext_degree)
         self._levels: dict[int, TowerLevel] = {}
-        self._subfield_cache: dict[int, tuple[int, ...]] = {}
 
     @property
     def k(self) -> int:
@@ -857,24 +860,6 @@ class FieldTower:
         if self.M % j != 0:
             raise DomainError(f"F_{{p^{j}}} is not a subfield of F_{{p^{self.M}}}")
         return self.ext.frob(v, j) == v
-
-    def subfield_values(self, j: int) -> tuple[int, ...]:
-        """Sorted packed ext-values of the subfield F_{p^j}: the F_p-span of
-        the embedded power basis of level j."""
-        hit = self._subfield_cache.get(j)
-        if hit is not None:
-            return hit
-        if self.M % j != 0:
-            raise DomainError(f"F_{{p^{j}}} is not a subfield of F_{{p^{self.M}}}")
-        ext = self.ext
-        if j == self.M:
-            out = tuple(range(ext.q))
-        else:
-            out = span_values(ext, self.level(j).pows)
-            if len(out) != ext.p**j:
-                raise InternalCheckError("subfield enumeration mismatch")
-        self._subfield_cache[j] = out
-        return out
 
 
 _TOWER_CACHE: dict[tuple[int, tuple, int], FieldTower] = {}

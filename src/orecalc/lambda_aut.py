@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eigengroup import (
-    AffineAut,
     EigengroupDesc,
     _reproducer,
     _require_monic_nonscalar,
@@ -92,9 +91,6 @@ class OreHom:
         rhs = self.dst.element(self.src.f.compose_affine(self.lam, self.mu))
         if lhs != rhs:
             raise InternalCheckError("relation transport fails for the claimed map")
-
-    def affine_part(self) -> AffineAut:
-        return AffineAut(self.field, self.lam, self.mu)
 
     def describe(self) -> dict:
         from .eigengroup import _elt_json, _poly_json

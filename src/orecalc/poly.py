@@ -556,13 +556,6 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     return RootMultiset(f, tower, tuple(pairs), fe)
 
 
-def roots_in_field(f: Poly) -> list[int]:
-    """Packed values v in f's own field with f(v) = 0 (exhaustive scan; test oracle)."""
-    if f.is_zero():
-        raise DomainError("roots of the zero polynomial")
-    return [v for v in f.field.elements() if f.eval_value(v) == 0]
-
-
 def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
     """Sorted packed values in the tower extension that are roots of f.
 
@@ -738,19 +731,3 @@ def contract_exponents(f: Poly, n: int) -> Poly:
                 raise DomainError("exponents are not all divisible by n")
             out[i // n] = c
     return Poly.from_values(F, out)
-
-
-def monic_polys(field: FieldDesc, degree: int):
-    """Deterministic iterator over all monic polynomials of the given degree."""
-    if degree < 0:
-        raise DomainError("degree must be nonnegative")
-    q = field.q
-
-    def rec(prefix, i):
-        if i == degree:
-            yield Poly.from_values(field, prefix + [1])
-            return
-        for v in range(q):
-            yield from rec(prefix + [v], i + 1)
-
-    yield from rec([], 0)

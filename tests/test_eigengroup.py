@@ -1,10 +1,12 @@
 """Eigengroups: closed form vs brute force, descent, eigenforms, inverse."""
 
+import json
 import random
 
 import pytest
 
-from orecalc.errors import DomainError
+from orecalc.cli import run
+from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, primitive_root_of_unity, tower_over
 from orecalc.eigengroup import (
     DEFAULT_BRUTE_CAP,
@@ -13,7 +15,6 @@ from orecalc.eigengroup import (
     SubgroupSpec,
     eigengroup,
     eigengroup_bruteforce,
-    eigengroup_bruteforce_in_tower,
     eigengroup_descend,
     inverse_eigengroup,
     shift_space,
@@ -23,10 +24,18 @@ from orecalc.poly import (
     Poly,
     exponent_decomp,
     f_V,
-    monic_polys,
+    lift_poly,
     multiplier_field,
+    roots_in_ext,
     roots_with_multiplicity,
     splitting_tower,
+)
+
+from oracles import (
+    eigengroup_bruteforce_in_tower,
+    monic_polys,
+    subfield_values,
+    triviality_criterion,
 )
 
 
@@ -136,7 +145,7 @@ def test_shift_space_levels():
     assert len(full.values()) == 9 and full.e == 2
     level1 = shift_space(rm, level=1)
     assert len(level1.values()) == 3
-    assert set(level1.values()) == set(level1.tower.subfield_values(1))
+    assert set(level1.values()) == set(subfield_values(level1.tower, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +313,56 @@ def test_eigengroup_splits_f_and_f1_derivative_at_most_once(split_calls):
         assert set(calls) <= {f, f1d}
 
 
+def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
+    """With V = 0 the centre search shifts f1 once by each root of f1 and of
+    f1'; no separate triviality pass shifts it again."""
+    F5 = GF(5)
+    cases = [
+        Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2,  # trivial
+        Poly(GF(7), (1, 3, 0, 1)),  # trivial, three roots in GF(7^2)
+        Poly(F5, (-2, 1)) ** 4 - 1,  # A11; f' has the root 2, no root of f
+    ]
+    for f in cases:
+        rm = roots_with_multiplicity(f)
+        cands = set(rm.distinct()) | set(roots_in_ext(exponent_decomp(f).f1.derivative(), rm.tower))
+        shift_calls.clear()
+        res = eigengroup(f)
+        assert not res.closure.v_basis
+        assert sorted(mu for lam, mu in shift_calls if lam == 1) == sorted(cands)
+
+
+def test_expand_skips_the_power_under_a_constant_g(monkeypatch):
+    """x^256 + x over GF(2) is f_V(x) for V = GF(256): case A10 with g = 1
+    and n = 255, which expand returns as w^i without building w^n."""
+    F = GF(2)
+    f = Poly(F, [0, 1] + [0] * 254 + [1])
+    res = eigengroup(f)
+    ef = res.eigenform
+    assert (ef.case, ef.i, ef.n, ef.g) == ("A10", 1, 255, Poly.one(res.tower.ext))
+    fe = lift_poly(f, res.tower)
+    real, exponents = Poly.__pow__, []
+
+    def counting(self, e):
+        exponents.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counting)
+    assert ef.expand() == fe
+    assert 255 not in exponents
+
+
+def test_a_wrong_cyclic_generator_is_refused(monkeypatch):
+    """The eigenform round trip does not involve lambda_n; the generator
+    check refuses a lambda_n whose substitution is no eigen-substitution."""
+    import sys
+
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+    f = Poly(GF(5), (-2, 1)) ** 2 - 1  # A11 with n = 2 at nu = 2
+    monkeypatch.setattr(eg_mod, "_unity_root", lambda n, field: field.generator)  # order 4
+    with pytest.raises(InternalCheckError, match="not an eigen-substitution"):
+        eigengroup(f)
+
+
 def test_eigenform_expand_and_describe():
     F5 = GF(5)
     f = Poly(F5, (-2, 1)) ** 4 - 1
@@ -432,6 +491,13 @@ def test_infinite_descriptor_rejects_enumeration():
 # ---------------------------------------------------------------------------
 
 
+def assert_canonical_centre(desc):
+    """nu is the packed minimum of its V-coset, by enumeration of the coset."""
+    if desc.kind == "finite" and desc.n > 1:
+        F = desc.level_field
+        assert desc.nu == min(F.add(desc.nu, v) for v in desc.v_values())
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_oracle_sweep_base_field(p):
     F = GF(p)
@@ -439,6 +505,9 @@ def test_oracle_sweep_base_field(p):
         for f in monic_polys(F, d):
             res = eigengroup(f)
             assert pairs_of(res.base_elements()) == pairs_of(eigengroup_bruteforce(f))
+            assert triviality_criterion(f) == res.closure.is_trivial()
+            assert_canonical_centre(res.closure)
+            assert_canonical_centre(res.descend())
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -449,9 +518,10 @@ def test_oracle_sweep_quadratic_extension(p):
         for f in monic_polys(F, d):
             tower = splitting_tower(f, extra_degrees=(2,))
             res = eigengroup(f, tower)
-            assert pairs_of(res.descend(level=2).elements()) == (
-                eigengroup_bruteforce_in_tower(f, tower, 2)
-            )
+            down = res.descend(level=2)
+            assert pairs_of(down.elements()) == eigengroup_bruteforce_in_tower(f, tower, 2)
+            assert triviality_criterion(f, tower) == res.closure.is_trivial()
+            assert_canonical_centre(down)
 
 
 def test_oracle_extension_base_field():
@@ -463,6 +533,24 @@ def test_oracle_extension_base_field():
             )
             res = eigengroup(f)
             assert pairs_of(res.base_elements()) == pairs_of(eigengroup_bruteforce(f))
+            assert triviality_criterion(f) == res.closure.is_trivial()
+
+
+def test_descended_centre_is_the_coset_minimum():
+    """The descent reduces nu_k to the minimum of nu_k + V_k in the level
+    field, as the closure does: both print [0,0,0,1] here, where the
+    fixed points of the non-shifts over GF(16) are {8, 9, 14, 15}."""
+    F16 = GF(2, 4)
+    f = Poly.from_values(F16, (7, 1, 0, 0, 1))  # x^4 + x + [1,1,1,0]
+    res = eigengroup(f)
+    down = res.descend()
+    assert (res.closure.nu, down.nu, down.n) == (8, 8, 3)
+    centres = {a.fixed_point() for a in down.elements() if a.lam != 1}
+    assert centres == {8, 9, 14, 15}
+    assert_canonical_centre(down)
+    code, out = run(["eigengroup", "--field", "GF(16)", "--f", "x^4 + x + [1,1,1,0]"])
+    data = json.loads(out)
+    assert code == 0 and data["nu"] == data["closure"]["nu"] == [0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +600,7 @@ def test_maximality_bound():
             for v in vv:
                 big.add((cur, L.add(base, v)))
             cur = L.mul(cur, lam)
-        assert desc.element_pairs() <= big
+        assert pairs_of(desc.elements()) <= big
 
 
 @pytest.mark.parametrize("p,deg", [(2, 3), (3, 3)])
@@ -573,7 +661,7 @@ def test_inverse_examples():
 def roundtrip(spec):
     f = inverse_eigengroup(spec)
     realized = eigengroup(f).descend()
-    assert realized.element_pairs() == pairs_of(spec.elements()), spec
+    assert pairs_of(realized.elements()) == pairs_of(spec.elements()), spec
     return f
 
 
@@ -598,10 +686,10 @@ def test_inverse_roundtrip_assorted():
 def test_solver_is_a_third_route_to_the_eigengroup(p, k, v_dim):
     """G_f(K) over fields far above the brute-force cap, as the pairs that
     solve_affine_matches finds for g = f: against the closed form descended
-    to K for a split f with trivial G_f(K) and for shift groups Sh_V
-    (V = F_p, F_{p^2}, a line off F_p), and against the prescribed subgroup
-    for inputs from inverse_eigengroup with a cyclic part, where descend
-    spans every element of K and is too slow for this suite."""
+    to K for a split f with trivial G_f(K), for shift groups Sh_V
+    (V = F_p, F_{p^2}, a line off F_p) and for inputs from
+    inverse_eigengroup with a cyclic part, and against the prescribed
+    subgroup for every input from inverse_eigengroup."""
     F = GF(p, k)
     assert F.q > DEFAULT_BRUTE_CAP
     w = primitive_root_of_unity(p * p - 1, F).val  # F_{p^2} = F_p + F_p w
@@ -612,7 +700,7 @@ def test_solver_is_a_third_route_to_the_eigengroup(p, k, v_dim):
         split = split * (x - F.from_value(r))
     shifts = [SubgroupSpec("shift", F, v_basis=vb, variant="b") for vb in ((1,), (1, w), (w,))]
     for f in [split] + [inverse_eigengroup(spec) for spec in shifts]:
-        assert solve_affine_matches(f, f) == sorted(eigengroup(f).descend().element_pairs())
+        assert solve_affine_matches(f, f) == sorted(pairs_of(eigengroup(f).descend().elements()))
     cyclic = [
         SubgroupSpec("cyclic", F, n=5, nu=rng.randrange(F.q)),
         # V = F_{p^v_dim} with the full cyclic part: p^v_dim (p^v_dim - 1) pairs
@@ -622,6 +710,7 @@ def test_solver_is_a_third_route_to_the_eigengroup(p, k, v_dim):
         f = inverse_eigengroup(spec)
         want = sorted(pairs_of(spec.elements()))
         assert len(want) > 1 and solve_affine_matches(f, f) == want
+        assert sorted(pairs_of(eigengroup(f).descend().elements())) == want
 
 
 def test_inverse_validation():
@@ -667,4 +756,4 @@ def test_eigengroup_lifts_f_at_most_twice(monkeypatch, p, coeffs):
     monkeypatch.setattr(eg_mod, "lift_poly", counting)
     res = eigengroup(f)
     assert 1 <= sum(calls) <= 2
-    assert res.descend().element_pairs() == pairs_of(eigengroup_bruteforce(f))
+    assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))

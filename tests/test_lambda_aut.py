@@ -12,7 +12,9 @@ from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, tower_over
 from orecalc.lambda_aut import LambdaAut, OreHom, aut_group, are_isomorphic
 from orecalc.ore import OreAlgebra
-from orecalc.poly import Poly, is_irreducible, monic_polys, roots_in_ext
+from orecalc.poly import Poly, is_irreducible, roots_in_ext
+
+from oracles import monic_polys
 
 
 def rand_elem(A, rng, ydeg=2, xdeg=3):

@@ -33,7 +33,9 @@ from orecalc.modules_spectra import (
     spectrum,
     word_span_dim,
 )
-from orecalc.poly import Poly, is_irreducible, lift_poly, monic_polys, roots_in_ext, roots_in_field
+from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext
+
+from oracles import monic_polys, roots_in_field
 
 
 def rand_mat(F, d, rng):

@@ -14,7 +14,9 @@ from orecalc.ore import (
     is_central,
     verify_normality,
 )
-from orecalc.poly import Poly, monic_polys
+from orecalc.poly import Poly
+
+from oracles import monic_polys
 
 
 def rand_elem(A, rng, ydeg=3, xdeg=4):

@@ -18,19 +18,19 @@ from orecalc.poly import (
     is_irreducible,
     lift_poly,
     lower_poly,
-    monic_polys,
     multiplier_field,
     poly_pow_mod,
     poly_pth_root,
     radical,
     roots_in_ext,
-    roots_in_field,
     roots_with_multiplicity,
     space_basis,
     splitting_degree,
     splitting_tower,
     verify_fp_subspace,
 )
+
+from oracles import monic_polys, roots_in_field
 
 
 def test_construction_and_normalization():
