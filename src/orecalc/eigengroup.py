@@ -840,9 +840,11 @@ class SubgroupSpec:
             if not self.v_basis or set(self.v_values()) == {0}:
                 raise DomainError("shift subgroup needs a nonzero space V")
             verify_fp_subspace(F, self.v_values())
-        if self.kind == "shift" and self.variant not in ("a", "b"):
+        # shift_cyclic of order 1 is realized as shift, variant and all
+        shift = self.kind == "shift" or (self.kind == "shift_cyclic" and self.n == 1)
+        if shift and self.variant not in ("a", "b"):
             raise DomainError("shift realization variant must be 'a' or 'b'")
-        if self.kind == "shift" and self.variant == "b" and len(self.v_values()) == F.q:
+        if shift and self.variant == "b" and len(self.v_values()) == F.q:
             raise DomainError("variant 'b' needs V proper in the field")
         if self.kind == "shift_cyclic" and self.n > 1:
             e = multiplier_field(F, self.v_values())

@@ -3,17 +3,37 @@ the eigengroup machinery needs: exact root multisets over a splitting tower,
 exponent decompositions f = f_1^(p^s), additive polynomials f_V, multiplier
 fields, and decomposition through a fixed inner polynomial.
 
-Roots come from the distinct-degree parts over the base field, split into
-linear factors over the tower extension (Cantor-Zassenhaus), not from scans.
-
 Coefficients are stored low degree first as packed field values; the zero
 polynomial is the empty tuple.  Polynomials are immutable and hashable.
+
+Roots are found without scans, in one residue-ring kernel _Residues for
+F[x]/(g) on plain coefficient lists: a product is a schoolbook product of
+inner products (FieldDesc.dot) folded back by long division by g, so x^k
+mod g takes at most one fold up to k = 2 deg g - 2.  Its Frobenius steps
+give x^(e^j) mod g one at a time, past the first few by one step of the
+matrix whose rows are x^(i e) mod g (Berlekamp's q-power matrix for e = q;
+J. von zur Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
+
+- distinct_degree_parts takes x^(q^d) mod radical(f) one step per degree
+  d, and is_irreducible (Rabin) and roots_in_ext without parts take
+  x^(q^k) the same way;
+- split_roots splits a part lifted to the extension F_Q, Q = p^m, by
+  equal-degree splitting (Cantor-Zassenhaus): for h = a x + b,
+  h^(p^i) = a^(p^i) x^(p^i) + b^(p^i) with x^(p^i) from the p-power steps,
+  so the trace (p = 2) is a sum and h^((Q-1)/2) = N(h)^((p-1)/2) takes
+  m - 1 products; a root r found brings its conjugates r^q, q = |base|.
+
+Every answer is checked: split roots evaluate to zero and number deg g,
+roots_in_ext evaluates each root in f, and roots_with_multiplicity
+reconstructs f exactly from the root multiset.  poly_pow_mod runs on the
+same kernel.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .errors import DomainError, InternalCheckError
@@ -207,21 +227,9 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented or o.is_zero():
             raise DomainError("division by zero polynomial")
-        F = self.field
         rem = list(self.c)
-        db = o.degree
-        inv_lb = 1 if o.lc == 1 else F.inv(o.lc)
-        quo = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] if inv_lb == 1 else F.mul(rem[-1], inv_lb)
-            shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, bi in enumerate(o.c):
-                if bi:
-                    rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bi))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly.from_values(F, quo), Poly.from_values(F, rem)
+        quo = _divide(self.field, rem, o.c)
+        return Poly.from_values(self.field, quo), Poly.from_values(self.field, rem[: o.degree])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -230,13 +238,15 @@ class Poly:
         return self.divmod(other)[1]
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd."""
-        a, b = self, self._coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        """Monic gcd, by remainders of plain coefficient lists."""
+        F = self.field
+        a, b = list(self.c), list(self._coerce(other).c)
+        while b:
+            _divide(F, a, b)
+            a, b = b, a[: len(b) - 1]
+            while b and b[-1] == 0:
+                b.pop()
+        return Poly.from_values(F, a).monic()
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
@@ -306,31 +316,162 @@ class Poly:
         return t
 
 
+def _divide(F: FieldDesc, rem: list[int], b) -> list[int]:
+    """Long division of the coefficient list rem by b (nonzero top
+    coefficient) in place: rem[:deg b] is left holding the remainder,
+    untrimmed.  Returns the quotient's coefficients."""
+    db = len(b) - 1
+    low = b[:db]
+    inv_lb = 1 if b[-1] == 1 else F.inv(b[-1])
+    quo = [0] * max(0, len(rem) - db)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        c = rem[shift + db]
+        if c:
+            if inv_lb != 1:
+                c = F.mul(c, inv_lb)
+            quo[shift] = c
+            rem[shift : shift + db] = F.row_sub(rem[shift : shift + db], c, low)
+    return quo
+
+
+# Largest modulus degree whose Frobenius steps build an n x n table.
+_TABLE_MAX_N = 1024
+
+
+class _Residues:
+    """The ring F[x]/(g) for a monic g of degree n >= 1, on plain lists of n
+    packed coefficients, low degree first.
+
+    A product is the schoolbook product of two residues, each coefficient
+    one FieldDesc.dot, folded back by long division by g, so x^k mod g for
+    k <= 2n - 2 is one fold and no product.  Only power_table keeps n rows.
+    """
+
+    __slots__ = ("field", "n", "x", "one", "_g", "_spans")
+
+    def __init__(self, g: Poly):
+        n = g.degree
+        self.field, self.n, self._g = g.field, n, g.c
+        self.one = [1] + [0] * (n - 1)
+        self.x = self._fold([0, 1] + [0] * (n - 1))
+        # coefficient k of a product is a[i:] . reversed(b)[j:]
+        self._spans = [(max(0, k - n + 1), max(n - 1 - k, 0)) for k in range(2 * n - 1)]
+
+    def residue(self, c) -> list[int]:
+        """The residue of a coefficient sequence of length at most n."""
+        return list(c) + [0] * (self.n - len(c))
+
+    def x_power(self, k: int) -> list[int]:
+        """x^k mod g: at most one fold up to k = 2n - 2, above that
+        square-and-multiply from the longest such prefix of k's bits, where
+        each multiplication by x is one fold."""
+        n = self.n
+        if k < n:
+            return [0] * k + [1] + [0] * (n - 1 - k)
+        if k <= 2 * n - 2:
+            return self._fold([0] * k + [1])
+        if n == 1:
+            return [self.field.pow(self.x[0], k)]
+        bits = bin(k)[2:]
+        i = 1
+        while int(bits[: i + 1], 2) <= 2 * n - 2:
+            i += 1
+        r = self.x_power(int(bits[:i], 2))
+        for bit in bits[i:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self._fold([0, *r])
+        return r
+
+    def _fold(self, c: list[int]) -> list[int]:
+        """The residue of a coefficient list of length at least n, which is
+        divided by g in place."""
+        _divide(self.field, c, self._g)
+        return c[: self.n]
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        dot, rb = self.field.dot, b[::-1]
+        return self._fold([dot(a[i:], rb[j:]) for i, j in self._spans])
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        if e == 0:
+            return list(self.one)
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def power_table(self, e: int) -> list[tuple[int, ...]]:
+        """The matrix whose row i is x^(i*e) mod g, i < n, stored by columns.
+        Row i + 1 is row i times x^e: a shift and one fold when e < n, else
+        a product."""
+        n, xe = self.n, self.x_power(e)
+        rows = [self.one, xe][:n]
+        while len(rows) < n:
+            rows.append(self._fold([0] * e + rows[-1]) if e < n else self.mul(rows[-1], xe))
+        return list(zip(*rows))
+
+    def apply(self, table, a: list[int], coeff=None) -> list[int]:
+        """sum_i coeff(a_i) * row i of a power_table: a^(p^t) when the table
+        holds x^(i p^t) and coeff is the field's p^t-power map, or a^q for a
+        q-power table over F_q with coeff the identity (None)."""
+        c = a if coeff is None else [coeff(v) for v in a]
+        dot = self.field.dot
+        return [dot(c, col) for col in table]
+
+    def frobenius(self, e: int, coeff=None):
+        """Yields x^(e^j) mod g for j = 1, 2, ...: by x_power while e^j <=
+        2n - 2 and once more, since a caller may need no more, and each later
+        one by one step of the e-power table from the last (coeff as for
+        apply), or by powering the last when n > _TABLE_MAX_N."""
+        k = e
+        while k <= 2 * self.n - 2:
+            yield self.x_power(k)
+            k *= e
+        h = self.x_power(k)
+        yield h
+        if self.n > _TABLE_MAX_N:  # n^2 table entries: power instead
+            while True:
+                h = self.pow(h, e)
+                yield h
+        table = self.power_table(e)
+        while True:
+            h = self.apply(table, h, coeff)
+            yield h
+
+
 def poly_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    r = Poly.one(base.field)
-    b = base % mod
-    while e:
-        if e & 1:
-            r = (r * b) % mod
-        b = (b * b) % mod
-        e >>= 1
-    return r
+    """The remainder of base^e modulo a nonzero mod."""
+    g = mod.monic()
+    b = base % g
+    if g.degree < 1:
+        return b
+    ring = _Residues(g)
+    return Poly.from_values(base.field, ring.pow(ring.residue(b.c), e))
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1."""
+    """Rabin's test: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for
+    each prime r | d, with x^(q^k), k = 1..d, from the Frobenius steps of
+    F[x]/(f)."""
     d = f.degree
     if d < 1:
         return False
     if d == 1:
         return True
-    q = f.field.q
-    x = Poly.x(f.field)
-    for r in prime_factors(d):
-        h = poly_pow_mod(x, q ** (d // r), f)
-        if (h - x).gcd(f).degree != 0:
+    F = f.field
+    g = f.monic()
+    ring = _Residues(g)
+    powers = ring.frobenius(F.q)
+    x = Poly.x(F)
+    checks = {d // r for r in prime_factors(d)}
+    for k in range(1, d + 1):
+        h = next(powers)
+        if k in checks and g.gcd(Poly.from_values(F, h) - x).degree != 0:
             return False
-    return poly_pow_mod(x, q**d, f) == x % f
+    return h == ring.x
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +560,29 @@ def radical(f: Poly) -> Poly:
 
 def distinct_degree_parts(f: Poly) -> list[tuple[int, Poly]]:
     """Pairs (d, g_d), d ascending, for each d such that f has an irreducible
-    factor of degree d; g_d is the monic product of those distinct factors."""
+    factor of degree d; g_d is the monic product of those distinct factors.
+
+    x^(q^d) is kept modulo radical(f), one Frobenius step of
+    F[x]/(radical(f)) per d (past the first few, a step of its q-power
+    matrix); the part still unsplit divides radical(f), so its gcd with
+    x^(q^d) - x needs no other remainder."""
     g = radical(f)
-    q = f.field.q
+    if g.degree < 1:
+        return []
+    F = f.field
+    powers = _Residues(g).frobenius(F.q)
+    x = Poly.x(F)
     parts = []
-    x = Poly.x(f.field)
-    h = x % g
     d = 0
     while g.degree > 0:
         d += 1
         if d > g.degree:
             raise InternalCheckError("distinct-degree split ran past the degree")
-        h = poly_pow_mod(h, q, g)
-        gd = g.gcd(h - x)
+        h = next(powers)
+        gd = g.gcd(Poly.from_values(F, h) - x)
         if gd.degree > 0:
             parts.append((d, gd))
             g = g // gd
-            h = h % g if g.degree > 0 else h
     return parts
 
 
@@ -561,9 +708,11 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
 
     f is over the tower base; the extension need not split f, only the roots
     that happen to lie in it are returned.  An irreducible factor of degree d
-    has its roots in the extension exactly when k*d divides M, so only those
-    distinct-degree parts of radical(f) are lifted and split by split_roots.
-    parts, when given, is distinct_degree_parts(f), which is then not redone.
+    has its roots in the extension exactly when d divides n = M/k.  parts,
+    when given, is distinct_degree_parts(f), and the parts with d | n are
+    lifted and split by split_roots; without parts, the product of those
+    factors is gcd(radical(f), x^(q^n) - x), with x^(q^n) from n Frobenius
+    steps of F[x]/(radical(f)).
     """
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
@@ -571,48 +720,75 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
         raise DomainError("roots of the zero polynomial")
     if f.is_constant():
         return []
+    n = tower.M // tower.k
+    if parts is None:
+        g = radical(f)
+        h = next(islice(_Residues(g).frobenius(f.field.q), n - 1, None))
+        split = [g.gcd(Poly.from_values(f.field, h) - Poly.x(f.field))]
+    else:
+        split = [gd for d, gd in parts if n % d == 0]
     roots = []
-    for d, gd in distinct_degree_parts(f) if parts is None else parts:
-        if tower.M % (tower.k * d) == 0:
-            roots += split_roots(lift_poly(gd, tower))
+    for gd in split:
+        if gd.degree > 0:
+            roots += split_roots(lift_poly(gd, tower), tower.k)
     fe = lift_poly(f, tower)
     if any(fe.eval_value(r) for r in roots):
         raise InternalCheckError("a split root is not a root of the input")
     return sorted(roots)
 
 
-def split_roots(g: Poly) -> list[int]:
+def split_roots(g: Poly, k: int | None = None) -> list[int]:
     """Sorted roots of a monic g that is a product of distinct linear factors
-    over its field F_Q, by equal-degree splitting: a random h = a*x + b
-    (a != 0) splits g by gcd(g, h^((Q-1)/2) - 1) for odd p and by the trace
-    gcd(g, sum_{i<m} h^(2^i) mod g) for p = 2.  a is random because for p = 2
-    the trace of x + b is constant on Frobenius orbits of roots; b is random
-    in all of F_Q because a b in a subfield never separates its conjugates.
-    The generator is local and seeded per call; the output is sorted.
+    over its field F_Q, Q = p^m, with its coefficients in F_{p^k} (k = m
+    when not given).
+
+    Equal-degree splitting: a random h = a*x + b (a != 0) splits g by
+    gcd(g, h^((Q-1)/2) - 1) for odd p and by the trace
+    gcd(g, sum_{i<m} h^(p^i) mod g) for p = 2.  a is random because for
+    p = 2 the trace of x + b is constant on Frobenius orbits of roots; b is
+    random in all of F_Q because a b in a subfield never separates its
+    conjugates.  Each factor u keeps x^(p^i) mod u, i < m, from the p-power
+    Frobenius steps of F_Q[x]/(u), so h^(p^i) = a^(p^i) x^(p^i) + b^(p^i)
+    costs no product: the trace is their sum, and h^((Q-1)/2) =
+    N(h)^((p-1)/2) with N(h) = h h^p ... h^(p^(m-1)) takes m - 1 products.
+    The smaller factor of a split is split first, and a linear factor x - r
+    gives r with its orbit under r -> r^(p^k), roots of g as well; the split
+    stops once deg g roots are known, so an irreducible over F_{p^k} needs
+    one descent to a single root.  The generator is local and seeded per
+    call; the output is sorted.
     """
     F, rng = g.field, random.Random(0)
-    out, todo = [], [g]
-    while todo:
+    p, m = F.p, F.m
+    out, todo = set(), [g]
+    while todo and len(out) < g.degree:
         u = todo.pop()
-        if u.degree <= 1:
-            out.extend(F.neg(u.c[0]) for _ in range(u.degree))
+        if u.degree == 1:
+            r = F.neg(u.c[0])
+            while r not in out:
+                out.add(r)
+                r = F.frob(r, m if k is None else k)
             continue
+        ring = _Residues(u)
+        xs = list(islice(ring.frobenius(p, F.frob), m - 1))  # x^(p^i) mod u, 0 < i < m
         for _ in range(64):  # failed draws in a row before the split is declared faulty
-            h = Poly.from_values(F, (rng.randrange(F.q), rng.randrange(1, F.q)))
-            if F.p == 2:
-                t = s = h % u
-                for _ in range(F.m - 1):
-                    t = (t * t) % u
-                    s = s + t
-            else:
-                s = poly_pow_mod(h, (F.q - 1) // 2, u) - 1
-            w = u.gcd(s)
+            b, a = rng.randrange(F.q), rng.randrange(1, F.q)
+            s = ring.residue((b, a))  # h
+            for xi in xs:  # h^(p^i) = a^(p^i) x^(p^i) + b^(p^i)
+                a, b = F.frob(a), F.frob(b)
+                t = [F.mul(a, c) for c in xi]
+                t[0] = F.add(t[0], b)
+                s = [F.add(c, d) for c, d in zip(s, t)] if p == 2 else ring.mul(s, t)
+            if p != 2:
+                s = ring.pow(s, (p - 1) // 2)
+                s[0] = F.sub(s[0], 1)
+            w = u.gcd(Poly.from_values(F, s))
             if 0 < w.degree < u.degree:
-                todo += [w, u // w]
+                v = u // w
+                todo += [w, v] if w.degree >= v.degree else [v, w]
                 break
         else:
             raise InternalCheckError("equal-degree splitting found no split")
-    if len(set(out)) != g.degree or any(g.eval_value(r) for r in out):
+    if len(out) != g.degree or any(g.eval_value(r) for r in out):
         raise InternalCheckError("split roots do not account for the degree")
     return sorted(out)
 
@@ -645,13 +821,22 @@ def space_basis(field: FieldDesc, values) -> tuple[int, ...]:
 
 
 def f_V(field: FieldDesc, V, nu=0) -> Poly:
-    """prod_{v in V} (x - nu - v) for an F_p-subspace V; additive when nu = 0."""
+    """prod_{v in V} (x - nu - v) for an F_p-subspace V; additive when nu = 0.
+
+    Built from a basis of V by Ore's recursion f_{U + <b>} = f_U^p -
+    f_U(b)^(p-1) f_U, starting from f_0 = x; f_V is additive, so the shift
+    by nu is f_V(x) - f_V(nu).
+    """
     vals = verify_fp_subspace(field, V)
     nu_val = field.element(nu).val if not isinstance(nu, int) else nu
-    out = Poly.one(field)
-    for v in vals:
-        out = out * Poly.from_values(field, (field.neg(field.add(nu_val, v)), 1))
-    return out
+    p = field.p
+    out = Poly.x(field)
+    for b in space_basis(field, vals):
+        c = field.pow(out.eval_value(b), p - 1)
+        frob = [0] * (out.degree * p + 1)
+        frob[::p] = (field.frob(v) for v in out.c)
+        out = Poly.from_values(field, frob) - out.scale_value(c)
+    return out - Poly.from_values(field, (out.eval_value(nu_val),))
 
 
 def multiplier_field(field: FieldDesc, V) -> int:

@@ -4,19 +4,27 @@ Each one scans or enumerates instead of calling the fast path it checks:
 roots by evaluation at every field element, subfields by spanning the
 embedded power basis, eigengroups over a subfield by affine_matches over
 its values, and the triviality of G_f by the paper's criterion from its
-own Taylor shifts.
+own Taylor shifts.  The root finder's former slow paths live here too, on
+Poly arithmetic with a full remainder per product: square-and-multiply
+powers, the distinct-degree loop that raises to the q-th power at every
+degree, Rabin's test on those powers, equal-degree splitting by the
+(Q-1)/2-th power, and f_V as the product of its |V| linear factors.
 """
+
+import random
 
 from orecalc.eigengroup import DEFAULT_BRUTE_CAP, affine_matches, shift_space
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import FieldDesc, FieldTower, span_values
+from orecalc.gf import FieldDesc, FieldTower, prime_factors, span_values
 from orecalc.poly import (
     Poly,
     exponent_decomp,
     exponent_gcd,
     lift_poly,
+    radical,
     roots_in_ext,
     roots_with_multiplicity,
+    verify_fp_subspace,
 )
 
 
@@ -101,3 +109,86 @@ def triviality_criterion(f: Poly, tower: FieldTower | None = None) -> bool:
         if f1e.eval_value(nu) and _prime_to_p(f1e.compose_affine(1, nu)) != 1:
             return False
     return True
+
+
+def pow_mod_oracle(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e mod mod by square-and-multiply, one Poly remainder per product."""
+    r = Poly.one(base.field)
+    b = base % mod
+    while e:
+        if e & 1:
+            r = (r * b) % mod
+        b = (b * b) % mod
+        e >>= 1
+    return r
+
+
+def is_irreducible_oracle(f: Poly) -> bool:
+    """Rabin's test with each x^(q^k) mod f raised by pow_mod_oracle."""
+    d = f.degree
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    q = f.field.q
+    x = Poly.x(f.field)
+    for r in prime_factors(d):
+        h = pow_mod_oracle(x, q ** (d // r), f)
+        if (h - x).gcd(f).degree != 0:
+            return False
+    return pow_mod_oracle(x, q**d, f) == x % f
+
+
+def distinct_degree_parts_oracle(f: Poly) -> list[tuple[int, Poly]]:
+    """The distinct-degree parts of f, x^(q^d) raised to the q-th power by
+    pow_mod_oracle at every degree d and reduced by the part still unsplit."""
+    g = radical(f)
+    q = f.field.q
+    parts = []
+    x = Poly.x(f.field)
+    h = x % g
+    d = 0
+    while g.degree > 0:
+        d += 1
+        h = pow_mod_oracle(h, q, g)
+        gd = g.gcd(h - x)
+        if gd.degree > 0:
+            parts.append((d, gd))
+            g = g // gd
+            h = h % g if g.degree > 0 else h
+    return parts
+
+
+def split_roots_oracle(g: Poly, seed: int = 0) -> list[int]:
+    """Sorted roots of a monic product of distinct linear factors over F_Q by
+    equal-degree splitting through h^((Q-1)/2) (odd p) or the trace of h
+    (p = 2) for random linear h, each power taken by pow_mod_oracle."""
+    F, rng = g.field, random.Random(seed)
+    out, todo = [], [g]
+    while todo:
+        u = todo.pop()
+        if u.degree <= 1:
+            out.extend(F.neg(u.c[0]) for _ in range(u.degree))
+            continue
+        while True:
+            h = Poly.from_values(F, (rng.randrange(F.q), rng.randrange(1, F.q)))
+            if F.p == 2:
+                t = s = h % u
+                for _ in range(F.m - 1):
+                    t = (t * t) % u
+                    s = s + t
+            else:
+                s = pow_mod_oracle(h, (F.q - 1) // 2, u) - 1
+            w = u.gcd(s)
+            if 0 < w.degree < u.degree:
+                todo += [w, u // w]
+                break
+    return sorted(out)
+
+
+def f_V_oracle(field: FieldDesc, V, nu=0) -> Poly:
+    """prod_{v in V} (x - nu - v), one linear factor per element of V."""
+    out = Poly.one(field)
+    for v in verify_fp_subspace(field, V):
+        out = out * Poly.from_values(field, (field.neg(field.add(nu, v)), 1))
+    return out

@@ -180,6 +180,17 @@ def test_domain_errors_exit_1():
         assert out.startswith("error:"), argv
 
 
+def test_shift_cyclic_of_order_one_takes_the_shift_variant_rule():
+    """shift_cyclic with n = 1 is built as shift, so variant b needs V proper
+    there too: V = GF(2) is refused with a DomainError, not an internal error."""
+    code, out = run(["inverse-group", "--field", "GF(2)", "--kind", "shift_cyclic", "--n", "1",
+                     "--v-basis", "1", "--variant", "b"])
+    assert code == 1 and out == "error: variant 'b' needs V proper in the field"
+    data = run_json(["inverse-group", "--field", "GF(4)", "--kind", "shift_cyclic", "--n", "1",
+                     "--v-basis", "1", "--variant", "b"])
+    assert data["group"]["order"] == 2 and data["group"]["n"] == 1
+
+
 def test_parse_errors_carry_column():
     code, out = run(["eigengroup", "--field", "GF(3)", "--f", "x + $"])
     assert code == 1 and "column 5" in out

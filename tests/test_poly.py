@@ -26,11 +26,20 @@ from orecalc.poly import (
     roots_with_multiplicity,
     space_basis,
     splitting_degree,
+    split_roots,
     splitting_tower,
     verify_fp_subspace,
 )
 
-from oracles import monic_polys, roots_in_field
+from oracles import (
+    distinct_degree_parts_oracle,
+    f_V_oracle,
+    is_irreducible_oracle,
+    monic_polys,
+    pow_mod_oracle,
+    roots_in_field,
+    split_roots_oracle,
+)
 
 
 def test_construction_and_normalization():
@@ -126,6 +135,153 @@ def test_poly_pow_mod_matches_naive():
         assert poly_pow_mod(base, e, mod) == (base**e) % mod
 
 
+# prime fields up to the default cap, tabled char-2 and odd extensions, and
+# fields above the table limit, whose products go through _mul_slow
+_KERNEL_FIELDS = [
+    (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+    (2, 3), (2, 8), (3, 2), (5, 3), (13, 2),
+    (2, 20), (3, 12),
+]
+
+
+def _random_poly(rng, F, degree, monic=True):
+    return Poly.from_values(F, [rng.randrange(F.q) for _ in range(degree)] + [1 if monic else rng.randrange(1, F.q)])
+
+
+@pytest.mark.parametrize("p,m", _KERNEL_FIELDS)
+def test_kernel_powers_and_irreducibility_match_the_oracles(p, m):
+    """poly_pow_mod against square-and-multiply with a full remainder per
+    product, for monic, non-monic and degree-1 moduli and exponents from 0
+    to q^2; is_irreducible against Rabin's test on those powers."""
+    rng = random.Random(p * 1000 + m)
+    F = GF(p, m)
+    small = m == 1 or F.q <= 1 << 16
+    for _ in range(12 if small else 4):
+        base = _random_poly(rng, F, rng.randrange(0, 9), monic=False)
+        for mod in (_random_poly(rng, F, rng.randint(2, 6)), _random_poly(rng, F, rng.randint(1, 6), monic=False),
+                    _random_poly(rng, F, 1, monic=rng.random() < 0.5)):
+            for e in (0, 1, 2, rng.randrange(3, 50), F.q, (F.q - 1) // 2 or 1, F.q**2 + rng.randrange(F.q)):
+                assert poly_pow_mod(base, e, mod) == pow_mod_oracle(base, e, mod)
+    for d in range(1, 6 if small else 4):
+        for _ in range(6 if small else 2):
+            f = _random_poly(rng, F, d, monic=rng.random() < 0.7)
+            assert is_irreducible(f) == is_irreducible_oracle(f)
+        g = _random_irreducible(rng, F, d)
+        assert is_irreducible(g) and is_irreducible_oracle(g)
+
+
+@pytest.mark.parametrize("p,m", _KERNEL_FIELDS)
+def test_distinct_degree_parts_match_the_oracle(p, m):
+    """distinct_degree_parts against the loop that raises to the q-th power
+    at every degree, on random inputs and on products of irreducibles of
+    chosen degrees with repeated factors."""
+    rng = random.Random(p * 1000 + m + 1)
+    F = GF(p, m)
+    small = m == 1 or F.q <= 1 << 16
+    cases = [_random_poly(rng, F, rng.randint(1, 7 if small else 4)) for _ in range(8 if small else 3)]
+    degrees = (1, 1, 2, 3) if small else (1, 2)
+    prod = Poly.one(F)
+    for e in degrees:
+        prod = prod * _random_irreducible(rng, F, e)
+    cases += [prod, prod * prod * _random_irreducible(rng, F, degrees[-1])]
+    for f in cases:
+        assert distinct_degree_parts(f) == distinct_degree_parts_oracle(f)
+
+
+@pytest.mark.parametrize("p,m", _KERNEL_FIELDS)
+def test_split_roots_match_the_oracle(p, m):
+    """split_roots against splitting by the (Q-1)/2-th power (or the trace
+    for p = 2), on products of distinct linear factors over F_Q; over a
+    tower, on lifted inputs whose root orbits under r -> r^(p^k) are read
+    off one root each."""
+    rng = random.Random(p * 1000 + m + 2)
+    F = GF(p, m)
+    for n in (1, 2, 3, 6):
+        roots = rng.sample(range(F.q), min(n, F.q)) if F.q < 1 << 16 else [rng.randrange(F.q) for _ in range(n)]
+        g = Poly.one(F)
+        for r in set(roots):
+            g = g * Poly.from_values(F, (F.neg(r), 1))
+        assert split_roots(g) == split_roots_oracle(g) == sorted(set(roots))
+    if m > 1:
+        k = next(k for k in range(m - 1, 0, -1) if m % k == 0)
+        tw = tower_over(GF(p, k), m)
+        K = tw.base
+        f = Poly.one(K)
+        for e in sorted({1, m // k}):
+            f = f * _random_irreducible(rng, K, e)
+        g = lift_poly(f, tw)
+        assert split_roots(g, k) == split_roots_oracle(g) == roots_in_ext(f, tw)
+
+
+def test_split_roots_refuse_a_wrong_base_degree():
+    """Orbits under r -> r^p are roots only when g is defined over F_p: a
+    factor with a root outside F_p is caught by the evaluation check."""
+    F = GF(3, 2)
+    t = F.gen.val
+    g = Poly.from_values(F, (F.neg(t), 1)) * Poly.from_values(F, (F.neg(1), 1))  # (x - t)(x - 1)
+    assert split_roots(g) == sorted({1, t})
+    with pytest.raises(InternalCheckError, match="do not account"):
+        split_roots(g, 1)
+
+
+def test_roots_in_ext_without_parts_match_the_parts(split_calls):
+    """roots_in_ext without parts takes one gcd with x^(q^n) - x and no
+    distinct-degree split, and finds the roots the parts give."""
+    rng = random.Random(23)
+    for p, k, M in ((2, 1, 6), (3, 2, 2), (3, 2, 4), (5, 1, 3), (13, 1, 2), (2, 4, 20), (3, 4, 12), (3, 3, 12)):
+        K = GF(p, k)
+        tw = tower_over(K, M)
+        for _ in range(3):
+            f = _random_poly(rng, K, rng.randint(1, 5))
+            f = f * _random_irreducible(rng, K, M // k) if rng.random() < 0.5 else f
+            split_calls.clear()
+            got = roots_in_ext(f, tw)
+            assert split_calls == {}
+            assert got == roots_in_ext(f, tw, distinct_degree_parts(f))
+
+
+def test_frobenius_steps_past_the_table_bound_power_instead(monkeypatch):
+    """Above _TABLE_MAX_N the Frobenius steps raise the last power to the
+    e-th power instead of building an n x n table; the answers are the
+    oracles' (the bound is lowered here so small inputs take that path)."""
+    monkeypatch.setattr(poly_mod, "_TABLE_MAX_N", 1)
+    rng = random.Random(31)
+    for p, m in ((2, 1), (13, 1), (2, 8), (3, 2), (3, 12)):
+        F = GF(p, m)
+        f = _random_irreducible(rng, F, 2) * _random_irreducible(rng, F, 3) * _random_poly(rng, F, 2)
+        assert distinct_degree_parts(f) == distinct_degree_parts_oracle(f)
+        assert is_irreducible(f) is False and is_irreducible(_random_irreducible(rng, F, 4))
+        tw = tower_over(F, 2 * m if F.q**2 <= 1 << 20 else m)
+        assert roots_in_ext(f, tw) == roots_in_ext(f, tw, distinct_degree_parts_oracle(f))
+
+
+def test_distinct_degree_steps_use_one_q_power_matrix(monkeypatch):
+    """One q-power matrix per radical; the only remainders taken after the
+    radical are the exact divisions by the parts found, none per degree
+    step (the former loop took log2 q of them at every degree)."""
+    tables, divs = [], []
+    real_table, real_divmod, real_radical = poly_mod._Residues.power_table, Poly.divmod, poly_mod.radical
+
+    def radical(f):
+        g = real_radical(f)
+        divs.clear()
+        return g
+
+    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e: tables.append(e) or real_table(self, e))
+    monkeypatch.setattr(Poly, "divmod", lambda self, o: divs.append(o) or real_divmod(self, o))
+    monkeypatch.setattr(poly_mod, "radical", radical)
+    rng = random.Random(29)
+    for F in (GF(13), GF(2, 8), GF(3, 12)):
+        f = Poly.one(F)
+        for e in (1, 2, 3):
+            f = f * _random_irreducible(rng, F, e)
+        tables.clear()
+        parts = distinct_degree_parts(f)
+        assert [d for d, _ in parts] == [1, 2, 3]
+        assert tables == [F.q]
+        assert divs == [gd for _, gd in parts]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_is_irreducible_exhaustive_against_root_counting(p):
     """Degree 2 and 3: irreducible iff no roots in the base field."""
@@ -168,10 +324,11 @@ def test_roots_split_in_extension():
 
 
 def _random_irreducible(rng, K, e):
-    while True:
+    for _ in range(1000):  # about one draw in e is irreducible
         g = Poly.from_values(K, [rng.randrange(K.q) for _ in range(e)] + [1])
         if is_irreducible(g):
             return g
+    raise AssertionError(f"no irreducible of degree {e} over {K} in 1000 draws")
 
 
 # (p, k, extension degrees M), each with k | M and |L| = p^M <= 3000
@@ -347,6 +504,20 @@ def test_f_V_closed_forms():
     assert f_V(GF(5), (0,), 3) == Poly(GF(5), (-3, 1))
     with pytest.raises(DomainError):
         f_V(GF(5), (0, 1, 2), 0)  # not closed under addition
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (2, 20), (3, 12)])
+def test_f_V_recursion_matches_the_product(p, m):
+    """f_V by Ore's recursion over a basis equals the product of its |V|
+    linear factors, for subspaces of every dimension up to 3 and shifts."""
+    rng = random.Random(p * 100 + m)
+    F = GF(p, m)
+    for dim in range(4):
+        if p**dim > 64:
+            break
+        V = span_values(F, [rng.randrange(1, F.q) for _ in range(dim)])
+        for nu in (0, rng.randrange(F.q)):
+            assert f_V(F, V, nu) == f_V_oracle(F, V, nu)
 
 
 def test_space_basis_and_subspace_rank_check():
