@@ -732,7 +732,8 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     with g_j != 0 gives lam^e = b_j(mu) / g_j, e = d - j; each other k with
     g_k != 0 eliminates lam as b_j^(d-k) g_k^e - b_k^e g_j^(d-k) = 0.  The
     candidate mu are the roots in K of the gcd G of these polynomials (each
-    one reduced modulo G as found so far).  A match has lam^(d-k) =
+    power reduced modulo G as found so far, or while G = 0 modulo x^q - x
+    once its degree would reach q).  A match has lam^(d-k) =
     b_k(mu) / g_k wherever g_k != 0, so with sum_k u_k (d - k) = t, the gcd
     of those exponents (t divides e), the candidate lam are the roots in K
     of lam^t = prod_k (b_k(mu) / g_k)^(u_k): b_j(mu) / g_j alone when
@@ -740,11 +741,11 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     such j (g = g_d x^d) G is the gcd of all b_k, whose roots are exactly
     the matching mu, and every unit goes with each of them.
 
-    G = 0 happens for the torus kind (f = c(x - a)^d and g = c(x - b)^d)
-    and puts every mu in K: for e = 1 the matches are exactly
-    (b_j(mu) / g_j, mu) with b_j(mu) != 0, returned in closed form; for
-    e > 1 this falls back to the scan, affine_matches(f, g).  Degree below
-    1 matches every pair when f = g.
+    G = 0 puts every mu in K.  It happens for the torus kind (f = c(x - a)^d
+    and g = c(x - b)^d), and whenever every equation vanishes on K.  For
+    e = 1 the matches are then exactly (b_j(mu) / g_j, mu) with b_j(mu) != 0,
+    returned in closed form; for e > 1 this falls back to the scan,
+    affine_matches(f, g).  Degree below 1 matches every pair when f = g.
     """
     if f.field is not g.field:
         raise DomainError("polynomials over different fields")
@@ -761,7 +762,12 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     G = Poly.zero(F)
 
     def power(h: Poly, n: int) -> Poly:
-        return h**n if G.is_zero() else poly_pow_mod(h, n, G)
+        if not G.is_zero():
+            return poly_pow_mod(h, n, G)
+        if n * h.degree < F.q:
+            return h**n
+        # only the values on K count, and x^q - x vanishes there
+        return poly_pow_mod(h, n, Poly.from_values(F, [0, F.neg(1)] + [0] * (F.q - 2) + [1]))
 
     for k in range(d - 1, -1, -1):
         if k == j:

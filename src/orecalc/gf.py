@@ -358,51 +358,12 @@ class FieldDesc:
 
     def row_sub(self, v, c: int, row) -> list[int]:
         """The vector v - c*row, entrywise."""
-        if self.m == 1:
-            p = self.p
-            return [(a - c * b) % p for a, b in zip(v, row)]
-        if self._has_tables and c:
-            log, exp, q1 = self._log, self._exp, self.q - 1
-            if self.p == 2:
-                lc = log[c] - q1  # exp[lc + log b] = c*b: a negative index wraps
-                return [a ^ exp[lc + log[b]] if b else a for a, b in zip(v, row)]
-            # a + (-c)*b by a Zech logarithm, -c = g^(log c + (q-1)/2)
-            zech, lc, out = self._zech, log[c] + self._half, []
-            for a, b in zip(v, row):
-                if not b:
-                    out.append(a)
-                elif not a:
-                    out.append(exp[(lc + log[b]) % q1])
-                else:
-                    la = log[a]
-                    z = zech[(lc + log[b] - la) % q1]
-                    out.append(0 if z is None else exp[(la + z) % q1])
-            return out
         return [self.sub(a, self.mul(c, b)) for a, b in zip(v, row)]
 
     def dot(self, u, v) -> int:
         """The inner product sum u_i v_i."""
         if self.m == 1:
             return sum(map(operator.mul, u, v)) % self.p
-        if self._has_tables:
-            log, exp, q1 = self._log, self._exp, self.q - 1
-            if self.p == 2:
-                acc = 0
-                for a, b in zip(u, v):
-                    if a and b:
-                        acc ^= exp[log[a] + log[b] - q1]
-                return acc
-            # the sum kept as its log (None for 0), each term added by Zech
-            zech, la = self._zech, None
-            for a, b in zip(u, v):
-                if a and b:
-                    t = log[a] + log[b]
-                    if la is None:
-                        la = t % q1
-                    else:
-                        z = zech[(t - la) % q1]
-                        la = None if z is None else (la + z) % q1
-            return 0 if la is None else exp[la]
         acc = 0
         for a, b in zip(u, v):
             if a and b:

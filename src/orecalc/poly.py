@@ -10,12 +10,14 @@ Roots are found without scans, in one residue-ring kernel _Residues for
 F[x]/(g) on plain coefficient lists: a product is a schoolbook product of
 inner products (FieldDesc.dot) folded back by long division by g, so x^k
 mod g takes at most one fold up to k = 2 deg g - 2.  Its Frobenius steps
-give x^(e^j) mod g one at a time, past the first few by one step of the
-matrix whose rows are x^(i e) mod g (Berlekamp's q-power matrix for e = q;
-J. von zur Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
+give x^(e^j) mod g one at a time, by raising the last to the e-th power or,
+once that has cost as much as building it, by one step of the matrix whose
+rows are x^(i e) mod g (Berlekamp's q-power matrix for e = q; J. von zur
+Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
 
-- distinct_degree_parts takes x^(q^d) mod radical(f) one step per degree
-  d, and is_irreducible (Rabin) and roots_in_ext without parts take
+- distinct_degree_parts takes x^(q^d) one step per degree d, modulo the
+  part of radical(f) still unsplit; roots_in_ext without parts stops those
+  steps at the degree of the extension, and is_irreducible (Rabin) takes
   x^(q^k) the same way;
 - split_roots splits a part lifted to the extension F_Q, Q = p^m, by
   equal-degree splitting (Cantor-Zassenhaus): for h = a x + b,
@@ -334,8 +336,9 @@ def _divide(F: FieldDesc, rem: list[int], b) -> list[int]:
     return quo
 
 
-# Largest modulus degree whose Frobenius steps build an n x n table.
-_TABLE_MAX_N = 1024
+# Most entries a Frobenius power table may hold: it is n x n, and 2^20
+# entries take 36 MB as packed values below 2^30 (8 MB below 2^8).
+_TABLE_MAX_ENTRIES = 1 << 20
 
 
 class _Residues:
@@ -421,21 +424,34 @@ class _Residues:
         dot = self.field.dot
         return [dot(c, col) for col in table]
 
-    def frobenius(self, e: int, coeff=None):
-        """Yields x^(e^j) mod g for j = 1, 2, ...: by x_power while e^j <=
-        2n - 2 and once more, since a caller may need no more, and each later
-        one by one step of the e-power table from the last (coeff as for
-        apply), or by powering the last when n > _TABLE_MAX_N."""
-        k = e
-        while k <= 2 * self.n - 2:
-            yield self.x_power(k)
-            k *= e
-        h = self.x_power(k)
-        yield h
-        if self.n > _TABLE_MAX_N:  # n^2 table entries: power instead
-            while True:
-                h = self.pow(h, e)
-                yield h
+    def frobenius(self, e: int, coeff=None, h=None, steps: int = 0):
+        """Yields h^(e^j) mod g for j = 1, 2, ..., h = x when not given
+        (coeff as for apply); steps, when known, is how many the caller takes.
+
+        x^(e^j) is one fold while e^j <= 2n - 2, and the next comes from
+        x_power.  A later step raises the last value to the e-th power, pay
+        products, or is one step of the e-power table, about half a product,
+        once that table is built for about build products.  It is built when
+        the powered steps have cost build, so that for an unknown number of
+        steps neither path costs more than twice the other, or sooner when
+        the steps still to come save as much; never past _TABLE_MAX_ENTRIES.
+        """
+        n, taken = self.n, 0
+        if h is None:
+            k = e
+            while k <= 2 * n - 2:
+                yield self.x_power(k)
+                taken, k = taken + 1, k * e
+            h = self.x_power(k)
+            taken += 1
+            yield h
+        pay = e.bit_length() + bin(e).count("1") - 2
+        build = (n - 2) * min(e, 2 * n) / (2 * n)  # rows by a shift and a fold of e terms, or a product
+        spent = 0
+        while n * n > _TABLE_MAX_ENTRIES or spent + max(steps - taken, 0) * (pay - 0.5) < build:
+            h = self.pow(h, e)
+            spent, taken = spent + pay, taken + 1
+            yield h
         table = self.power_table(e)
         while True:
             h = self.apply(table, h, coeff)
@@ -464,7 +480,7 @@ def is_irreducible(f: Poly) -> bool:
     F = f.field
     g = f.monic()
     ring = _Residues(g)
-    powers = ring.frobenius(F.q)
+    powers = ring.frobenius(F.q, steps=d)
     x = Poly.x(F)
     checks = {d // r for r in prime_factors(d)}
     for k in range(1, d + 1):
@@ -560,29 +576,35 @@ def radical(f: Poly) -> Poly:
 
 def distinct_degree_parts(f: Poly) -> list[tuple[int, Poly]]:
     """Pairs (d, g_d), d ascending, for each d such that f has an irreducible
-    factor of degree d; g_d is the monic product of those distinct factors.
-
-    x^(q^d) is kept modulo radical(f), one Frobenius step of
-    F[x]/(radical(f)) per d (past the first few, a step of its q-power
-    matrix); the part still unsplit divides radical(f), so its gcd with
-    x^(q^d) - x needs no other remainder."""
+    factor of degree d; g_d is the monic product of those distinct factors."""
     g = radical(f)
-    if g.degree < 1:
-        return []
-    F = f.field
-    powers = _Residues(g).frobenius(F.q)
+    return _degree_parts(g, g.degree)
+
+
+def _degree_parts(g: Poly, limit: int) -> list[tuple[int, Poly]]:
+    """The pairs (d, g_d) of distinct_degree_parts with d <= limit, for a
+    monic squarefree g.
+
+    x^(q^d) is kept modulo the part g still unsplit, one Frobenius step of
+    F[x]/(g) per d.  When a part splits off, the last power is reduced
+    modulo the rest of g and the steps go on in that smaller ring."""
+    F = g.field
     x = Poly.x(F)
+    powers = _Residues(g).frobenius(F.q) if g.degree > 0 else None
     parts = []
     d = 0
-    while g.degree > 0:
+    while g.degree > 0 and d < limit:
         d += 1
         if d > g.degree:
             raise InternalCheckError("distinct-degree split ran past the degree")
-        h = next(powers)
-        gd = g.gcd(Poly.from_values(F, h) - x)
+        h = Poly.from_values(F, next(powers))
+        gd = g.gcd(h - x)
         if gd.degree > 0:
             parts.append((d, gd))
             g = g // gd
+            if g.degree > 0:
+                ring = _Residues(g)
+                powers = ring.frobenius(F.q, h=ring.residue((h % g).c))
     return parts
 
 
@@ -708,11 +730,10 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
 
     f is over the tower base; the extension need not split f, only the roots
     that happen to lie in it are returned.  An irreducible factor of degree d
-    has its roots in the extension exactly when d divides n = M/k.  parts,
-    when given, is distinct_degree_parts(f), and the parts with d | n are
-    lifted and split by split_roots; without parts, the product of those
-    factors is gcd(radical(f), x^(q^n) - x), with x^(q^n) from n Frobenius
-    steps of F[x]/(radical(f)).
+    has its roots in the extension exactly when d divides n = M/k, and the
+    parts with d | n are lifted and split by split_roots.  parts, when
+    given, is distinct_degree_parts(f); without parts, the distinct-degree
+    steps stop at d = n, or sooner once radical(f) is used up.
     """
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
@@ -721,15 +742,9 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
     if f.is_constant():
         return []
     n = tower.M // tower.k
-    if parts is None:
-        g = radical(f)
-        h = next(islice(_Residues(g).frobenius(f.field.q), n - 1, None))
-        split = [g.gcd(Poly.from_values(f.field, h) - Poly.x(f.field))]
-    else:
-        split = [gd for d, gd in parts if n % d == 0]
     roots = []
-    for gd in split:
-        if gd.degree > 0:
+    for d, gd in _degree_parts(radical(f), n) if parts is None else parts:
+        if n % d == 0:
             roots += split_roots(lift_poly(gd, tower), tower.k)
     fe = lift_poly(f, tower)
     if any(fe.eval_value(r) for r in roots):
@@ -737,10 +752,9 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
     return sorted(roots)
 
 
-def split_roots(g: Poly, k: int | None = None) -> list[int]:
+def split_roots(g: Poly, k: int) -> list[int]:
     """Sorted roots of a monic g that is a product of distinct linear factors
-    over its field F_Q, Q = p^m, with its coefficients in F_{p^k} (k = m
-    when not given).
+    over its field F_Q, Q = p^m, with its coefficients in F_{p^k}.
 
     Equal-degree splitting: a random h = a*x + b (a != 0) splits g by
     gcd(g, h^((Q-1)/2) - 1) for odd p and by the trace
@@ -766,10 +780,10 @@ def split_roots(g: Poly, k: int | None = None) -> list[int]:
             r = F.neg(u.c[0])
             while r not in out:
                 out.add(r)
-                r = F.frob(r, m if k is None else k)
+                r = F.frob(r, k)
             continue
         ring = _Residues(u)
-        xs = list(islice(ring.frobenius(p, F.frob), m - 1))  # x^(p^i) mod u, 0 < i < m
+        xs = list(islice(ring.frobenius(p, F.frob, steps=m - 1), m - 1))  # x^(p^i) mod u, 0 < i < m
         for _ in range(64):  # failed draws in a row before the split is declared faulty
             b, a = rng.randrange(F.q), rng.randrange(1, F.q)
             s = ring.residue((b, a))  # h

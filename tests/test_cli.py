@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import orecalc.cli as cli
+from orecalc import poly as poly_mod
 from orecalc.cli import main, run
 from orecalc.gf import GF
 from orecalc.parsing import parse_poly
@@ -340,6 +341,26 @@ def test_isomorphic_reach_over_gf_2_20():
     alpha, beta, lam = (F.pack(data[key]) for key in ("alpha", "beta", "lambda"))
     assert f.compose(Poly.from_values(F, (beta, alpha))) == g.scale_value(F.pow(alpha, 3))
     assert lam == F.inv(F.pow(alpha, 3))
+
+
+def test_isomorphic_powers_stay_below_the_field_size(monkeypatch):
+    """isomorphic over GF(13) of x^169 - 9x + 4 with itself: its one
+    lambda-elimination equation raises b_0(mu) = f(mu), of degree 169, to
+    the 168th power.  Reduced modulo x^13 - x, which vanishes on K, no
+    residue ring the answer takes has degree above 13; the dense power has
+    degree 28,392 and took seconds."""
+    rings = []
+    real_init = poly_mod._Residues.__init__
+
+    def init(self, g):
+        rings.append(g.degree)
+        real_init(self, g)
+
+    monkeypatch.setattr(poly_mod._Residues, "__init__", init)
+    f = "x^169 - 9*x + 4"
+    assert run_json(["isomorphic", "--field", "GF(13)", "--f", f, "--g", f"({f}) + 0*x"]) == {
+        "alpha": 1, "beta": 0, "isomorphic": True, "lambda": 1}
+    assert rings and max(rings) <= 13
 
 
 def _fuzz_queries(rng, F, spec, degrees):

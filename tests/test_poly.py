@@ -201,7 +201,7 @@ def test_split_roots_match_the_oracle(p, m):
         g = Poly.one(F)
         for r in set(roots):
             g = g * Poly.from_values(F, (F.neg(r), 1))
-        assert split_roots(g) == split_roots_oracle(g) == sorted(set(roots))
+        assert split_roots(g, m) == split_roots_oracle(g) == sorted(set(roots))
     if m > 1:
         k = next(k for k in range(m - 1, 0, -1) if m % k == 0)
         tw = tower_over(GF(p, k), m)
@@ -219,14 +219,14 @@ def test_split_roots_refuse_a_wrong_base_degree():
     F = GF(3, 2)
     t = F.gen.val
     g = Poly.from_values(F, (F.neg(t), 1)) * Poly.from_values(F, (F.neg(1), 1))  # (x - t)(x - 1)
-    assert split_roots(g) == sorted({1, t})
+    assert split_roots(g, 2) == sorted({1, t})
     with pytest.raises(InternalCheckError, match="do not account"):
         split_roots(g, 1)
 
 
 def test_roots_in_ext_without_parts_match_the_parts(split_calls):
-    """roots_in_ext without parts takes one gcd with x^(q^n) - x and no
-    distinct-degree split, and finds the roots the parts give."""
+    """roots_in_ext without parts runs no full distinct-degree split, and
+    finds the roots the parts give."""
     rng = random.Random(23)
     for p, k, M in ((2, 1, 6), (3, 2, 2), (3, 2, 4), (5, 1, 3), (13, 1, 2), (2, 4, 20), (3, 4, 12), (3, 3, 12)):
         K = GF(p, k)
@@ -240,11 +240,58 @@ def test_roots_in_ext_without_parts_match_the_parts(split_calls):
             assert got == roots_in_ext(f, tw, distinct_degree_parts(f))
 
 
-def test_frobenius_steps_past_the_table_bound_power_instead(monkeypatch):
-    """Above _TABLE_MAX_N the Frobenius steps raise the last power to the
-    e-th power instead of building an n x n table; the answers are the
-    oracles' (the bound is lowered here so small inputs take that path)."""
-    monkeypatch.setattr(poly_mod, "_TABLE_MAX_N", 1)
+def _count_frobenius_steps(monkeypatch):
+    """Patches _Residues.frobenius and power_table; returns the lists of
+    (e, ring degree) per Frobenius step drawn and per table built."""
+    steps, tables = [], []
+    real_frobenius, real_table = poly_mod._Residues.frobenius, poly_mod._Residues.power_table
+
+    def frobenius(self, e, *args, **kwargs):
+        for h in real_frobenius(self, e, *args, **kwargs):
+            steps.append((e, self.n))
+            yield h
+
+    def power_table(self, e):
+        tables.append((e, self.n))
+        return real_table(self, e)
+
+    monkeypatch.setattr(poly_mod._Residues, "frobenius", frobenius)
+    monkeypatch.setattr(poly_mod._Residues, "power_table", power_table)
+    return steps, tables
+
+
+def test_roots_in_ext_without_parts_stop_at_the_extension_degree(monkeypatch):
+    """Roots in an extension of degree n = 4 over K: of a product of linear
+    factors, one q-power step finds them all, and no q-power table is built
+    for steps the split no longer needs; with an irreducible factor of
+    degree 7 as well, the steps stop at d = 4 in that factor's ring, whose
+    table is built once one powered step has cost as much."""
+    rng = random.Random(37)
+    K = GF(2, 5)
+    tw = tower_over(K, 20)
+    f = Poly.one(K)
+    for r in rng.sample(range(K.q), 6):
+        f = f * Poly.from_values(K, (r, 1))
+    steps, tables = _count_frobenius_steps(monkeypatch)
+    cases = (
+        (f, [(K.q, 6)], []),
+        (f * _random_irreducible(rng, K, 7), [(K.q, 13)] + [(K.q, 7)] * 3, [(K.q, 7)]),
+    )
+    for g, want_steps, want_tables in cases:
+        steps.clear()
+        tables.clear()
+        got = roots_in_ext(g, tw)
+        assert got == roots_in_ext(g, tw, distinct_degree_parts_oracle(g)) and len(got) == 6
+        assert [s for s in steps if s[0] == K.q] == want_steps
+        assert [t for t in tables if t[0] == K.q] == want_tables
+
+
+def test_frobenius_steps_without_room_for_a_table_power_instead(monkeypatch):
+    """With no room for a table (_TABLE_MAX_ENTRIES lowered to 0), every
+    Frobenius step past the first raises the last power to the e-th power;
+    the answers are the oracles'."""
+    monkeypatch.setattr(poly_mod, "_TABLE_MAX_ENTRIES", 0)
+    steps, tables = _count_frobenius_steps(monkeypatch)
     rng = random.Random(31)
     for p, m in ((2, 1), (13, 1), (2, 8), (3, 2), (3, 12)):
         F = GF(p, m)
@@ -253,12 +300,15 @@ def test_frobenius_steps_past_the_table_bound_power_instead(monkeypatch):
         assert is_irreducible(f) is False and is_irreducible(_random_irreducible(rng, F, 4))
         tw = tower_over(F, 2 * m if F.q**2 <= 1 << 20 else m)
         assert roots_in_ext(f, tw) == roots_in_ext(f, tw, distinct_degree_parts_oracle(f))
+    assert tables == [] and len(steps) > 50
 
 
-def test_distinct_degree_steps_use_one_q_power_matrix(monkeypatch):
-    """One q-power matrix per radical; the only remainders taken after the
-    radical are the exact divisions by the parts found, none per degree
-    step (the former loop took log2 q of them at every degree)."""
+def test_distinct_degree_steps_build_at_most_one_table_per_ring(monkeypatch):
+    """Each ring the steps run in builds at most one q-power table, and the
+    only remainders taken after the radical are the exact divisions by the
+    parts found and, after each split but the last, the last power reduced
+    modulo the part still unsplit; none per degree step (the former loop
+    took log2 q of them at every degree)."""
     tables, divs = [], []
     real_table, real_divmod, real_radical = poly_mod._Residues.power_table, Poly.divmod, poly_mod.radical
 
@@ -267,19 +317,81 @@ def test_distinct_degree_steps_use_one_q_power_matrix(monkeypatch):
         divs.clear()
         return g
 
-    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e: tables.append(e) or real_table(self, e))
+    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e: tables.append((id(self), e)) or real_table(self, e))
     monkeypatch.setattr(Poly, "divmod", lambda self, o: divs.append(o) or real_divmod(self, o))
     monkeypatch.setattr(poly_mod, "radical", radical)
     rng = random.Random(29)
-    for F in (GF(13), GF(2, 8), GF(3, 12)):
+    for F in (GF(13), GF(2, 8), GF(3, 12), GF(2)):
+        factors = [_random_irreducible(rng, F, e) for e in (1, 2, 3, 5)]
         f = Poly.one(F)
-        for e in (1, 2, 3):
-            f = f * _random_irreducible(rng, F, e)
+        for u in factors:
+            f = f * u
         tables.clear()
         parts = distinct_degree_parts(f)
-        assert [d for d, _ in parts] == [1, 2, 3]
-        assert tables == [F.q]
-        assert divs == [gd for _, gd in parts]
+        assert parts == [(u.degree, u) for u in factors]
+        assert len(set(tables)) == len(tables) and all(e == F.q for _, e in tables)
+        want = []
+        for i, u in enumerate(factors):
+            want.append(u)
+            rest = Poly.one(F)
+            for v in factors[i + 1:]:
+                rest = rest * v
+            if rest.degree > 0:
+                want.append(rest)
+        assert divs == want
+
+
+def test_split_off_parts_leave_the_steps_to_the_rest(monkeypatch):
+    """Over GF(2^20), a radical of 12 linear factors and an irreducible
+    quadratic: after the linear part splits off, the next step runs in the
+    quadratic's ring, and no table of the full degree is built."""
+    rng = random.Random(41)
+    F = GF(2, 20)
+    f = _random_irreducible(rng, F, 2)
+    for r in rng.sample(range(F.q), 12):
+        f = f * Poly.from_values(F, (r, 1))
+    steps, tables = _count_frobenius_steps(monkeypatch)
+    assert distinct_degree_parts(f) == distinct_degree_parts_oracle(f)
+    assert steps == [(F.q, 14), (F.q, 2)]
+    assert all(n <= 2 for _, n in tables)
+
+
+def test_few_distinct_degree_steps_build_no_table(monkeypatch):
+    """Over GF(2^20), a radical of six irreducible quadratics is used up at
+    the second step: that step raises x^q to the q-th power, as a table of
+    the degree-12 ring would cost ten products to build, and none is."""
+    rng = random.Random(43)
+    F = GF(2, 20)
+    f = Poly.one(F)
+    while f.degree < 12:
+        u = _random_irreducible(rng, F, 2)
+        f = f if (f % u).is_zero() else f * u
+    steps, tables = _count_frobenius_steps(monkeypatch)
+    assert distinct_degree_parts(f) == [(2, f)] == distinct_degree_parts_oracle(f)
+    assert steps == [(F.q, 12), (F.q, 12)] and tables == []
+
+
+def test_known_frobenius_steps_build_the_table_at_once(monkeypatch):
+    """Rabin's test on a degree-12 irreducible over GF(13^2) takes all 12
+    q-power steps, so the table is built after x^q and nothing is powered;
+    so is the p-power table of split_roots over GF(13^4), whose 3 steps
+    save more than its 3 products cost."""
+    rng = random.Random(47)
+    F, L = GF(13, 2), GF(13, 4)
+    g = _random_irreducible(rng, F, 12)
+    u = Poly.one(L)
+    for r in rng.sample(range(L.q), 5):
+        u = u * Poly.from_values(L, (r, 1))
+    steps, tables = _count_frobenius_steps(monkeypatch)
+    powered = []
+    real_pow = poly_mod._Residues.pow
+    monkeypatch.setattr(poly_mod._Residues, "pow", lambda self, a, e: powered.append(e) or real_pow(self, a, e))
+    assert is_irreducible(g)
+    assert steps == [(F.q, 12)] * 12 and tables == [(F.q, 12)] and powered == []
+    steps.clear()
+    tables.clear()
+    assert split_roots(u, 4) == split_roots_oracle(u)
+    assert (13, 5) in tables and 13 not in powered
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
