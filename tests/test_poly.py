@@ -304,11 +304,12 @@ def test_frobenius_steps_without_room_for_a_table_power_instead(monkeypatch):
 
 
 def test_distinct_degree_steps_build_at_most_one_table_per_ring(monkeypatch):
-    """Each ring the steps run in builds at most one q-power table, and the
-    only remainders taken after the radical are the exact divisions by the
-    parts found and, after each split but the last, the last power reduced
-    modulo the part still unsplit; none per degree step (the former loop
-    took log2 q of them at every degree)."""
+    """Each ring the steps run in (one per degree of the shrinking unsplit
+    part) builds at most one q-power table, and the only remainders taken
+    after the radical are the exact divisions by the parts found and, after
+    each split but the last, the last power reduced modulo the part still
+    unsplit; none per degree step (the former loop took log2 q of them at
+    every degree)."""
     tables, divs = [], []
     real_table, real_divmod, real_radical = poly_mod._Residues.power_table, Poly.divmod, poly_mod.radical
 
@@ -317,7 +318,7 @@ def test_distinct_degree_steps_build_at_most_one_table_per_ring(monkeypatch):
         divs.clear()
         return g
 
-    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e: tables.append((id(self), e)) or real_table(self, e))
+    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e: tables.append((self.n, e)) or real_table(self, e))
     monkeypatch.setattr(Poly, "divmod", lambda self, o: divs.append(o) or real_divmod(self, o))
     monkeypatch.setattr(poly_mod, "radical", radical)
     rng = random.Random(29)
