@@ -64,9 +64,10 @@ _LOG_TABLE_LIMIT = 1 << 16
 # Default desk-scale caps; overridable per call.
 DEFAULT_P_CAP = 13
 DEFAULT_Q_CAP = 1 << 20
-# Most (xi, rho) pairs spectrum walks, sum_j q^(2j) over residue degrees j up
-# to its bound (not overridable); GF(13) up to degree 3, 4,855,539 pairs, is
-# within it.
+# Most pairs (xi, rho) spectrum covers, sum_j q^(2j) over residue degrees j up
+# to its bound (not overridable).  It lists one point per Frobenius orbit,
+# about sum_j q^(2j)/j, so the cap bounds its output; GF(13) up to degree 3,
+# 4,855,539 pairs, is within it.
 SPECTRUM_PAIR_CAP = 1 << 26
 
 

@@ -22,7 +22,11 @@ modules are attached to maximal ideals of Z and split into two families:
 The x-action table is never trusted as typed: it is re-derived from scratch
 by reducing x * y^i modulo the left ideal generated by x - xi^(1/p) and
 z2 - rho (commuting x past y^i with the binomial rewrite rule and recursing
-on the lower-order terms), and the two matrices must agree exactly.
+on the lower-order terms), and the two matrices must agree exactly.  Only
+then is c(X) read off that re-derivation: X = a + N with N^p = 0, so c(X) is
+sum_k h_k N^k for the Taylor coefficients h of c mod (x^p - xi) at a, column
+by column from the N^k e_j it built, without a matrix product.  (As z2 is
+central, c' = 0: c lies in K[x^p], so h is the constant c(a) and c(X) = c(a).)
 
 Off f, simplicity rests on an eigenline certificate.  With a = xi^(1/p) and
 N = X - a (nilpotent, as X^p = xi) it asks for N e_0 = 0, rank N = p - 1 and
@@ -39,13 +43,15 @@ The spectrum of Lambda: minimal primes are the irreducible factors p_i of f
 (computed through Frobenius orbits of the roots), the height-one completely
 prime layer is the same list, and maximal ideals of Z off V(f^p) are
 enumerated as Frobenius orbits of points (xi, rho) up to a residue degree
-bound.  Krull and global dimension are both the constant 2.
+bound, each orbit once, by its least pair, built from the orbit minima of
+xi and of rho instead of a test of every pair.  Krull and global dimension
+are both the constant 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .eigengroup import _elt_json, _poly_json, _reproducer, _require_monic_nonscalar
 from .errors import DomainError, InternalCheckError
@@ -105,7 +111,8 @@ def mat_pow(F: FieldDesc, A, e: int):
 
 
 def mat_poly(F: FieldDesc, g: Poly, A):
-    """g(A) by Horner; g's field must be F."""
+    """g(A) by Horner; g's field must be F.  It checks f(X) on both module
+    families and the relations on f; off f it is the tests' oracle for c(X)."""
     d = len(A)
     out = mat_zero(F, d)
     for c in reversed(g.c):
@@ -113,6 +120,12 @@ def mat_poly(F: FieldDesc, g: Poly, A):
         if c:
             out = mat_add(F, out, mat_scale(F, mat_id(F, d), c))
     return out
+
+
+def nilpotent_taylor_mat(F: FieldDesc, h, npows):
+    """sum_k h_k N^k for a nilpotent N given by npows[j][k] = N^k e_j, k <= j
+    (N^k e_j = 0 beyond): column j is sum_k h_k N^k e_j, with no product."""
+    return tuple(zip(*([F.dot(h, comps) for comps in zip(*pw)] for pw in npows)))
 
 
 def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
@@ -353,10 +366,9 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
             + _off_f_reproducer(f, xi, rho)
         )
 
-    # y-action: cyclic shift with y^p = rho + c(x) y on the module
-    alg = OreAlgebra(f)
-    c_poly = alg.c_poly
-    c_of_X = mat_poly(K, c_poly, X)
+    # y-action: cyclic shift with y^p = rho + c(x) y on the module; c(X) from
+    # the Taylor coefficients of c at a and the N^k e_j above (N = X - a now)
+    c_of_X = nilpotent_taylor_mat(K, (OreAlgebra(f).c_poly % xp).compose_affine(1, a).c, npows)
     Y = [[0] * p for _ in range(p)]
     for i in range(p - 1):
         Y[i + 1][i] = 1
@@ -475,8 +487,11 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
     """Minimal primes, height-one layer, and maximal ideals of the centre
     off V(f^p) up to the residue degree bound.
 
-    Degree j walks all q^(2j) pairs (xi, rho) of F_{q^j}; a bound whose
-    walk exceeds SPECTRUM_PAIR_CAP pairs in total is refused."""
+    The points of residue degree j are the Frobenius orbits of pairs
+    (xi, rho) of F_{q^j}, each given by its least pair: xi least in its orbit,
+    of length a, and rho the strict minimum of an orbit of fr^a of length j/a.
+    They number about q^(2j)/j; a bound with sum_j q^(2j) above
+    SPECTRUM_PAIR_CAP is refused."""
     _require_monic_nonscalar(f)
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -492,7 +507,10 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
     factors = factor_into_irreducibles(f)
     for p_i, _ in factors:
         if not ((f * p_i.derivative()) % p_i).is_zero():
-            raise InternalCheckError("factor is not normal: p_i does not divide f p_i'")
+            raise InternalCheckError(
+                "stage=spectrum.normality: factor is not normal: p_i does not divide f p_i'; "
+                + _reproducer("spectrum", K, "--f", repr(f), "--degree-bound", str(degree_bound))
+            )
 
     fp = Poly.from_values(K, (K.frob(c) for c in f.c))  # f^p = fp(x^p)
     points = []
@@ -500,27 +518,24 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
         tw = tower_over(K, K.m * j)
         Fj = tw.ext
         fpj = lift_poly(fp, tw)
-        # the Frobenius of Fj over K as a table, and deg[v] = [K(v) : K], the
-        # length of v's orbit under it; (xi, rho) lies in a proper subfield
-        # exactly when lcm(deg[xi], deg[rho]) < j
+        # the orbits of the Frobenius fr of Fj over K, in the order of their
+        # least elements, each listed from it; v's orbit has length [K(v) : K]
         fr = [Fj.frob(v, tw.k) for v in Fj.elements()]
-        deg = [0] * Fj.q
+        orbits, seen = [], set()
         for v in Fj.elements():
-            if not deg[v]:
+            if v not in seen:
                 orbit = [v]
                 while fr[orbit[-1]] != v:
                     orbit.append(fr[orbit[-1]])
-                for w in orbit:
-                    deg[w] = len(orbit)
-        for xi in Fj.elements():
-            if fpj.eval_value(xi) == 0:
-                continue
-            for rho in Fj.elements():
-                if lcm(deg[xi], deg[rho]) != j:
-                    continue
-                w = (fr[xi], fr[rho])
-                while w > (xi, rho):
-                    w = (fr[w[0]], fr[w[1]])
-                if w == (xi, rho):
-                    points.append((j, xi, rho))
+                seen.update(orbit)
+                orbits.append(orbit)
+        # reps[a]: the least elements of the orbits of fr^a of length j/a; in
+        # an orbit of length b these are the classes of positions mod gcd(a, b)
+        reps = {
+            a: sorted(min(o[r :: gcd(a, len(o))]) for o in orbits if lcm(a, len(o)) == j for r in range(gcd(a, len(o))))
+            for a in {len(o) for o in orbits}
+        }
+        for o in orbits:
+            if fpj.eval_value(o[0]):
+                points.extend((j, o[0], rho) for rho in reps[len(o)])
     return SpectrumDesc(f, tuple(factors), tuple(points), degree_bound)

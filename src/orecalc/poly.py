@@ -406,11 +406,11 @@ class _Residues:
                 r = self.mul(r, a)
         return r
 
-    def power_table(self, e: int) -> list[tuple[int, ...]]:
-        """The matrix whose row i is x^(i*e) mod g, i < n, stored by columns.
-        Row i + 1 is row i times x^e: a shift and one fold when e < n, else
-        a product."""
-        n, xe = self.n, self.x_power(e)
+    def power_table(self, e: int, xe: list[int]) -> list[tuple[int, ...]]:
+        """The matrix whose row i is x^(i*e) mod g, i < n, stored by columns,
+        given xe = x^e mod g.  Row i + 1 is row i times x^e: a shift and one
+        fold when e < n, else a product."""
+        n = self.n
         rows = [self.one, xe][:n]
         while len(rows) < n:
             rows.append(self._fold([0] * e + rows[-1]) if e < n else self.mul(rows[-1], xe))
@@ -429,22 +429,23 @@ class _Residues:
         (coeff as for apply); steps, when known, is how many the caller takes.
 
         x^(e^j) is one fold while e^j <= 2n - 2, and the next comes from
-        x_power.  A later step raises the last value to the e-th power, pay
-        products, or is one step of the e-power table, about half a product,
-        once that table is built for about build products.  It is built when
-        the powered steps have cost build, so that for an unknown number of
-        steps neither path costs more than twice the other, or sooner when
-        the steps still to come save as much; never past _TABLE_MAX_ENTRIES.
+        x_power; the first, x^e, is kept for the table.  A later step raises
+        the last value to the e-th power, pay products, or is one step of the
+        e-power table, about half a product, once that table is built for
+        about build products.  It is built when the powered steps have cost
+        build, so that for an unknown number of steps neither path costs more
+        than twice the other, or sooner when the steps still to come save as
+        much; never past _TABLE_MAX_ENTRIES.
         """
-        n, taken = self.n, 0
+        n, taken, xe = self.n, 0, None
         if h is None:
-            k = e
-            while k <= 2 * n - 2:
-                yield self.x_power(k)
-                taken, k = taken + 1, k * e
-            h = self.x_power(k)
-            taken += 1
+            h = xe = self.x_power(e)
+            taken, k = 1, e
             yield h
+            while k <= 2 * n - 2:
+                k *= e
+                h, taken = self.x_power(k), taken + 1
+                yield h
         pay = e.bit_length() + bin(e).count("1") - 2
         build = (n - 2) * min(e, 2 * n) / (2 * n)  # rows by a shift and a fold of e terms, or a product
         spent = 0
@@ -452,7 +453,7 @@ class _Residues:
             h = self.pow(h, e)
             spent, taken = spent + pay, taken + 1
             yield h
-        table = self.power_table(e)
+        table = self.power_table(e, self.x_power(e) if xe is None else xe)
         while True:
             h = self.apply(table, h, coeff)
             yield h

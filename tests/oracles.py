@@ -8,14 +8,16 @@ own Taylor shifts.  The root finder's former slow paths live here too, on
 Poly arithmetic with a full remainder per product: square-and-multiply
 powers, the distinct-degree loop that raises to the q-th power at every
 degree, Rabin's test on those powers, equal-degree splitting by the
-(Q-1)/2-th power, and f_V as the product of its |V| linear factors.
+(Q-1)/2-th power, and f_V as the product of its |V| linear factors.  The
+spectrum's closed points come from its former walk over every pair
+(xi, rho), with element-wise Frobenius orbits and subfield tests.
 """
 
 import random
 
 from orecalc.eigengroup import DEFAULT_BRUTE_CAP, affine_matches, shift_space
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import FieldDesc, FieldTower, prime_factors, span_values
+from orecalc.gf import FieldDesc, FieldTower, prime_factors, span_values, tower_over
 from orecalc.poly import (
     Poly,
     exponent_decomp,
@@ -192,3 +194,31 @@ def f_V_oracle(field: FieldDesc, V, nu=0) -> Poly:
     for v in verify_fp_subspace(field, V):
         out = out * Poly.from_values(field, (field.neg(field.add(nu, v)), 1))
     return out
+
+
+def spectrum_points_oracle(f: Poly, bound: int) -> tuple[tuple[int, int, int], ...]:
+    """Closed points (j, xi, rho) off V(f^p) up to residue degree bound, by
+    walking every pair of F_{q^j}: no coordinate pair in a proper subfield,
+    and least in its orbit under element-wise Frobenius."""
+    K = f.field
+    fp = Poly.from_values(K, (K.frob(c) for c in f.c))
+    points = []
+    for j in range(1, bound + 1):
+        tw = tower_over(K, K.m * j)
+        Fj, fpj = tw.ext, lift_poly(fp, tw)
+        for xi in Fj.elements():
+            if fpj.eval_value(xi) == 0:
+                continue
+            for rho in Fj.elements():
+                if any(
+                    tw.in_subfield(xi, tw.k * t) and tw.in_subfield(rho, tw.k * t)
+                    for t in range(1, j)
+                    if j % t == 0
+                ):
+                    continue
+                orbit = [(xi, rho)]
+                for _ in range(j - 1):
+                    orbit.append((Fj.frob(orbit[-1][0], tw.k), Fj.frob(orbit[-1][1], tw.k)))
+                if min(orbit) == (xi, rho):
+                    points.append((j, xi, rho))
+    return tuple(points)

@@ -35,7 +35,7 @@ from orecalc.modules_spectra import (
 )
 from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext
 
-from oracles import monic_polys, roots_in_field
+from oracles import is_irreducible_oracle, monic_polys, roots_in_field, spectrum_points_oracle
 
 
 def rand_mat(F, d, rng):
@@ -474,6 +474,69 @@ def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
 
 
+def _c_poly(f):
+    """c = (delta^(p-2) f)' with delta(g) = f g' (c = f' when p = 2)."""
+    c = f
+    for _ in range(f.field.p - 2):
+        c = f * c.derivative()
+    return c.derivative()
+
+
+def _taylor_c_of_x_results(monkeypatch):
+    """Records every c(X) that simple_module_off_f builds from the Taylor
+    columns."""
+    seen = []
+    real = modules_spectra.nilpotent_taylor_mat
+    monkeypatch.setattr(modules_spectra, "nilpotent_taylor_mat", lambda *args: seen.append(real(*args)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize(
+    "p,m", [(3, 1), (5, 1), (11, 1), (13, 1), (2, 2), (3, 2), (5, 2)], ids=lambda v: str(v)
+)
+def test_off_f_taylor_c_of_x_matches_horner(p, m, monkeypatch):
+    """c(X) read off the Taylor columns of the x-table re-derivation equals
+    c(X) by Horner, at xi = 0 (a = 0), at a seeded xi and, over extension
+    fields, at an xi outside F_p; it is the scalar c(a), as c' = 0."""
+    F = GF(p, m)
+    rng = random.Random(100 * p + m)
+    seen = _taylor_c_of_x_results(monkeypatch)
+    for d in (1, 2, 4):
+        f = Poly.from_values(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(d - 1)] + [1])
+        off = [v for v in F.elements() if f.eval_value(F.pth_root(v))]
+        xis = {0, rng.choice(off)} | ({rng.choice([v for v in off if F.frob(v) != v])} if m > 1 else set())
+        for xi in sorted(xis):
+            seen.clear()
+            spec = simple_module_off_f(f, F.from_value(xi), F.from_value(rng.randrange(F.q)))
+            assert seen == [mat_poly(F, _c_poly(f), spec.X)]
+            assert is_scalar_mat(F, seen[0], _c_poly(f).eval_value(F.pth_root(xi)))
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(5), GF(3, 2)], ids=["GF3", "GF5", "GF3_2"])
+def test_off_f_corrupted_taylor_c_of_x_is_caught(F, monkeypatch):
+    """One entry of the Taylor c(X) read one off, in any column but the
+    first, fails a check inside simple_module_off_f.  (Column 0 is c(a) e_0;
+    it reaches only Y^p - c(X) Y, through row 0 of Y, and changes no output.)"""
+    f = Poly.from_values(F, (1, 2, 0, 1))
+    xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)))
+    xi, rho = F.from_value(xi), F.from_value(1)
+    real = modules_spectra.nilpotent_taylor_mat
+    p = F.p
+    for r in range(p):
+        for c in range(1, p):
+
+            def corrupt(K, h, npows, r=r, c=c):
+                M = [list(row) for row in real(K, h, npows)]
+                M[r][c] = K.add(M[r][c], 1)
+                return tuple(map(tuple, M))
+
+            monkeypatch.setattr(modules_spectra, "nilpotent_taylor_mat", corrupt)
+            with pytest.raises(InternalCheckError):
+                simple_module_off_f(f, xi, rho)
+    monkeypatch.undo()
+    simple_module_off_f(f, xi, rho)
+
+
 def test_off_f_distinct_characters_separate_modules():
     K = GF(3)
     f = Poly(K, (1, 1))  # x + 1
@@ -610,34 +673,75 @@ def test_spectrum_points_degree_two():
         (GF(3), Poly(GF(3), (1, 2, 0, 1)), 3),
         (GF(2, 2), Poly(GF(2, 2), (2, 1, 1)), 2),
     ):
-        assert spectrum(f, bound).max_off_f == _points_by_enumeration(f, bound)
+        assert spectrum(f, bound).max_off_f == spectrum_points_oracle(f, bound)
 
 
-def _points_by_enumeration(f, bound):
-    """Closed points (j, xi, rho) off V(f^p) by field-element Frobenius: no
-    coordinate pair in a proper subfield, and least in its orbit."""
-    K = f.field
-    fp = Poly.from_values(K, (K.frob(c) for c in f.c))
-    points = []
-    for j in range(1, bound + 1):
-        tw = tower_over(K, K.m * j)
-        Fj, fpj = tw.ext, lift_poly(fp, tw)
-        for xi in Fj.elements():
-            if fpj.eval_value(xi) == 0:
-                continue
-            for rho in Fj.elements():
-                if any(
-                    tw.in_subfield(xi, tw.k * t) and tw.in_subfield(rho, tw.k * t)
-                    for t in range(1, j)
-                    if j % t == 0
-                ):
-                    continue
-                orbit = [(xi, rho)]
-                for _ in range(j - 1):
-                    orbit.append((Fj.frob(orbit[-1][0], tw.k), Fj.frob(orbit[-1][1], tw.k)))
-                if min(orbit) == (xi, rho):
-                    points.append((j, xi, rho))
-    return tuple(points)
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _random_irreducible(rng, F, e):
+    while True:
+        u = Poly.from_values(F, [rng.randrange(F.q) for _ in range(e)] + [1])
+        if is_irreducible_oracle(u):
+            return u
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)], ids=lambda v: str(v)
+)
+def test_spectrum_points_match_the_pair_walk_and_the_mobius_count(p, m):
+    """spectrum against the walk over every pair, at each bound up to 3 with
+    sum_j q^(2j) <= 10^5, for f with distinct irreducible factors of degree
+    1-3 (so some levels hold roots of f^p and some do not); the degree-j
+    points number (1/j) sum_{t | j} mu(j/t) (q^t - r_t) q^t, with r_t the
+    roots of f in F_{q^t} (Lidl-Niederreiter, Thm 3.25)."""
+    F = GF(p, m)
+    q = F.q
+    top = max(b for b in (1, 2, 3) if sum(q ** (2 * j) for j in range(1, b + 1)) <= 10**5)
+    rng = random.Random(q)
+    for degrees in ((1, 2), (3,), (1, 1, 3)):
+        factors = []
+        while len(factors) < len(degrees):
+            u = _random_irreducible(rng, F, degrees[len(factors)])
+            if u not in factors:
+                factors.append(u)
+        f = factors[0] ** 2
+        for u in factors[1:]:
+            f = f * u
+        want = spectrum_points_oracle(f, top)
+        for bound in range(1, top + 1):
+            got = spectrum(f, bound).max_off_f
+            assert got == tuple(pt for pt in want if pt[0] <= bound)
+        for j in range(1, top + 1):
+            n_t = {t: (q**t - sum(u.degree for u in factors if t % u.degree == 0)) * q**t for t in range(1, j + 1)}
+            count = sum(_mobius(j // t) * n_t[t] for t in n_t if j % t == 0)
+            assert count % j == 0 and sum(pt[0] == j for pt in want) == count // j
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
+def test_spectrum_normality_error_names_stage_and_reproducer(F, monkeypatch):
+    """A factor list with a factor that is not normal fails with its stage
+    and a one-line CLI call that repeats the spectrum."""
+    f = Poly.from_values(F, (1, 1, 1))
+    good = cli.run(["spectrum", "--field", repr(F), "--f", repr(f), "--degree-bound", "2"])
+    assert good[0] == 0
+    monkeypatch.setattr(modules_spectra, "factor_into_irreducibles", lambda g: [(Poly.x(F) + 1, 1)])
+    with pytest.raises(InternalCheckError, match=r"^stage=spectrum\.normality: ") as info:
+        spectrum(f, 2)
+    monkeypatch.undo()
+    assert "\n" not in str(info.value)
+    argv = shlex.split(str(info.value).split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "spectrum"]
+    assert cli.run(argv[1:]) == good
 
 
 def test_spectrum_validation():
@@ -649,8 +753,9 @@ def test_spectrum_validation():
 
 
 def test_spectrum_pair_bound():
-    """spectrum walks sum_j q^(2j) pairs (xi, rho) up to its degree bound.
-    GF(13) up to degree 3 (4,855,539 pairs) answers; one degree more, or
+    """spectrum refuses a bound whose levels hold more than SPECTRUM_PAIR_CAP
+    pairs (xi, rho) in all, sum_j q^(2j); it lists about q^(2j)/j points per
+    level.  GF(13) up to degree 3 (4,855,539 pairs) answers; one degree more, or
     GF(2^17) at degree 1 (2^34 pairs), is refused at once with exit 1
     instead of growing until the process is killed."""
     K = GF(13)

@@ -251,9 +251,9 @@ def _count_frobenius_steps(monkeypatch):
             steps.append((e, self.n))
             yield h
 
-    def power_table(self, e):
+    def power_table(self, e, *args):
         tables.append((e, self.n))
-        return real_table(self, e)
+        return real_table(self, e, *args)
 
     monkeypatch.setattr(poly_mod._Residues, "frobenius", frobenius)
     monkeypatch.setattr(poly_mod._Residues, "power_table", power_table)
@@ -318,7 +318,7 @@ def test_distinct_degree_steps_build_at_most_one_table_per_ring(monkeypatch):
         divs.clear()
         return g
 
-    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e: tables.append((self.n, e)) or real_table(self, e))
+    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e, *args: tables.append((self.n, e)) or real_table(self, e, *args))
     monkeypatch.setattr(Poly, "divmod", lambda self, o: divs.append(o) or real_divmod(self, o))
     monkeypatch.setattr(poly_mod, "radical", radical)
     rng = random.Random(29)
@@ -370,6 +370,29 @@ def test_few_distinct_degree_steps_build_no_table(monkeypatch):
     steps, tables = _count_frobenius_steps(monkeypatch)
     assert distinct_degree_parts(f) == [(2, f)] == distinct_degree_parts_oracle(f)
     assert steps == [(F.q, 12), (F.q, 12)] and tables == []
+
+
+def test_power_table_takes_x_to_the_q_from_the_first_step(monkeypatch):
+    """A ring whose Frobenius steps start from x hands x^q, its first step,
+    to the q-power table instead of calling x_power for it again.  Over
+    GF(2^20), an irreducible cubic times a quartic builds that table in the
+    degree-7 ring, where x_power(q) runs once; when the table recomputes x^q
+    it runs twice, x_power is called more often in all, and the parts stay
+    the same."""
+    rng = random.Random(53)
+    F = GF(2, 20)
+    f = _random_irreducible(rng, F, 3) * _random_irreducible(rng, F, 4)
+    calls = []
+    real_x_power, real_table = poly_mod._Residues.x_power, poly_mod._Residues.power_table
+    monkeypatch.setattr(poly_mod._Residues, "x_power", lambda self, k: calls.append((self.n, k)) or real_x_power(self, k))
+    steps, tables = _count_frobenius_steps(monkeypatch)
+    parts = distinct_degree_parts(f)
+    assert (F.q, 7) in tables and calls.count((7, F.q)) == 1
+    reused = len(calls)
+    calls.clear()
+    monkeypatch.setattr(poly_mod._Residues, "power_table", lambda self, e, xe: real_table(self, e, self.x_power(e)))
+    assert distinct_degree_parts(f) == parts == distinct_degree_parts_oracle(f)
+    assert [d for d, _ in parts] == [3, 4] and calls.count((7, F.q)) == 2 and reused < len(calls)
 
 
 def test_known_frobenius_steps_build_the_table_at_once(monkeypatch):
