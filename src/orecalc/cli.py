@@ -310,12 +310,11 @@ def _cmd_oracle(args):
     else:
         rng = random.Random(args.seed)
         members = set(structured)
-        d = f.degree
         checked = 256
         for _ in range(checked):
             lam = rng.randrange(1, field.q)
             mu = rng.randrange(field.q)
-            direct = f.compose_affine(lam, mu) == f.scale_value(field.pow(lam, d))
+            direct = AffineAut(field, lam, mu).eigenvalue_on(f) is not None
             if direct != ((lam, mu) in members):
                 raise InternalCheckError(
                     "oracle mismatch: sampled substitution "

@@ -55,8 +55,8 @@ from .poly import (
     contract_exponents,
     decompose_through,
     exponent_decomp,
-    exponent_gcd,
     f_V,
+    gcd_p,
     lift_poly,
     multiplier_field,
     poly_pow_mod,
@@ -453,17 +453,6 @@ class Eigenform:
 # ---------------------------------------------------------------------------
 
 
-def _gcd_p_part(w: Poly) -> int:
-    """Prime-to-p part of the exponent gcd of a nonconstant polynomial."""
-    g = exponent_gcd(w)
-    if g == 0:
-        raise InternalCheckError("exponent gcd of a constant polynomial")
-    p = w.field.p
-    while g % p == 0:
-        g //= p
-    return g
-
-
 def _strip_valuation(w: Poly) -> tuple[int, Poly]:
     i = w.valuation()
     return i, Poly.from_values(w.field, w.c[i:])
@@ -546,7 +535,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     for nu in cands:
         at = fv.eval_value(nu)
         i_nu, g_nu = _strip_valuation(big_g.compose_affine(1, at))
-        n = bound if g_nu.is_constant() else gcd(bound, _gcd_p_part(g_nu))
+        n = gcd(bound, gcd_p(g_nu))  # gcd_p = 0 for a constant g_nu
         if n >= 2:
             hits.append((at, nu, i_nu, g_nu, n))
     if not hits:

@@ -19,14 +19,13 @@ modules are attached to maximal ideals of Z and split into two families:
   (the y^p-coordinate differs from it by c(xi^(1/p)) times the y-eigenvalue
   and is not used).
 
-The x-action table is never trusted as typed: it is re-derived from scratch
-by reducing x * y^i modulo the left ideal generated by x - xi^(1/p) and
-z2 - rho (commuting x past y^i with the binomial rewrite rule and recursing
-on the lower-order terms), and the two matrices must agree exactly.  Only
-then is c(X) read off that re-derivation: X = a + N with N^p = 0, so c(X) is
-sum_k h_k N^k for the Taylor coefficients h of c mod (x^p - xi) at a, column
-by column from the N^k e_j it built, without a matrix product.  (As z2 is
-central, c' = 0: c lies in K[x^p], so h is the constant c(a) and c(X) = c(a).)
+The x-action table is never trusted as typed: it is re-derived from the
+defining relation alone, x 1 = xi^(1/p) 1 and x (y v) = y (x v) - f(x) v
+(as yx - xy = f), so column i + 1 of X is column i shifted down one place
+minus f(X) e_i, by Horner over the columns built so far; the two matrices
+must agree exactly.  As z2 is central, c' = 0: c lies in K[x^p], so c(X) is
+the scalar c(xi^(1/p)).  A wrong value there, in the last column of Y,
+fails YX - XY = f(X) on that column.
 
 Off f, simplicity rests on an eigenline certificate.  With a = xi^(1/p) and
 N = X - a (nilpotent, as X^p = xi) it asks for N e_0 = 0, rank N = p - 1 and
@@ -120,12 +119,6 @@ def mat_poly(F: FieldDesc, g: Poly, A):
         if c:
             out = mat_add(F, out, mat_scale(F, mat_id(F, d), c))
     return out
-
-
-def nilpotent_taylor_mat(F: FieldDesc, h, npows):
-    """sum_k h_k N^k for a nilpotent N given by npows[j][k] = N^k e_j, k <= j
-    (N^k e_j = 0 beyond): column j is sum_k h_k N^k e_j, with no product."""
-    return tuple(zip(*([F.dot(h, comps) for comps in zip(*pw)] for pw in npows)))
 
 
 def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
@@ -272,25 +265,15 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
         Y.append(tuple(row))
     Y = tuple(Y)
 
-    # defining relation and residue relations
-    lhs = mat_sub(F, mat_mul(F, Y, X), mat_mul(F, X, Y))
-    if lhs != mat_poly(F, fe, X):
-        raise InternalCheckError("YX - XY != f(X) on the constructed module")
+    # defining relation and central characters: z1 acts as xbar^p, z2 as
+    # (y^p - c(xbar) y) mod q; then the residue relations
+    p, c = F.p, c_e.eval_value(xbar)
+    z2 = Poly.from_values(F, [0] * p + [1]) - Poly.from_values(F, (0, c))
+    _check_relations(F, fe, X, Y, F.pow(xbar, p), c, mat_poly(F, z2 % q, Y))
     if mat_poly(F, pie, X) != mat_zero(F, d):
         raise InternalCheckError("p_i(X) != 0")
     if mat_poly(F, q, Y) != mat_zero(F, d):
         raise InternalCheckError("q(Y) != 0")
-
-    # central characters: z1 acts as xbar^p, z2 as (y^p - c(xbar) y) mod q
-    p = F.p
-    if not is_scalar_mat(F, mat_pow(F, X, p), F.pow(xbar, p)):
-        raise InternalCheckError("z1 = x^p does not act as a scalar")
-    z2_mat = mat_sub(F, mat_pow(F, Y, p), mat_scale(F, Y, c_e.eval_value(xbar)))
-    ypoly = Poly.from_values(F, [0] * p + [1]) - Poly.from_values(
-        F, (0, c_e.eval_value(xbar))
-    )
-    if mat_poly(F, ypoly % q, Y) != z2_mat:
-        raise InternalCheckError("z2 action is not multiplication by its residue class")
 
     # simplicity: the image algebra is the field F_i[y]/(q)
     if word_span_dim(F, X, Y) != d:
@@ -299,6 +282,18 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
         raise InternalCheckError("a basis vector fails to generate the module")
 
     return SimpleModuleSpec("on_f", f, F, d, X, Y, p_i=p_i, q=q)
+
+
+def _check_relations(F: FieldDesc, f: Poly, X, Y, z1: int, c: int, z2) -> None:
+    """YX - XY = f(X), x^p acts as the scalar z1 and y^p - c y as the matrix
+    z2, on a module where c(x) acts as the scalar c."""
+    p = F.p
+    if mat_sub(F, mat_mul(F, Y, X), mat_mul(F, X, Y)) != mat_poly(F, f, X):
+        raise InternalCheckError("YX - XY != f(X) on the constructed module")
+    if not is_scalar_mat(F, mat_pow(F, X, p), z1):
+        raise InternalCheckError("z1 = x^p does not act as its central character")
+    if mat_sub(F, mat_pow(F, Y, p), mat_scale(F, Y, c)) != z2:
+        raise InternalCheckError("z2 = y^p - c(x) y does not act as its central character")
 
 
 def _off_f_reproducer(f: Poly, xi: int, rho: int) -> str:
@@ -335,56 +330,35 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
             X[j][i] = K.mul(cb, sign) if cb else 0
     X = tuple(tuple(row) for row in X)
 
-    # independent re-derivation: reduce x*y^i modulo the left ideal
-    # generated by x - a (and z2 - rho, which never enters below y^p)
-    # via x y^i = y^i x - sum_{t>=1} C(i,t) delta^t(x) y^(i-t) and
-    # delta^t(x) = delta^(t-1)(f).  On the columns j < i built so far x acts
-    # as a + N with N^p = 0, so phi(x) e_j = sum_{k<p} (D^k phi)(a) N^k e_j:
-    # Hasse derivatives from phi mod (x - a)^p = x^p - xi, shifted by a, and
-    # N^k e_j built once, with column j.
-    xp = Poly.from_values(K, [K.neg(xi)] + [0] * (p - 1) + [1])
-    taylor = [(g % xp).compose_affine(1, a).c for g in phis]
-    N = [[0] * p for _ in range(p)]
-    npows = []  # npows[j][k] = N^k e_j, for k <= j (N^k e_j = 0 beyond)
-    for i in range(p):
-        col = [0] * p
-        for t in range(1, i + 1):
-            cb = comb(i, t) % p
-            if cb:
-                for c, v in zip(taylor[t - 1], npows[i - t]):
-                    if c:
-                        col = K.row_sub(col, K.mul(cb, c), v)
-        for r in range(p):
-            N[r][i] = col[r]
-        pw = [[int(r == i) for r in range(p)]]
-        while len(pw) <= i:
-            pw.append(mat_vec(K, N, pw[-1]))
-        npows.append(pw)
-    if mat_add(K, N, mat_scale(K, mat_id(K, p), a)) != X:
+    # independent re-derivation from the defining relation: x 1 = a 1 and
+    # x (y v) = y (x v) - f(x) v, so column i + 1 is column i shifted down
+    # minus f(X) e_i, by Horner, which needs only the columns 0..i built so far
+    R = [[0] * p for _ in range(p)]
+    R[0][0] = a
+    for i in range(p - 1):
+        fe = [0] * p
+        for c in reversed(f.c):
+            fe = [K.dot(row, fe) for row in R]
+            fe[i] = K.add(fe[i], c)
+        for r in range(i + 2):
+            R[r][i + 1] = K.sub(R[r - 1][i] if r else 0, fe[r])
+    if tuple(map(tuple, R)) != X:
         raise InternalCheckError(
             "stage=off_f.x_table: x-action table disagrees with the ideal reduction; "
             + _off_f_reproducer(f, xi, rho)
         )
 
-    # y-action: cyclic shift with y^p = rho + c(x) y on the module; c(X) from
-    # the Taylor coefficients of c at a and the N^k e_j above (N = X - a now)
-    c_of_X = nilpotent_taylor_mat(K, (OreAlgebra(f).c_poly % xp).compose_affine(1, a).c, npows)
+    # y-action: cyclic shift with y^p = rho + c(x) y on the module, where
+    # c = phi_(p-2)' lies in K[x^p], so c(X) is the scalar c(a)
+    c_a = phis[-1].derivative().eval_value(a)
     Y = [[0] * p for _ in range(p)]
     for i in range(p - 1):
         Y[i + 1][i] = 1
     Y[0][p - 1] = rho
-    for r in range(p):
-        Y[r][p - 1] = K.add(Y[r][p - 1], c_of_X[r][1])
+    Y[1][p - 1] = c_a
     Y = tuple(tuple(row) for row in Y)
 
-    lhs = mat_sub(K, mat_mul(K, Y, X), mat_mul(K, X, Y))
-    if lhs != mat_poly(K, f, X):
-        raise InternalCheckError("YX - XY != f(X) on the constructed module")
-    if not is_scalar_mat(K, mat_pow(K, X, p), xi):
-        raise InternalCheckError("x^p does not act as xi")
-    z2_mat = mat_sub(K, mat_pow(K, Y, p), mat_mul(K, c_of_X, Y))
-    if not is_scalar_mat(K, z2_mat, rho):
-        raise InternalCheckError("z2 does not act as rho")
+    _check_relations(K, f, X, Y, xi, c_a, mat_scale(K, mat_id(K, p), rho))
     if not eigenline_certificate(K, X, Y, a):
         raise InternalCheckError(
             "stage=off_f.simplicity: the eigenline certificate fails; "

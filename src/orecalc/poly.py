@@ -543,8 +543,11 @@ def exponent_decomp(f: Poly) -> ExponentDecomp:
 
 
 def gcd_p(f: Poly) -> int:
-    """The prime-to-p part of the exponent gcd."""
-    return exponent_decomp(f).gcd_p if not f.is_constant() else 0
+    """The prime-to-p part of the exponent gcd (0 for constants)."""
+    g, p = exponent_gcd(f), f.field.p
+    while g and g % p == 0:
+        g //= p
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,11 @@ def test_on_f_dimension_law_sweep():
 
 def horner_x_table(f, a):
     """The x-action on {y^i 1} by reducing x y^i modulo the left ideal of
-    x - a, with phi_{t-1}(X) e_{i-t} evaluated by Horner on the columns built
-    so far for every pair (i, t): the oracle for the Taylor re-derivation
-    inside simple_module_off_f."""
+    x - a through the binomial rewrite x y^i = y^i x - sum_t C(i,t)
+    phi_{t-1}(x) y^(i-t), with phi_{t-1}(X) e_{i-t} evaluated by Horner on the
+    columns built so far for every pair (i, t): an oracle for the table that
+    simple_module_off_f re-derives from the one-step relation
+    x (y v) = y (x v) - f(x) v."""
     K = f.field
     p = K.p
     phis = [f]
@@ -447,8 +449,8 @@ def _off_f_module_via(line):
 
 @pytest.mark.parametrize("F", [GF(3), GF(13), GF(3, 2)], ids=["GF3", "GF13", "GF3_2"])
 def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
-    """A corrupted closed-form table fails the comparison with the Taylor
-    re-derivation, and a failed certificate names its own stage; both
+    """A corrupted closed-form table fails the comparison with the table
+    re-derived from the defining relation, and a failed certificate names its own stage; both
     messages end with a CLI line that rebuilds the module."""
     f = Poly.from_values(F, (2, 0, 1, 1))
     xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)) != 0)
@@ -482,59 +484,96 @@ def _c_poly(f):
     return c.derivative()
 
 
-def _taylor_c_of_x_results(monkeypatch):
-    """Records every c(X) that simple_module_off_f builds from the Taylor
-    columns."""
-    seen = []
-    real = modules_spectra.nilpotent_taylor_mat
-    monkeypatch.setattr(modules_spectra, "nilpotent_taylor_mat", lambda *args: seen.append(real(*args)) or seen[-1])
-    return seen
-
-
 @pytest.mark.parametrize(
     "p,m", [(3, 1), (5, 1), (11, 1), (13, 1), (2, 2), (3, 2), (5, 2)], ids=lambda v: str(v)
 )
-def test_off_f_taylor_c_of_x_matches_horner(p, m, monkeypatch):
-    """c(X) read off the Taylor columns of the x-table re-derivation equals
-    c(X) by Horner, at xi = 0 (a = 0), at a seeded xi and, over extension
-    fields, at an xi outside F_p; it is the scalar c(a), as c' = 0."""
+def test_off_f_taylor_c_of_x_matches_horner(p, m):
+    """c(X) by Horner is the scalar c(a), as c lies in K[x^p], and the last
+    column of Y is rho e_0 + c(a) e_1, at xi = 0 (a = 0), at a seeded xi and,
+    over extension fields, at an xi outside F_p."""
     F = GF(p, m)
     rng = random.Random(100 * p + m)
-    seen = _taylor_c_of_x_results(monkeypatch)
     for d in (1, 2, 4):
         f = Poly.from_values(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(d - 1)] + [1])
+        c = _c_poly(f)
         off = [v for v in F.elements() if f.eval_value(F.pth_root(v))]
         xis = {0, rng.choice(off)} | ({rng.choice([v for v in off if F.frob(v) != v])} if m > 1 else set())
         for xi in sorted(xis):
-            seen.clear()
-            spec = simple_module_off_f(f, F.from_value(xi), F.from_value(rng.randrange(F.q)))
-            assert seen == [mat_poly(F, _c_poly(f), spec.X)]
-            assert is_scalar_mat(F, seen[0], _c_poly(f).eval_value(F.pth_root(xi)))
+            rho = rng.randrange(F.q)
+            spec = simple_module_off_f(f, F.from_value(xi), F.from_value(rho))
+            c_a = c.eval_value(F.pth_root(xi))
+            assert [row[-1] for row in spec.Y] == [rho, c_a] + [0] * (p - 2)
+            assert is_scalar_mat(F, mat_poly(F, c, spec.X), c_a)
 
 
 @pytest.mark.parametrize("F", [GF(3), GF(5), GF(3, 2)], ids=["GF3", "GF5", "GF3_2"])
 def test_off_f_corrupted_taylor_c_of_x_is_caught(F, monkeypatch):
-    """One entry of the Taylor c(X) read one off, in any column but the
-    first, fails a check inside simple_module_off_f.  (Column 0 is c(a) e_0;
-    it reaches only Y^p - c(X) Y, through row 0 of Y, and changes no output.)"""
+    """c(a) shifted by any nonzero offset, injected where simple_module_off_f
+    evaluates c, fails a check inside it: y^p = rho + c(a) y enters YX - XY
+    on the last column."""
+    f = Poly.from_values(F, (1, 2, 0, 1))
+    c = _c_poly(f)
+    xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)))
+    xi, rho = F.from_value(xi), F.from_value(1)
+    eval_value = Poly.eval_value
+    for offset in F.units():
+
+        def corrupt(self, v, offset=offset):
+            return F.add(eval_value(self, v), offset) if self == c else eval_value(self, v)
+
+        monkeypatch.setattr(Poly, "eval_value", corrupt)
+        with pytest.raises(InternalCheckError):
+            simple_module_off_f(f, xi, rho)
+        monkeypatch.undo()
+    simple_module_off_f(f, xi, rho)
+
+
+@pytest.mark.parametrize(
+    "F", [GF(3), GF(5), GF(13), GF(3, 2), GF(2, 2)], ids=["GF3", "GF5", "GF13", "GF3_2", "GF2_2"]
+)
+def test_off_f_mutated_binomial_is_caught_or_harmless(F, monkeypatch):
+    """One binomial C(i, j) of the closed-form table shifted by one either
+    fails the comparison with the relation re-derivation at
+    stage=off_f.x_table or leaves X unchanged (it scales a zero value)."""
     f = Poly.from_values(F, (1, 2, 0, 1))
     xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)))
     xi, rho = F.from_value(xi), F.from_value(1)
-    real = modules_spectra.nilpotent_taylor_mat
-    p = F.p
-    for r in range(p):
-        for c in range(1, p):
+    good = simple_module_off_f(f, xi, rho).X
+    raised = 0
+    for i in range(F.p):
+        for j in range(i):
 
-            def corrupt(K, h, npows, r=r, c=c):
-                M = [list(row) for row in real(K, h, npows)]
-                M[r][c] = K.add(M[r][c], 1)
-                return tuple(map(tuple, M))
+            def shifted(n, k, at=(i, j)):
+                return comb(n, k) + ((n, k) == at)
 
-            monkeypatch.setattr(modules_spectra, "nilpotent_taylor_mat", corrupt)
+            monkeypatch.setattr(modules_spectra, "comb", shifted)
+            try:
+                X = simple_module_off_f(f, xi, rho).X
+            except InternalCheckError as exc:
+                assert str(exc).startswith("stage=off_f.x_table: ")
+                raised += 1
+            else:
+                assert X == good
+            monkeypatch.undo()
+    assert raised
+
+
+def test_relation_check_is_shared_by_both_families():
+    """The one relation check passes both families at their own central
+    characters and rejects a wrong z1, a wrong c and a wrong z2 target."""
+    K = GF(5)
+    off = simple_module_off_f(Poly(K, (1, 1, 1)), 2, 3)
+    on = simple_module_on_f(Poly(K, (1, 1)) ** 2, Poly(K, (1, 1)), Poly(K, (2, 0, 1)))
+    c_off = _c_poly(off.f).eval_value(K.pth_root(2))
+    z2_on = mat_sub(K, mat_pow(K, on.Y, 5), mat_scale(K, on.Y, _c_poly(on.f).eval_value(4)))
+    for spec, z1, c, z2 in (
+        (off, 2, c_off, mat_scale(K, mat_id(K, 5), 3)),
+        (on, K.pow(4, 5), _c_poly(on.f).eval_value(4), z2_on),
+    ):
+        modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, z1, c, z2)
+        for bad in ((K.add(z1, 1), c, z2), (z1, K.add(c, 1), z2), (z1, c, mat_add(K, z2, mat_id(K, spec.dim)))):
             with pytest.raises(InternalCheckError):
-                simple_module_off_f(f, xi, rho)
-    monkeypatch.undo()
-    simple_module_off_f(f, xi, rho)
+                modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, *bad)
 
 
 def test_off_f_distinct_characters_separate_modules():
