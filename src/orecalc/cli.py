@@ -35,7 +35,7 @@ from .eigengroup import (
     inverse_eigengroup,
 )
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, tower_over
+from .gf import FieldDesc, span_values, tower_over
 from .lambda_aut import are_isomorphic, aut_group
 from .modules_spectra import simple_module_off_f, simple_module_on_f, spectrum
 from .ore import OreAlgebra
@@ -100,7 +100,7 @@ def present_eigenform(ef: Eigenform) -> str:
     if ef.case == "A11":
         nu = _elt_str(L, ef.nu)
         return f"f = (x - {nu})^{ef.i} * g((x - {nu})^{ef.n}) with g = {g}"
-    vb = "{" + ", ".join(_elt_str(L, v) for v in ef.v_values) + "}"
+    vb = "{" + ", ".join(_elt_str(L, v) for v in span_values(L, ef.v_basis)) + "}"
     if ef.case == "A10":
         nu = _elt_str(L, ef.nu)
         return (

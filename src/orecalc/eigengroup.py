@@ -33,7 +33,9 @@ the minimal power of the cyclic generator that can be corrected into the
 subfield by a shift from V.  Canonical choices throughout: nu is the packed
 minimum of its V-coset (at every level), lambda_n is the canonical
 primitive root of unity, bases are echelonized; identical inputs produce
-identical descriptors.
+identical descriptors.  V moves between the steps as its reduced echelon
+basis only; its values are listed where elements are (v_values of the
+descriptors, for elements() and the descent and variant-b scans).
 
 The inverse problem (realize a prescribed subgroup H as G_f) is solved by
 explicit witness polynomials per subgroup shape, and every structured result
@@ -63,7 +65,6 @@ from .poly import (
     roots_in_ext,
     roots_with_multiplicity,
     space_basis,
-    verify_fp_subspace,
 )
 
 DEFAULT_BRUTE_CAP = 1 << 10
@@ -201,7 +202,6 @@ class ShiftSpace:
         self.tower = tower
         self.level = level
         self.basis = tuple(basis)
-        self._values = None
         self._e = None
 
     def __eq__(self, other):
@@ -219,18 +219,13 @@ class ShiftSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def values(self) -> tuple[int, ...]:
-        if self._values is None:
-            self._values = span_values(self.tower.ext, self.basis)
-        return self._values
-
     @property
     def e(self) -> int | None:
         """Multiplier exponent: largest e with F_{p^e} V <= V (None for V = 0)."""
         if self.dim == 0:
             return None
         if self._e is None:
-            self._e = multiplier_field(self.tower.ext, self.values())
+            self._e = multiplier_field(self.tower.ext, self.basis)
         return self._e
 
 
@@ -321,7 +316,7 @@ class EigengroupDesc:
             out.append(
                 AffineAut(F, self.lambda_n, F.mul(F.sub(1, self.lambda_n), self.nu))
             )
-        vb = self.v_basis if self.kind == "finite" else space_basis(F, tuple(F.elements()))
+        vb = self.v_basis if self.kind == "finite" else (F.p**i for i in range(F.m))
         for v in vb:
             out.append(AffineAut(F, 1, v))
         return out
@@ -402,7 +397,7 @@ class Eigenform:
     n: int
     s: int
     g: Poly | None
-    v_values: tuple[int, ...]
+    v_basis: tuple[int, ...]
     lambda_n: int
 
     def expand(self) -> Poly:
@@ -412,12 +407,12 @@ class Eigenform:
         if self.case == "single_root":
             return Poly.from_values(L, (L.neg(self.nu), 1)) ** self.i
         if self.case in ("A10", "A11"):
-            w = f_V(L, self.v_values or (0,), self.nu)
+            w = f_V(L, self.v_basis, self.nu)
             g = self.g if self.g.is_constant() else self.g.compose(w**self.n)
             return w**self.i * g
         if self.case == "B11":
             p = L.p
-            return self.g.compose(f_V(L, self.v_values)) ** (p**self.s)
+            return self.g.compose(f_V(L, self.v_basis)) ** (p**self.s)
         raise InternalCheckError(f"unknown eigenform case {self.case!r}")
 
     def verify(self, fe: Poly) -> None:
@@ -442,9 +437,7 @@ class Eigenform:
             "n": self.n,
             "g": _poly_json(self.g),
             "s": self.s,
-            "V_basis": [_elt_json(L, v) for v in space_basis(L, self.v_values)]
-            if self.v_values
-            else [],
+            "V_basis": [_elt_json(L, v) for v in self.v_basis],
         }
 
 
@@ -518,10 +511,9 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
 
     # f1 = G(f_V); n is bounded by p^e - 1 when V != 0 (gcd(0, n) = n).
     ss = shift_space(rm)
-    v_vals, fv, big_g, bound = (), Poly.x(L), f1e, 0
+    fv, big_g, bound = Poly.x(L), f1e, 0
     if ss.dim:
-        v_vals = ss.values()
-        fv = f_V(L, v_vals)
+        fv = f_V(L, ss.basis)
         big_g = decompose_through(f1e, fv)
         if big_g is None:
             raise InternalCheckError("f1 must be a polynomial in f_V once V shifts f")
@@ -541,7 +533,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     if not hits:
         desc = EigengroupDesc("finite", tower, M, True, 0, 1, 1, ss.basis)
         if ss.dim:
-            form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, v_vals, 1)
+            form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, ss.basis, 1)
         else:
             form = Eigenform("none", f, tower, 0, 0, 1, s, None, (), 1)
     else:
@@ -552,7 +544,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
         lam = _unity_root(n, L)
         g = contract_exponents(g_nu, n) ** (p**s)
         desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
-        form = Eigenform("A10" if ss.dim else "A11", f, tower, nu, p**s * i_nu, n, s, g, v_vals, lam)
+        form = Eigenform("A10" if ss.dim else "A11", f, tower, nu, p**s * i_nu, n, s, g, ss.basis, lam)
     form.verify(fe)
     _verify_finite_generators(desc, fe)
     return EigengroupResult(f, tower, desc, form)
@@ -823,7 +815,7 @@ class SubgroupSpec:
         return span_values(self.field, self.v_basis)
 
     def validate(self) -> "SubgroupSpec":
-        F = self.field
+        F, basis = self.field, space_basis(self.field, self.v_basis)
         if self.kind not in ("trivial", "cyclic", "shift", "shift_cyclic", "torus", "full"):
             raise DomainError(f"unsupported subgroup kind {self.kind!r}")
         if self.kind == "cyclic":
@@ -831,18 +823,16 @@ class SubgroupSpec:
                 raise DomainError("cyclic subgroup order must be positive")
             if self.n > 1 and (F.q - 1) % self.n:
                 raise DomainError(f"no primitive root of unity of order {self.n} in the field")
-        if self.kind in ("shift", "shift_cyclic"):
-            if not self.v_basis or set(self.v_values()) == {0}:
-                raise DomainError("shift subgroup needs a nonzero space V")
-            verify_fp_subspace(F, self.v_values())
+        if self.kind in ("shift", "shift_cyclic") and not basis:
+            raise DomainError("shift subgroup needs a nonzero space V")
         # shift_cyclic of order 1 is realized as shift, variant and all
         shift = self.kind == "shift" or (self.kind == "shift_cyclic" and self.n == 1)
         if shift and self.variant not in ("a", "b"):
             raise DomainError("shift realization variant must be 'a' or 'b'")
-        if shift and self.variant == "b" and len(self.v_values()) == F.q:
+        if shift and self.variant == "b" and len(basis) == F.m:
             raise DomainError("variant 'b' needs V proper in the field")
         if self.kind == "shift_cyclic" and self.n > 1:
-            e = multiplier_field(F, self.v_values())
+            e = multiplier_field(F, basis)
             if (F.p**e - 1) % self.n:
                 raise DomainError(
                     f"cyclic order {self.n} does not divide p^e - 1 = {F.p**e - 1} "
@@ -878,22 +868,20 @@ def inverse_eigengroup(spec: SubgroupSpec) -> Poly:
     if kind == "cyclic":
         return Poly.from_values(F, (F.neg(spec.nu), 1)) ** spec.n - 1
     if kind == "shift":
-        vv = spec.v_values()
-        fv = f_V(F, vv)
+        fv = f_V(F, spec.v_basis)
         if spec.variant == "a":
             image = {fv.eval_value(a) for a in F.elements()}
             off = [r for r in F.elements() if r not in image]
             if not off:
                 raise InternalCheckError("additive map with nonzero kernel cannot be onto")
             return fv - Poly.from_values(F, (off[0],))
-        in_v = set(vv)
+        in_v = set(spec.v_values())
         nu_aux = next(v for v in F.elements() if v not in in_v)
         shifted = fv.compose_affine(1, F.neg(nu_aux))
         return fv * shifted * shifted
     if kind == "shift_cyclic":
-        vv = spec.v_values()
-        e = multiplier_field(F, vv)
-        fv_sh = f_V(F, vv).compose_affine(1, F.neg(spec.nu))
+        e = multiplier_field(F, spec.v_basis)
+        fv_sh = f_V(F, spec.v_basis).compose_affine(1, F.neg(spec.nu))
         if spec.n == F.p**e - 1:
             return fv_sh
         return fv_sh**spec.n + 1

@@ -55,7 +55,6 @@ from math import comb, gcd, lcm
 from .eigengroup import _elt_json, _poly_json, _reproducer, _require_monic_nonscalar
 from .errors import DomainError, InternalCheckError
 from .gf import SPECTRUM_PAIR_CAP, FieldDesc, Span, tower_over
-from .ore import OreAlgebra
 from .poly import (
     Poly,
     is_irreducible,
@@ -110,14 +109,14 @@ def mat_pow(F: FieldDesc, A, e: int):
 
 
 def mat_poly(F: FieldDesc, g: Poly, A):
-    """g(A) by Horner; g's field must be F.  It checks f(X) on both module
-    families and the relations on f; off f it is the tests' oracle for c(X)."""
-    d = len(A)
-    out = mat_zero(F, d)
+    """g(A) by Horner, each coefficient added on the diagonal; g's field must
+    be F.  It checks f(X) on both module families and the relations on f;
+    off f it is the tests' oracle for c(X)."""
+    out = mat_zero(F, len(A))
     for c in reversed(g.c):
         out = mat_mul(F, A, out)
         if c:
-            out = mat_add(F, out, mat_scale(F, mat_id(F, d), c))
+            out = tuple(row[:r] + (F.add(row[r], c),) + row[r + 1:] for r, row in enumerate(out))
     return out
 
 
@@ -237,7 +236,6 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
         F = K
         xbar = K.neg(p_i.c[0])
         fe, pie = f, p_i
-        c_e = OreAlgebra(f).c_poly
     else:
         tower = tower_over(K, K.m * e)
         F = tower.ext
@@ -246,7 +244,6 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
             raise InternalCheckError("irreducible p_i must split in its residue field")
         xbar = roots[0]
         fe, pie = lift_poly(f, tower), lift_poly(p_i, tower)
-        c_e = lift_poly(OreAlgebra(f).c_poly, tower)
     if q.field is not F:
         raise DomainError("q must be over the residue field K[x]/(p_i)")
     if q.degree < 1 or not q.is_monic() or not is_irreducible(q):
@@ -266,8 +263,9 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
     Y = tuple(Y)
 
     # defining relation and central characters: z1 acts as xbar^p, z2 as
-    # (y^p - c(xbar) y) mod q; then the residue relations
-    p, c = F.p, c_e.eval_value(xbar)
+    # (y^p - c(xbar) y) mod q, where c(xbar) = f'(xbar)^(p-1) as
+    # delta^(p-1)(f) = c f; then the residue relations
+    p, c = F.p, F.pow(fe.derivative().eval_value(xbar), F.p - 1)
     z2 = Poly.from_values(F, [0] * p + [1]) - Poly.from_values(F, (0, c))
     _check_relations(F, fe, X, Y, F.pow(xbar, p), c, mat_poly(F, z2 % q, Y))
     if mat_poly(F, pie, X) != mat_zero(F, d):

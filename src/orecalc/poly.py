@@ -1,7 +1,9 @@
 """Dense univariate polynomials over F_{p^m} and the structure operations
 the eigengroup machinery needs: exact root multisets over a splitting tower,
-exponent decompositions f = f_1^(p^s), additive polynomials f_V, multiplier
-fields, and decomposition through a fixed inner polynomial.
+exponent decompositions f = f_1^(p^s), the additive polynomial f_V and the
+multiplier field of the F_p-span V of any spanning set (both work from the
+reduced echelon basis space_basis returns), and decomposition through a
+fixed inner polynomial.
 
 Coefficients are stored low degree first as packed field values; the zero
 polynomial is the empty tuple.  Polynomials are immutable and hashable.
@@ -39,7 +41,7 @@ from itertools import islice
 from math import gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors, tower_over
+from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors, primitive_root_of_unity, tower_over
 
 
 class Poly:
@@ -816,20 +818,6 @@ def split_roots(g: Poly, k: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def verify_fp_subspace(field: FieldDesc, values) -> tuple[int, ...]:
-    """Check that a finite set is an F_p-subspace; returns the sorted values.
-
-    A set containing 0 is a subspace exactly when it has p^rank elements,
-    rank being the dimension of its span.
-    """
-    vals = tuple(sorted({field.element(v).val if not isinstance(v, int) else v for v in values}))
-    if 0 not in vals:
-        raise DomainError("an F_p-subspace must contain 0")
-    if len(vals) != field.p ** len(space_basis(field, vals)):
-        raise DomainError("set is not closed under addition")
-    return vals
-
-
 def space_basis(field: FieldDesc, values) -> tuple[int, ...]:
     """Reduced echelon F_p-basis (as packed values) of the span of the given values."""
     span = Span(field.prime_field)
@@ -839,17 +827,17 @@ def space_basis(field: FieldDesc, values) -> tuple[int, ...]:
 
 
 def f_V(field: FieldDesc, V, nu=0) -> Poly:
-    """prod_{v in V} (x - nu - v) for an F_p-subspace V; additive when nu = 0.
+    """prod_{v in V} (x - nu - v) for the F_p-span V of the given values (a
+    basis or all of V); additive when nu = 0.
 
-    Built from a basis of V by Ore's recursion f_{U + <b>} = f_U^p -
-    f_U(b)^(p-1) f_U, starting from f_0 = x; f_V is additive, so the shift
-    by nu is f_V(x) - f_V(nu).
+    Built from the reduced echelon basis of V by Ore's recursion
+    f_{U + <b>} = f_U^p - f_U(b)^(p-1) f_U, starting from f_0 = x; f_V is
+    additive, so the shift by nu is f_V(x) - f_V(nu).
     """
-    vals = verify_fp_subspace(field, V)
     nu_val = field.element(nu).val if not isinstance(nu, int) else nu
     p = field.p
     out = Poly.x(field)
-    for b in space_basis(field, vals):
+    for b in space_basis(field, V):
         c = field.pow(out.eval_value(b), p - 1)
         frob = [0] * (out.degree * p + 1)
         frob[::p] = (field.frob(v) for v in out.c)
@@ -858,25 +846,18 @@ def f_V(field: FieldDesc, V, nu=0) -> Poly:
 
 
 def multiplier_field(field: FieldDesc, V) -> int:
-    """Largest e with F_{p^e} V <= V, for a nonzero subspace V inside the field."""
-    vals = verify_fp_subspace(field, V)
-    if len(vals) == 1:
+    """Largest e with F_{p^e} V <= V, for the nonzero F_p-span V of the given
+    values: F_p(gamma) stabilises V exactly when gamma times its reduced
+    echelon basis spans nothing new."""
+    basis = space_basis(field, V)
+    if not basis:
         raise DomainError("multiplier field of the zero space")
-    n = 0
-    size = len(vals)
-    while size > 1:
-        size //= field.p
-        n += 1
-    from .gf import primitive_root_of_unity
-
-    vset = set(vals)
-    basis = space_basis(field, vals)
     best = 1
-    for e in divisors(gcd(n, field.m)):
+    for e in divisors(gcd(len(basis), field.m)):
         if e == 1:
             continue
         gamma = primitive_root_of_unity(field.p**e - 1, field).val
-        if all(field.mul(gamma, b) in vset for b in basis):
+        if space_basis(field, basis + tuple(field.mul(gamma, b) for b in basis)) == basis:
             best = max(best, e)
     return best
 

@@ -8,16 +8,27 @@ own Taylor shifts.  The root finder's former slow paths live here too, on
 Poly arithmetic with a full remainder per product: square-and-multiply
 powers, the distinct-degree loop that raises to the q-th power at every
 degree, Rabin's test on those powers, equal-degree splitting by the
-(Q-1)/2-th power, and f_V as the product of its |V| linear factors.  The
-spectrum's closed points come from its former walk over every pair
-(xi, rho), with element-wise Frobenius orbits and subfield tests.
+(Q-1)/2-th power, and f_V as the product of its |V| linear factors.
+Subspaces given by all their values are checked by rank (p^rank elements),
+and their multiplier field is found by set membership.  The spectrum's
+closed points come from its former walk over every pair (xi, rho), with
+element-wise Frobenius orbits and subfield tests.
 """
 
 import random
+from math import gcd
 
 from orecalc.eigengroup import DEFAULT_BRUTE_CAP, affine_matches, shift_space
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import FieldDesc, FieldTower, prime_factors, span_values, tower_over
+from orecalc.gf import (
+    FieldDesc,
+    FieldTower,
+    divisors,
+    prime_factors,
+    primitive_root_of_unity,
+    span_values,
+    tower_over,
+)
 from orecalc.poly import (
     Poly,
     exponent_decomp,
@@ -26,7 +37,7 @@ from orecalc.poly import (
     radical,
     roots_in_ext,
     roots_with_multiplicity,
-    verify_fp_subspace,
+    space_basis,
 )
 
 
@@ -186,6 +197,43 @@ def split_roots_oracle(g: Poly, seed: int = 0) -> list[int]:
                 todo += [w, u // w]
                 break
     return sorted(out)
+
+
+def verify_fp_subspace(field: FieldDesc, values) -> tuple[int, ...]:
+    """Check that a finite set is an F_p-subspace; returns the sorted values.
+
+    A set containing 0 is a subspace exactly when it has p^rank elements,
+    rank being the dimension of its span.
+    """
+    vals = tuple(sorted({field.element(v).val if not isinstance(v, int) else v for v in values}))
+    if 0 not in vals:
+        raise DomainError("an F_p-subspace must contain 0")
+    if len(vals) != field.p ** len(space_basis(field, vals)):
+        raise DomainError("set is not closed under addition")
+    return vals
+
+
+def multiplier_field_oracle(field: FieldDesc, V) -> int:
+    """Largest e with F_{p^e} V <= V for a nonzero subspace V given by all
+    its values: gamma, of order p^e - 1, must send a basis into the set V."""
+    vals = verify_fp_subspace(field, V)
+    if len(vals) == 1:
+        raise DomainError("multiplier field of the zero space")
+    n = 0
+    size = len(vals)
+    while size > 1:
+        size //= field.p
+        n += 1
+    vset = set(vals)
+    basis = space_basis(field, vals)
+    best = 1
+    for e in divisors(gcd(n, field.m)):
+        if e == 1:
+            continue
+        gamma = primitive_root_of_unity(field.p**e - 1, field).val
+        if all(field.mul(gamma, b) in vset for b in basis):
+            best = max(best, e)
+    return best
 
 
 def f_V_oracle(field: FieldDesc, V, nu=0) -> Poly:

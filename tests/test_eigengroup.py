@@ -7,7 +7,7 @@ import pytest
 
 from orecalc.cli import run
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import GF, primitive_root_of_unity, tower_over
+from orecalc.gf import GF, primitive_root_of_unity, span_values, tower_over
 from orecalc.eigengroup import (
     DEFAULT_BRUTE_CAP,
     AffineAut,
@@ -128,7 +128,7 @@ def test_bruteforce_preconditions_and_cap():
 def test_shift_space_examples():
     F3, F5 = GF(3), GF(5)
     ss = shift_space(roots_with_multiplicity(Poly(F3, (0, 2, 0, 1))))  # x^3 - x
-    assert set(ss.values()) == {0, 1, 2}
+    assert set(span_values(ss.tower.ext, ss.basis)) == {0, 1, 2}
     assert ss.e == 1
     f = Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2
     assert shift_space(roots_with_multiplicity(f)).dim == 0  # multiplicities 1 and 2 differ
@@ -142,10 +142,10 @@ def test_shift_space_levels():
     f = Poly.from_values(F3, [0, 2] + [0] * 7 + [1])  # x^9 - x
     rm = roots_with_multiplicity(f)
     full = shift_space(rm)
-    assert len(full.values()) == 9 and full.e == 2
+    assert len(span_values(full.tower.ext, full.basis)) == 9 and full.e == 2
     level1 = shift_space(rm, level=1)
-    assert len(level1.values()) == 3
-    assert set(level1.values()) == set(subfield_values(level1.tower, 1))
+    assert len(span_values(level1.tower.ext, level1.basis)) == 3
+    assert set(span_values(level1.tower.ext, level1.basis)) == set(subfield_values(level1.tower, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +450,19 @@ def test_full_kind_normalization():
     assert pairs_of(desc.elements()) == {(l, m) for l in (1, 2) for m in (0, 1, 2)}
 
 
+def test_full_kind_generators():
+    """A "full" descriptor (G_f for f = x^q - x) is generated by
+    sigma_{lambda_n, 0}, lambda_n the canonical generator of F^x (none when
+    q = 2), then the unit shifts sigma_{1, p^i}, i < m."""
+    for F in (GF(2), GF(3), GF(7), GF(2, 2), GF(2, 3), GF(2, 4), GF(3, 2)):
+        f = Poly.from_values(F, [0, F.neg(1)] + [0] * (F.q - 2) + [1])
+        desc = eigengroup(f).descend()
+        assert desc.kind == "full"
+        want = [(primitive_root_of_unity(F.q - 1, F).val, 0)] if F.q > 2 else []
+        want += [(1, F.p**i) for i in range(F.m)]
+        assert [g.pair for g in desc.generators()] == want
+
+
 # ---------------------------------------------------------------------------
 # Group descriptor mechanics
 # ---------------------------------------------------------------------------
@@ -721,6 +734,10 @@ def test_inverse_validation():
         SubgroupSpec("shift", F3).validate()  # V = 0
     with pytest.raises(DomainError):
         SubgroupSpec("shift", F4, v_basis=(1, 2), variant="b").validate()  # V full
+    with pytest.raises(DomainError):
+        SubgroupSpec("shift", F4, v_basis=(0, 0)).validate()  # a redundant basis of V = 0
+    with pytest.raises(DomainError):
+        SubgroupSpec("shift", F4, v_basis=(1, 2, 3), variant="b").validate()  # spans all of F_4
     with pytest.raises(DomainError):
         SubgroupSpec("shift_cyclic", F4, n=2, v_basis=(1,)).validate()
     with pytest.raises(DomainError):

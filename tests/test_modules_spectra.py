@@ -33,7 +33,8 @@ from orecalc.modules_spectra import (
     spectrum,
     word_span_dim,
 )
-from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext
+from orecalc.ore import OreAlgebra
+from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext, roots_with_multiplicity
 
 from oracles import is_irreducible_oracle, monic_polys, roots_in_field, spectrum_points_oracle
 
@@ -474,6 +475,30 @@ def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
         simple_module_off_f(f, xi, rho)
     monkeypatch.undo()
     assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)], ids=lambda v: str(v))
+def test_c_at_a_root_of_f_is_a_power_of_f_prime(p, m):
+    """c(xbar) = f'(xbar)^(p-1) at every root xbar of f, as simple_module_on_f
+    takes it: delta^(p-1)(f) = c f, so at a simple root c(xbar) is f'(xbar)
+    p - 1 times over, and at a multiple root both sides vanish.  Checked
+    against OreAlgebra(f).c_poly over the splitting field, for seeded f
+    with a repeated linear factor and a random cofactor."""
+    K = GF(p, m)
+    rng = random.Random(31 * p + m)
+    x = Poly.x(K)
+    multiple = 0
+    for _ in range(10):
+        a, b = rng.randrange(K.q), rng.randrange(K.q)
+        g = Poly.from_values(K, [rng.randrange(K.q) for _ in range(rng.randrange(1, 4))] + [1])
+        f = (x - K.from_value(a)) ** rng.randrange(1, 4) * (x - K.from_value(b)) * g
+        rm = roots_with_multiplicity(f)
+        L, fe = rm.tower.ext, rm.lifted
+        c = lift_poly(OreAlgebra(f).c_poly, rm.tower)
+        for r, mult in rm.pairs:
+            assert c.eval_value(r) == L.pow(fe.derivative().eval_value(r), p - 1)
+            multiple += mult > 1
+    assert multiple
 
 
 def _c_poly(f):

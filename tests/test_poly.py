@@ -6,7 +6,7 @@ import pytest
 
 from orecalc import poly as poly_mod
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import GF, span_values, tower_over
+from orecalc.gf import GF, divisors, primitive_root_of_unity, span_values, tower_over
 from orecalc.poly import (
     Poly,
     decompose_through,
@@ -28,7 +28,6 @@ from orecalc.poly import (
     splitting_degree,
     split_roots,
     splitting_tower,
-    verify_fp_subspace,
 )
 
 from oracles import (
@@ -36,9 +35,11 @@ from oracles import (
     f_V_oracle,
     is_irreducible_oracle,
     monic_polys,
+    multiplier_field_oracle,
     pow_mod_oracle,
     roots_in_field,
     split_roots_oracle,
+    verify_fp_subspace,
 )
 
 
@@ -638,8 +639,8 @@ def test_f_V_closed_forms():
     assert f_V(L, tuple(L.elements()), 0) == Poly.from_values(L, (0, 1, 0, 0, 1))
     # V = {0} gives x - nu
     assert f_V(GF(5), (0,), 3) == Poly(GF(5), (-3, 1))
-    with pytest.raises(DomainError):
-        f_V(GF(5), (0, 1, 2), 0)  # not closed under addition
+    # a set that is not closed stands for its span: {0, 1, 2} spans F_5
+    assert f_V(GF(5), (0, 1, 2), 0) == Poly(GF(5), (0, -1, 0, 0, 0, 1))
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (2, 20), (3, 12)])
@@ -654,6 +655,35 @@ def test_f_V_recursion_matches_the_product(p, m):
         V = span_values(F, [rng.randrange(1, F.q) for _ in range(dim)])
         for nu in (0, rng.randrange(F.q)):
             assert f_V(F, V, nu) == f_V_oracle(F, V, nu)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 4), (5, 2), (2, 20)])
+def test_f_V_and_multiplier_field_take_any_spanning_set(p, m):
+    """A basis padded with 0, repeats and sums gives the f_V and the
+    multiplier field of its span: against the product of |V| linear factors
+    and against membership of gamma times a basis in the value set.  Half
+    the spaces are sums of lines b F_{p^e}, spanned by b gamma^i, i < e."""
+    rng = random.Random(p * 1000 + m)
+    F = GF(p, m)
+    degrees = [e for e in divisors(m) if p**e <= 1 << 12]
+    for trial in range(16):
+        if trial % 2:
+            e = degrees[trial // 2 % len(degrees)]
+            gamma = primitive_root_of_unity(p**e - 1, F).val
+            bs = [rng.randrange(1, F.q) for _ in range(rng.randrange(1, 3) if p ** (2 * e) <= 1 << 12 else 1)]
+            basis = [F.mul(b, F.pow(gamma, i)) for b in bs for i in range(e)]
+        else:
+            basis = [rng.randrange(1, F.q) for _ in range(rng.randrange(1, min(m, 3) + 1))]
+        sums = [F.add(rng.choice(basis), rng.choice(basis)) for _ in range(2)]
+        S = basis + [0, rng.choice(basis)] + sums
+        rng.shuffle(S)
+        V = span_values(F, S)
+        assert multiplier_field(F, S) == multiplier_field_oracle(F, V)
+        if len(V) <= 64:
+            for nu in (0, rng.randrange(F.q)):
+                assert f_V(F, S, nu) == f_V_oracle(F, V, nu)
+    with pytest.raises(DomainError):
+        multiplier_field(F, (0, 0))
 
 
 def test_space_basis_and_subspace_rank_check():
