@@ -60,6 +60,7 @@ from .eigengroup import (
     eigengroup_bruteforce,
     eigengroup_closed,
     eigengroup_descend,
+    eigengroup_over_base,
     inverse_eigengroup,
     shift_space,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "eigengroup_bruteforce",
     "eigengroup_closed",
     "eigengroup_descend",
+    "eigengroup_over_base",
     "exponent_decomp",
     "f_V",
     "factor_into_irreducibles",

@@ -30,12 +30,15 @@ eigenform and the laws of the stored generators are each checked once.
 
 Descent to a subfield F_{p^j} of L intersects V with the subfield and finds
 the minimal power of the cyclic generator that can be corrected into the
-subfield by a shift from V.  Canonical choices throughout: nu is the packed
-minimum of its V-coset (at every level), lambda_n is the canonical
-primitive root of unity, bases are echelonized; identical inputs produce
-identical descriptors.  V moves between the steps as its reduced echelon
-basis only; its values are listed where elements are (v_values of the
-descriptors, for elements() and the descent and variant-b scans).
+subfield by a shift from V.  G_f(K) alone needs no splitting field:
+eigengroup_over_base reads it from the eigenpairs that solve_affine_matches
+finds over K, and the descent to K must give the same descriptor.
+Canonical choices throughout: nu is the packed minimum of its V-coset (at
+every level), lambda_n is the level field's own primitive_root_of_unity(n),
+bases are echelonized; identical inputs produce identical descriptors.  V
+moves between the steps as its reduced echelon basis only; its values are
+listed where elements are (v_values of the descriptors, for elements() and
+the descent and variant-b scans).
 
 The inverse problem (realize a prescribed subgroup H as G_f) is solved by
 explicit witness polynomials per subgroup shape, and every structured result
@@ -446,6 +449,35 @@ class Eigenform:
 # ---------------------------------------------------------------------------
 
 
+def torus_centre(f: Poly) -> int | None:
+    """The a with f = c (x - a)^deg f, c the leading coefficient, or None.
+
+    With deg f = p^s d' and p not dividing d', such an f is
+    c (x^(p^s) - t)^d' with t = a^(p^s): the x^(deg f - p^s) coefficient
+    -c d' t names t, the coefficients are compared with the binomial
+    expansion from the top down, and a is the (p^s)-th root of t.
+    Constants give None."""
+    F, d = f.field, f.degree
+    if d < 1:
+        return None
+    ps = 1
+    while d % (ps * F.p) == 0:
+        ps *= F.p
+    d1, c = d // ps, f.c[-1]
+    neg_t = F.div(f.c[d - ps], F.mul(c, d1 % F.p))
+    coef = c
+    for i in range(d1, -1, -1):
+        if f.c[i * ps] != F.mul(comb(d1, i) % F.p, coef):
+            return None
+        coef = F.mul(coef, neg_t)
+    if any(f.c[k] for k in range(d) if k % ps):
+        return None
+    t = F.neg(neg_t)
+    while ps > 1:
+        t, ps = F.pth_root(t), ps // F.p
+    return t
+
+
 def _strip_valuation(w: Poly) -> tuple[int, Poly]:
     i = w.valuation()
     return i, Poly.from_values(w.field, w.c[i:])
@@ -601,7 +633,7 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
             if not tower.in_subfield(mu2, level):
                 raise InternalCheckError("descent shift correction left the subfield")
             n_k = desc.n // i2
-            lam_k = lower(lam2)
+            lam_k = primitive_root_of_unity(n_k, lvl.desc).val
             nu_k = _coset_min(lvl.desc, lower(L.div(mu2, L.sub(1, lam2))), vk_basis)
             break
 
@@ -718,15 +750,18 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     b_k(mu) / g_k wherever g_k != 0, so with sum_k u_k (d - k) = t, the gcd
     of those exponents (t divides e), the candidate lam are the roots in K
     of lam^t = prod_k (b_k(mu) / g_k)^(u_k): b_j(mu) / g_j alone when
-    t = 1.  Every candidate is checked against all coefficients.  With no
-    such j (g = g_d x^d) G is the gcd of all b_k, whose roots are exactly
-    the matching mu, and every unit goes with each of them.
+    t = 1, and found once per right-hand side.  Every candidate is checked
+    against all coefficients.  With no such j (g = g_d x^d) G is the gcd of
+    all b_k, whose roots are exactly the matching mu, and every unit goes
+    with each of them.
 
     G = 0 puts every mu in K.  It happens for the torus kind (f = c(x - a)^d
     and g = c(x - b)^d), and whenever every equation vanishes on K.  For
     e = 1 the matches are then exactly (b_j(mu) / g_j, mu) with b_j(mu) != 0,
     returned in closed form; for e > 1 this falls back to the scan,
     affine_matches(f, g).  Degree below 1 matches every pair when f = g.
+    are_isomorphic and eigengroup_over_base read the torus kind off by
+    torus_centre before calling this.
     """
     if f.field is not g.field:
         raise DomainError("polynomials over different fields")
@@ -770,7 +805,7 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     ks = [k for k in range(d - 1, -1, -1) if gc[k]]
     t, us = _bezout([d - k for k in ks])
     tower = tower_over(F, F.m)
-    out = []
+    out, lams_of = [], {}
     for mu in roots_in_ext(G, tower):
         if j is None:
             out += [(lam, mu) for lam in F.units()]
@@ -781,12 +816,50 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
         c = 1
         for k, u in zip(ks, us):
             c = F.mul(c, F.pow(F.div(bm[k], gc[k]), u))
-        lams = [c] if t == 1 else roots_in_ext(Poly.from_values(F, [F.neg(c)] + [0] * (t - 1) + [1]), tower)
-        for lam in lams:
+        if c not in lams_of:
+            lams_of[c] = [c] if t == 1 else roots_in_ext(Poly.from_values(F, [F.neg(c)] + [0] * (t - 1) + [1]), tower)
+        for lam in lams_of[c]:
             if all(bm[k] == F.mul(F.pow(lam, d - k), gc[k]) for k in range(d)):
                 out.append((lam, mu))
     out.sort()
     return out
+
+
+def eigengroup_over_base(f: Poly) -> EigengroupDesc:
+    """G_f(K) over the coefficient field K of f, with no splitting field.
+
+    The torus kind f = (x - a)^d is T_a in closed form.  Otherwise
+    G_f(K) = Sh_V x| C_n is exactly the list solve_affine_matches(f, f):
+    V is spanned by the mu with lam = 1, n counts the distinct lam,
+    lambda_n is K's primitive_root_of_unity(n), and nu is the coset minimum
+    of the fixed point of its match, as in the descent.  The descriptor's
+    elements must be the solved list; otherwise InternalCheckError is
+    raised at stage aut.solve with the CLI line that repeats the query.
+    """
+    _require_monic_nonscalar(f)
+    K = f.field
+    tower = tower_over(K, K.m)
+    a = torus_centre(f)
+    if a is not None:
+        return EigengroupDesc("torus", tower, K.m, False, a, 0, 1, ())
+    matches = solve_affine_matches(f, f)
+    mu_of = dict(matches)  # lam -> one of its mu; all share one fixed-point coset
+    n = len(mu_of)
+    vk = space_basis(K, [mu for lam, mu in matches if lam == 1])
+    lam = primitive_root_of_unity(n, K).val if n and (K.q - 1) % n == 0 else None
+    desc = None
+    if lam in mu_of:
+        if len(vk) == K.m and n == K.q - 1:
+            desc = EigengroupDesc("full", tower, K.m, False, 0, n, lam, vk)
+        else:
+            nu = _coset_min(K, K.div(mu_of[lam], K.sub(1, lam)), vk) if n > 1 else 0
+            desc = EigengroupDesc("finite", tower, K.m, False, nu, n, lam, vk)
+    if desc is None or [el.pair for el in desc.elements()] != matches:
+        line = _reproducer("aut-group", K, "--f", repr(f))
+        raise InternalCheckError(
+            f"stage=aut.solve: the solved eigenpairs are not the elements of a subgroup descriptor; {line}"
+        )
+    return desc
 
 
 # ---------------------------------------------------------------------------

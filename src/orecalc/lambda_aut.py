@@ -28,8 +28,9 @@ from .eigengroup import (
     EigengroupDesc,
     _reproducer,
     _require_monic_nonscalar,
-    eigengroup,
+    eigengroup_over_base,
     solve_affine_matches,
+    torus_centre,
 )
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc
@@ -183,11 +184,13 @@ class AutGroupDesc:
 
 
 def aut_group(f: Poly) -> AutGroupDesc:
-    """Automorphism group of Lambda(f) for monic nonscalar f."""
+    """Automorphism group of Lambda(f) for monic nonscalar f.
+
+    G_f(K) comes from eigengroup_over_base, the solve over K, so no
+    splitting field is built; every generator then transports the
+    defining relation."""
     _require_monic_nonscalar(f)
-    algebra = OreAlgebra(f)
-    eigen = eigengroup(f).descend()
-    desc = AutGroupDesc(algebra, eigen)
+    desc = AutGroupDesc(OreAlgebra(f), eigengroup_over_base(f))
     for g in desc.generators():
         g.verify()
     return desc
@@ -228,14 +231,20 @@ def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
     The criterion is g = alpha^(-d) f(alpha*x + beta); solve_affine_matches
     finds every (alpha, beta) in K from the roots of the equations left
     after eliminating alpha, and the first witness in (alpha, beta) order is
-    returned after transporting the defining relation through it.  A
+    returned after transporting the defining relation through it.  A torus
+    pair (x - a)^d, (x - b)^d has q - 1 witnesses (lam, a - b*lam), and
+    the first, (1, a - b), is taken without listing them.  A
     witness that fails the transport raises InternalCheckError at stage
     iso.solve with the CLI line that repeats the query.  The scan
     affine_matches, one Taylor shift per beta, is the oracle it agrees with.
     """
     _require_monic_nonscalar(f)
     _require_monic_nonscalar(g)
-    matches = solve_affine_matches(f, g)
+    a, b = torus_centre(f), torus_centre(g)
+    if a is not None and b is not None and f.degree == g.degree:
+        matches = [(1, f.field.sub(a, b))]
+    else:
+        matches = solve_affine_matches(f, g)
     if not matches:
         return IsoResult(False, None, None, None)
     alpha, beta = matches[0]

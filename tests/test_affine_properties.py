@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 
 import random
 
-from orecalc.eigengroup import affine_matches, solve_affine_matches
-from orecalc.gf import GF
-from orecalc.lambda_aut import are_isomorphic
-from orecalc.poly import Poly, lift_poly, splitting_tower
+from orecalc.eigengroup import (
+    SubgroupSpec,
+    affine_matches,
+    inverse_eigengroup,
+    solve_affine_matches,
+    torus_centre,
+)
+from orecalc.gf import GF, primitive_root_of_unity
+from orecalc.lambda_aut import are_isomorphic, aut_group
+from orecalc.poly import Poly, lift_poly, radical, splitting_tower
 
 from oracles import eigengroup_bruteforce_in_tower, subfield_values
 
@@ -195,6 +201,74 @@ def test_torus_pairs_collapse(F):
             if d > 1:  # one root moved off the torus: nothing matches
                 h = g * Poly.from_values(F, (F.neg(F.add(b, 1)), 1)) // Poly.from_values(F, (F.neg(b), 1))
                 assert solve_affine_matches(f, h) == oracle_matches(f, h) == []
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF{F.q}")
+def test_torus_centre_is_the_linear_radical(F):
+    """torus_centre(f) is a exactly when radical(f) = x - a, for scaled
+    powers (x - a)^d with p | d among them, and None on every other f."""
+    rng = random.Random(f"torus-centre/{F.q}")
+    for d in (1, 2, 3, F.p, 2 * F.p, F.p**2, 3 * F.p):
+        a, c = rng.randrange(F.q), rng.randrange(1, F.q)
+        f = (Poly.from_values(F, (F.neg(a), 1)) ** d).scale_value(c)
+        assert torus_centre(f) == a
+        for g in (f + Poly.x(F), f + Poly.one(F), Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [c])):
+            rad = radical(g)
+            assert torus_centre(g) == (F.neg(rad.c[0]) if rad.degree == 1 else None), g
+
+
+@pytest.mark.parametrize("F", [GF(7), GF(2, 4), GF(3, 2)], ids=["GF7", "GF2_4", "GF3_2"])
+def test_torus_pairs_are_decided_without_listing(F, shift_calls):
+    """A torus pair gets the witness (1, a - b), the least match, with one
+    Taylor shift: the relation check of the witness."""
+    rng = random.Random(f"torus-witness/{F.q}")
+    for d in (1, 2, F.p, 2 * F.p + 1):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        f, g = (Poly.from_values(F, (F.neg(r), 1)) ** d for r in (a, b))
+        shift_calls.clear()
+        res = are_isomorphic(f, g)
+        assert (res.alpha, res.beta) == (1, F.sub(a, b)) == min(oracle_matches(f, g))
+        assert len(shift_calls) == 1
+        assert not are_isomorphic(f, g * Poly.x(F)).isomorphic
+
+
+@st.composite
+def subgroup_specs(draw):
+    """Valid SubgroupSpec of all six kinds over fields up to 27 elements."""
+    F = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2), GF(3, 3)]))
+    kind = draw(st.sampled_from(["trivial", "cyclic", "shift", "shift_cyclic", "torus", "full"]))
+    nu = draw(st.integers(0, F.q - 1))
+    if kind == "cyclic":
+        n = draw(st.sampled_from([k for k in range(1, F.q) if (F.q - 1) % k == 0]))
+        return SubgroupSpec(kind, F, n=n, nu=nu)
+    if kind in ("shift", "shift_cyclic"):
+        # V = beta * F_{p^e}, spanned over F_p by beta times a power basis
+        e = draw(st.sampled_from([e for e in range(1, F.m + 1) if F.m % e == 0]))
+        zeta = primitive_root_of_unity(F.p**e - 1, F).val if F.p**e > 2 else 1
+        beta = draw(st.integers(1, F.q - 1))
+        basis = tuple(F.mul(beta, F.pow(zeta, i)) for i in range(e))
+        n = 1
+        if kind == "shift_cyclic":
+            n = draw(st.sampled_from([k for k in range(1, F.p**e) if (F.p**e - 1) % k == 0]))
+        variant = "a" if e == F.m else draw(st.sampled_from("ab"))
+        return SubgroupSpec(kind, F, n=n, nu=nu, v_basis=basis, variant=variant)
+    return SubgroupSpec(kind, F, nu=nu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(subgroup_specs())
+def test_inverse_problem_round_trips_through_the_solve(spec):
+    f = inverse_eigengroup(spec.validate())
+    assert _pairs(aut_group(f).eigen.elements()) == _pairs(spec.elements())
+
+
+@settings(max_examples=80, deadline=None)
+@given(subgroup_specs())
+def test_inverse_problem_round_trips_through_the_solve(spec):
+    """The group realized by inverse_eigengroup, read back by aut_group
+    from the solve over K, is the prescribed one, for all six kinds."""
+    f = inverse_eigengroup(spec.validate())
+    assert [a.pair for a in aut_group(f).eigen.elements()] == [a.pair for a in spec.elements()]
 
 
 @pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF{F.q}")

@@ -14,7 +14,7 @@ import pytest
 import orecalc.cli as cli
 from orecalc import poly as poly_mod
 from orecalc.cli import main, run
-from orecalc.gf import GF
+from orecalc.gf import GF, primitive_root_of_unity
 from orecalc.parsing import parse_poly
 from orecalc.poly import Poly
 
@@ -365,10 +365,8 @@ def test_isomorphic_powers_stay_below_the_field_size(monkeypatch):
 
 def _fuzz_queries(rng, F, spec, degrees):
     """Seeded isomorphic/aut-group queries: partners, random pairs, torus
-    pairs, and inputs the CLI must refuse (unequal degrees, non-monic).
-    Torus pairs f = (x - a)^d, g = (x - b)^d are drawn over the small fields
-    only: their match list has q - 1 pairs, too many to list over GF(2^20)
-    within the timeout."""
+    pairs f = (x - a)^d, g = (x - b)^d, and inputs the CLI must refuse
+    (unequal degrees, non-monic)."""
     for _ in range(6):
         d = rng.choice(degrees)
         f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
@@ -376,7 +374,7 @@ def _fuzz_queries(rng, F, spec, degrees):
         if kind == "partner":
             lam, mu = rng.randrange(1, F.q), rng.randrange(F.q)
             g = f.compose_affine(lam, mu).scale_value(F.inv(F.pow(lam, d)))
-        elif kind == "torus" and F.q < 1 << 10:
+        elif kind == "torus":
             f, g = (Poly.from_values(F, (rng.randrange(F.q), 1)) ** d for _ in range(2))
         elif kind == "degree":
             g = f * Poly.x(F)
@@ -390,17 +388,21 @@ def _fuzz_queries(rng, F, spec, degrees):
             yield ["isomorphic", "--field", spec, "--f", _vector(F, f), "--g", _vector(F, g)]
 
 
-@pytest.mark.parametrize("p,m,degrees", [
-    (2, 1, (1, 2, 3, 4)), (7, 1, (1, 2, 3, 7)), (3, 2, (1, 2, 3, 6)), (2, 3, (2, 3, 4)),
-    # degree >= 2: two linear polynomials over GF(2^20) always form a torus pair
-    (2, 20, (2, 3, 4)),
+# torus pairs over GF(2^20) that listed all 2^20 - 1 matches (13.5 s and 130 s)
+TORUS_2_20 = [["isomorphic", "--field", "GF(2^20)", "--f", f, "--g", g]
+              for f, g in (("x", "x+1"), ("x^2", "x^2+1"))]
+
+
+@pytest.mark.parametrize("p,m,degrees,fixed", [
+    (2, 1, (1, 2, 3, 4), []), (7, 1, (1, 2, 3, 7), []), (3, 2, (1, 2, 3, 6), []),
+    (2, 3, (2, 3, 4), []), (2, 20, (1, 2, 3, 4), TORUS_2_20),
 ], ids=["GF2", "GF7", "GF9", "GF8", "GF2_20"])
-def test_isomorphism_queries_exit_cleanly(p, m, degrees):
+def test_isomorphism_queries_exit_cleanly(p, m, degrees, fixed):
     """Every seeded query answers (exit 0, JSON on stdout) or is refused
     (exit 1, one error line) within the subprocess timeout; no traceback."""
     F = GF(p, m)
     spec = f"GF({p})" if m == 1 else f"GF({p}^{m})"
-    for args in _fuzz_queries(random.Random(f"fuzz/{p}/{m}"), F, spec, degrees):
+    for args in fixed + list(_fuzz_queries(random.Random(f"fuzz/{p}/{m}"), F, spec, degrees)):
         proc = _module_cli(args, timeout=30)
         assert proc.returncode in (0, 1), (args, proc.stderr)
         assert b"Traceback" not in proc.stderr, (args, proc.stderr)
@@ -408,3 +410,28 @@ def test_isomorphism_queries_exit_cleanly(p, m, degrees):
             json.loads(proc.stdout)
         else:
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
+
+
+def test_torus_pairs_over_gf_2_20_take_the_first_match():
+    """(x - a)^d and (x - b)^d have the least match (1, a - b); it is read
+    off without listing the q - 1 matches, so each process is quick."""
+    one = [1] + [0] * 19
+    for args in TORUS_2_20:
+        proc = _module_cli(args, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"alpha": one, "beta": one, "isomorphic": True, "lambda": one}
+
+
+@pytest.mark.parametrize("f", ["x^12 + x^8", "x^12 + 4*x^8"])
+def test_eigengroup_and_aut_group_print_the_canonical_lambda_n(f):
+    """Both inputs have G_f(GF(5)) = {x -> lam x : lam^4 = 1}.  Their
+    splitting fields differ, and the printed generator does not depend on
+    them: lambda_n is GF(5)'s own primitive_root_of_unity(4)."""
+    lam = primitive_root_of_unity(4, GF(5)).val
+    eig = run_json(["eigengroup", "--field", "GF(5)", "--f", f])
+    aut = run_json(["aut-group", "--field", "GF(5)", "--f", f])["eigen_part"]
+    assert eig["lambda_n"] == aut["lambda_n"] == lam
+    assert {k: v for k, v in eig.items() if k != "closure"} == aut
+    gen = f"⟨σ_{{{lam},0}}⟩, order 4"
+    assert run(["eigengroup", "--field", "GF(5)", "--f", f, "--format", "text"])[1].startswith(f"G_f(GF(5)): {gen}\n")
+    assert run(["aut-group", "--field", "GF(5)", "--f", f, "--format", "text"])[1].endswith(f"eigen part: {gen}")

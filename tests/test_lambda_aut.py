@@ -3,15 +3,22 @@
 import json
 import random
 import shlex
+import sys
 
 import pytest
 
 import orecalc.cli as cli
 from orecalc import lambda_aut
+from orecalc.eigengroup import (
+    DEFAULT_BRUTE_CAP,
+    eigengroup,
+    eigengroup_bruteforce,
+)
 from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, tower_over
 from orecalc.lambda_aut import LambdaAut, OreHom, aut_group, are_isomorphic
 from orecalc.ore import OreAlgebra
+from orecalc.parsing import parse_field, parse_poly
 from orecalc.poly import Poly, is_irreducible, roots_in_ext
 
 from oracles import monic_polys
@@ -288,3 +295,112 @@ def test_iso_check_error_names_stage_and_reproducer(F, monkeypatch):
     code, out = cli.run(argv[1:])
     assert code == 0, out
     assert json.loads(out) == good
+
+
+# ---------------------------------------------------------------------------
+# G_f(K) by the solve over K, against the descent and brute force
+# ---------------------------------------------------------------------------
+
+
+def _pairs(auts):
+    return [a.pair for a in auts]
+
+
+def _random_monic(F, d, rng):
+    return Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+
+
+def _structured(F, rng):
+    """h((x - nu)^n) with n | q - 1, or h(x^p - x): inputs with a cyclic
+    part or with shifts."""
+    if rng.random() < 0.5 and F.q > 3:
+        n = rng.choice([k for k in range(2, 18) if (F.q - 1) % k == 0])
+        w = Poly.from_values(F, (F.neg(rng.randrange(F.q)), 1)) ** n
+    else:
+        w = Poly.from_values(F, [0, F.neg(1)] + [0] * (F.p - 2) + [1])
+    return _random_monic(F, rng.randrange(2, 4), rng).compose(w)
+
+
+def _check_against_descent_and_brute_force(f):
+    """The solve's G_f(K) equals the descent's wherever the splitting field
+    is within the tower cap, and brute force wherever q <= 2^10; returns
+    whether the descent refused f."""
+    eigen = aut_group(f).eigen
+    try:
+        refused, want = False, eigengroup(f).descend()
+    except DomainError:
+        refused = True
+    else:
+        assert eigen.describe() == want.describe(), f
+    if f.field.q <= DEFAULT_BRUTE_CAP:
+        assert _pairs(eigen.elements()) == _pairs(eigengroup_bruteforce(f)), f
+    return refused
+
+
+SOLVE_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4),
+                GF(5, 2), GF(3, 3), GF(2, 8), GF(3, 4)]
+
+
+@pytest.mark.parametrize("F", SOLVE_FIELDS, ids=lambda F: f"GF{F.q}")
+def test_aut_group_solve_is_the_descent(F):
+    """Seeded random inputs of degree 1 to 8 and structured inputs with
+    nontrivial groups: the descriptor read from the solve over K is the
+    descent's, byte for byte, and its elements are the brute-force pairs."""
+    rng = random.Random(f"solve-over-K/{F.q}")
+    inputs = [_random_monic(F, rng.randrange(1, 9), rng) for _ in range(12)]
+    inputs += [_structured(F, rng) for _ in range(6)]
+    nontrivial = 0
+    for f in inputs:
+        _check_against_descent_and_brute_force(f)
+        nontrivial += aut_group(f).eigen_order() > 1
+    assert nontrivial >= 6
+
+
+@pytest.mark.parametrize("p,m,d", [(2, 1, 16), (2, 1, 24), (2, 1, 40), (5, 1, 10), (7, 1, 8),
+                                   (3, 2, 8), (2, 8, 12), (3, 5, 10)])
+def test_aut_group_answers_past_the_tower_cap(p, m, d):
+    """Seeded random inputs whose splitting field is mostly past the tower
+    cap: aut_group answers every one of them, and matches brute force."""
+    F = GF(p, m)
+    rng = random.Random(f"refusals/7/{p}/{m}/{d}")
+    refused = [_check_against_descent_and_brute_force(_random_monic(F, d, rng)) for _ in range(10)]
+    assert sum(refused) >= 3
+
+
+@pytest.mark.parametrize("field,f,order", [
+    ("GF(2)", "x^40+x^3+x^2+x+1", 1),
+    ("GF(2^8)", "x^12+x^5+[1,1]*x+1", 1),
+    ("GF(7)", "x^14 + 5*x^8 + 5*x^7 + x^2 + 2*x + 3", 7),
+    ("GF(13)", "x^26 + 11*x^14 + x^2 + 3", 26),
+    ("GF(3^2)", "x^12 + [1,2]*x^4 + [1,1]", 4),
+    ("GF(2^4)", "x^15 + [0,1,1,1]*x^10 + [0,0,1,0]*x^5 + [0,1,1,1]", 5),
+])
+def test_aut_group_cli_answers_where_eigengroup_refuses(field, f, order):
+    """aut-group needs no splitting field; eigengroup still does."""
+    code, out = cli.run(["eigengroup", "--field", field, "--f", f])
+    assert code == 1 and "exceeds the configured cap" in out
+    code, out = cli.run(["aut-group", "--field", field, "--f", f])
+    assert code == 0, out
+    assert json.loads(out)["eigen_part"]["order"] == order
+    g = parse_poly(parse_field(field), f)
+    assert _pairs(aut_group(g).eigen.elements()) == _pairs(eigengroup_bruteforce(g))
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(7), GF(2, 2), GF(3, 2)], ids=["GF3", "GF7", "GF4", "GF9"])
+def test_aut_check_error_names_stage_and_reproducer(F, monkeypatch):
+    """Solved eigenpairs that are not a group descriptor's elements are an
+    internal fault at stage aut.solve, on one line that ends with the CLI
+    call repeating the query."""
+    x = Poly.x(F)
+    f = (x**2 - 1) ** 2 * x
+    good = cli.run(["aut-group", "--field", repr(F), "--f", repr(f)])
+    eg_mod = sys.modules["orecalc.eigengroup"]
+    monkeypatch.setattr(eg_mod, "solve_affine_matches", lambda f, g: [(1, 1)])
+    with pytest.raises(InternalCheckError, match=r"^stage=aut\.solve: ") as info:
+        aut_group(f)
+    monkeypatch.undo()
+    msg = str(info.value)
+    assert "\n" not in msg
+    argv = shlex.split(msg.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "aut-group"]
+    assert cli.run(argv[1:]) == good
