@@ -751,9 +751,9 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     of those exponents (t divides e), the candidate lam are the roots in K
     of lam^t = prod_k (b_k(mu) / g_k)^(u_k): b_j(mu) / g_j alone when
     t = 1, and found once per right-hand side.  Every candidate is checked
-    against all coefficients.  With no such j (g = g_d x^d) G is the gcd of
-    all b_k, whose roots are exactly the matching mu, and every unit goes
-    with each of them.
+    against all coefficients (those with g_k = 0 once per mu).  With no
+    such j (g = g_d x^d) G is the gcd of all b_k, whose roots are exactly
+    the matching mu, and every unit goes with each of them.
 
     G = 0 puts every mu in K.  It happens for the torus kind (f = c(x - a)^d
     and g = c(x - b)^d), and whenever every equation vanishes on K.  For
@@ -811,7 +811,7 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
             out += [(lam, mu) for lam in F.units()]
             continue
         bm = [h.eval_value(mu) for h in b]
-        if not all(bm[k] for k in ks):
+        if not all(bm[k] for k in ks) or any(bm[k] for k in range(d) if not gc[k]):
             continue
         c = 1
         for k, u in zip(ks, us):
@@ -819,7 +819,7 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
         if c not in lams_of:
             lams_of[c] = [c] if t == 1 else roots_in_ext(Poly.from_values(F, [F.neg(c)] + [0] * (t - 1) + [1]), tower)
         for lam in lams_of[c]:
-            if all(bm[k] == F.mul(F.pow(lam, d - k), gc[k]) for k in range(d)):
+            if all(bm[k] == F.mul(F.pow(lam, d - k), gc[k]) for k in ks):
                 out.append((lam, mu))
     out.sort()
     return out
