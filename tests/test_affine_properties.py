@@ -258,13 +258,6 @@ def subgroup_specs(draw):
 @settings(max_examples=80, deadline=None)
 @given(subgroup_specs())
 def test_inverse_problem_round_trips_through_the_solve(spec):
-    f = inverse_eigengroup(spec.validate())
-    assert _pairs(aut_group(f).eigen.elements()) == _pairs(spec.elements())
-
-
-@settings(max_examples=80, deadline=None)
-@given(subgroup_specs())
-def test_inverse_problem_round_trips_through_the_solve(spec):
     """The group realized by inverse_eigengroup, read back by aut_group
     from the solve over K, is the prescribed one, for all six kinds."""
     f = inverse_eigengroup(spec.validate())
