@@ -32,6 +32,7 @@ from .eigengroup import (
     SubgroupSpec,
     eigengroup,
     eigengroup_bruteforce,
+    eigengroup_over_base,
     inverse_eigengroup,
 )
 from .errors import DomainError, InternalCheckError
@@ -281,7 +282,12 @@ def _cmd_inverse_group(args):
         variant=args.variant,
     )
     f = inverse_eigengroup(spec_obj)
-    realized = eigengroup(f).descend()
+    try:
+        realized = eigengroup(f).descend()
+    except DomainError:
+        # the splitting field of f is past the tower cap; the solve over K
+        # needs none (the descent stays first: it is the faster on large G)
+        realized = eigengroup_over_base(f)
     payload = {"f": format_poly(f), "group": realized.describe()}
     text = _text_lines(
         [

@@ -161,13 +161,6 @@ class AffineAut:
             return F.order_of(self.lam)
         return F.p if self.mu else 1
 
-    def fixed_point(self) -> int:
-        """The unique fixed value for lam != 1."""
-        F = self.field
-        if self.lam == 1:
-            raise DomainError("shifts have no fixed point")
-        return F.div(self.mu, F.sub(1, self.lam))
-
     def apply(self, f: Poly) -> Poly:
         if f.field is not self.field:
             raise DomainError("substitution field does not match the polynomial")
@@ -517,9 +510,6 @@ class EigengroupResult:
 
     def descend(self, level: int | None = None) -> EigengroupDesc:
         return eigengroup_descend(self.closure, level)
-
-    def base_elements(self) -> list[AffineAut]:
-        return self.descend().elements()
 
 
 def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupResult:

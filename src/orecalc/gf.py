@@ -14,20 +14,26 @@ required degree (scanning packed values upward, each candidate tested by
 Rabin's test, poly.is_irreducible, over F_p), so field construction is
 reproducible across runs; an explicit modulus passes the same test.  Prime
 fields (m = 1) compute on plain ints mod p and keep no tables.  Extension
-fields with q <= 2^16 keep four tables: the digits of every packed value,
-and exp and log to the smallest multiplicative generator g, through which
-multiplication, inversion and powering go.  In characteristic 2 a sum is
-the XOR of packed values.  For odd p the fourth table holds the Zech
-logarithms Z(n) = log(1 + g^n) (K. Huber, IEEE Trans. IT 36, 1990), with no
-entry at n = (q-1)/2, where 1 + g^n = 0: then a + b =
-g^(log a + Z(log b - log a)), -a = g^(log a + (q-1)/2), and a - b is the sum
-with that offset on log b, so no operand is unpacked.  Fields too large
-for tables (q > 2^16) add digit by digit (add_digits, also the test oracle
-for the Zech sum) and multiply by one Kronecker product of slot-packed
-digit vectors (D. Harvey, J. Symbolic Comput. 44, 2009), whose high slots
-are folded back through the stored slot-packed images of t^m, ...,
-t^(2m-2); the same product finds the generator and the log tables of the
-smaller fields.
+fields with q <= 2^16 keep a digit string and three lists, about 60 bytes
+per element.  The digit string is one bytes object of q*m digits, those of
+v at v*m, digit 0 first.  The lists hold exp and log to the smallest
+multiplicative generator g, through which multiplication, inversion and
+powering go, and, for odd p, the Zech logarithms Z(n) = log(1 + g^n)
+(K. Huber, IEEE Trans. IT 36, 1990), with no entry at n = (q-1)/2, where
+1 + g^n = 0: then a + b = g^(log a + Z(log b - log a)),
+-a = g^(log a + (q-1)/2), and a - b is the sum with that offset on log b,
+so no operand is unpacked.  In characteristic 2 a sum is the XOR of packed
+values.  The lists share one int object per value.  Multiplying by g is
+F_p-linear, so exp is built from the images of the low and the high half
+of the digits: in characteristic 2 a step is the XOR of two lookups; for
+odd p the images are written in base 2p - 1, where their sum carries
+nothing, and two tables over base-(2p-1) numerals reduce its digits mod p
+back to packed values.  Fields too large for tables (q > 2^16) add digit
+by digit (add_digits, also the test oracle for the Zech sum) and multiply
+by one Kronecker product of slot-packed digit vectors (D. Harvey,
+J. Symbolic Comput. 44, 2009), whose high slots are folded back through the
+stored slot-packed images of t^m, ..., t^(2m-2); the same product finds the
+generator and the log tables of the smaller fields.
 
 A FieldTower fixes a base K = F_{p^k} inside an extension L = F_{p^M},
 k | M, with the embedding stored explicitly: for every level j | M the image
@@ -55,7 +61,6 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from itertools import product
 
 from .errors import DomainError, InternalCheckError
 
@@ -132,6 +137,14 @@ def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
     return [int.from_bytes(raw[i : i + width], sys.byteorder) % p for i in range(0, len(raw), width)]
 
 
+def _digit_sums(tables) -> list[int]:
+    """Entry sum c_i b^i holds sum tables[i][c_i], where b = len(tables[i])."""
+    out = [0]
+    for t in tables:
+        out = [a + x for x in t for a in out]
+    return out
+
+
 def _unpack_int(v: int, m: int, p: int) -> list[int]:
     out = []
     for _ in range(m):
@@ -191,8 +204,12 @@ class FieldDesc:
             self._red.append(_pack(img, w))
             img = [(a + img[-1] * c) % p for a, c in zip([0, *img[:-1]], t_m)]
         if self._has_tables:
-            # product varies its last entry fastest, packing varies digit 0 fastest
-            self._digits = [t[::-1] for t in product(range(p), repeat=m)]
+            # the digits of v sit at v*m, digit 0 first: digit i of 0, 1, ...
+            # is p^i zeros, p^i ones, ..., repeated
+            digits = bytearray(self.q * m)
+            for i, pi in enumerate(self._pw[:m]):
+                digits[i::m] = b"".join(bytes([c]) * pi for c in range(p)) * (self.q // pi // p)
+            self._digits = bytes(digits)
             self._build_log_tables()
         else:
             self._digits = None
@@ -234,27 +251,42 @@ class FieldDesc:
 
     def _build_log_tables(self) -> None:
         self.generator = g = self._find_generator()
+        p, m, pw, q1 = self.p, self.m, self._pw, self.q - 1
         # x -> g*x is F_p-linear: tabulate it on the low h digits and on the
         # high m - h digits, so each power of g is one sum of two lookups
-        h = (self.m + 1) // 2
-        imgs = [self._mul_slow(self._pw[i], g) for i in range(self.m)]
+        h = (m + 1) // 2
+        imgs = [self._mul_slow(pw[i], g) for i in range(m)]
         lo, hi = self._linear_images(imgs[:h]), self._linear_images(imgs[h:])
-        ph, add = self._pw[h], self.add
-        q1 = self.q - 1
         exp = [1] * q1
-        cur = 1
-        for i in range(1, q1):
-            cur = add(lo[cur % ph], hi[cur // ph])
-            exp[i] = cur
-        log = [0] * self.q
-        for i, v in enumerate(exp):
+        if p == 2:
+            cur, mask = 1, pw[h] - 1
+            for i in range(1, q1):
+                cur = lo[cur & mask] ^ hi[cur >> h]
+                exp[i] = cur
+        else:
+            # written in base B = 2p - 1, two images add digit by digit with
+            # no carry.  The state is g^i as the base-B numerals y and x of
+            # its low and high digits; rlo[y] + rhi[x] reduces their digits
+            # mod p to the packed g^i, and lo2[y] + hi2[x] is g^(i+1) in base B
+            B = 2 * p - 1
+            rlo = _digit_sums([[c % p * pw[i] for c in range(B)] for i in range(h)])
+            rhi = _digit_sums([[c % p * pw[i] for c in range(B)] for i in range(h, m)])
+            Bpw = [B**i for i in range(m)]
+            lo2 = [sum(map(operator.mul, self.unpack(lo[a]), Bpw)) for a in rlo]
+            hi2 = [sum(map(operator.mul, self.unpack(hi[b // pw[h]]), Bpw)) for b in rhi]
+            Bh, x, y = B**h, 0, 1
+            for i in range(1, q1):
+                x, y = divmod(lo2[y] + hi2[x], Bh)
+                exp[i] = rlo[y] + rhi[x]
+        # one int object per value, shared by the three tables
+        vals = list(range(self.q))
+        self._exp = exp = list(map(vals.__getitem__, exp))
+        self._log = log = [0] * self.q
+        for i, v in zip(vals, exp):
             log[v] = i
-        self._exp = exp
-        self._log = log
-        if self.p != 2:
+        if p != 2:
             # Zech logarithms Z(n) = log(1 + g^n): adding 1 changes digit 0
             # only, and 1 + g^n = 0 exactly at g^n = -1, n = (q-1)/2
-            p = self.p
             self._q1, self._half = q1, q1 // 2
             zech = [log[v - v % p + (v + 1) % p] for v in exp]
             zech[self._half] = None
@@ -280,7 +312,8 @@ class FieldDesc:
 
     def unpack(self, v: int) -> tuple[int, ...]:
         if self._digits is not None:
-            return self._digits[v]
+            i = v * self.m
+            return tuple(self._digits[i : i + self.m])
         return tuple(_unpack_int(v, self.m, self.p))
 
     # -- arithmetic on packed values ------------------------------------------

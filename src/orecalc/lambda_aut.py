@@ -156,6 +156,8 @@ class AutGroupDesc:
         return None
 
     def eigen_order(self) -> int:
+        """The order of the eigen part (public API; callers outside the
+        package read it)."""
         return self.eigen.order()
 
     def generators(self) -> list[LambdaAut]:
@@ -166,9 +168,6 @@ class AutGroupDesc:
         out.append(LambdaAut(self.algebra, 1, 0, Poly.one(F)))
         out.append(LambdaAut(self.algebra, 1, 0, Poly.x(F)))
         return out
-
-    def eigen_elements(self) -> list[LambdaAut]:
-        return [LambdaAut(self.algebra, a.lam, a.mu) for a in self.eigen.elements()]
 
     def contains(self, phi: OreHom) -> bool:
         if phi.src != self.algebra or phi.dst != self.algebra:

@@ -77,10 +77,6 @@ def mat_zero(F: FieldDesc, d: int):
     return tuple((0,) * d for _ in range(d))
 
 
-def mat_add(F: FieldDesc, A, B):
-    return tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_sub(F: FieldDesc, A, B):
     return tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 

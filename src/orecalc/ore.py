@@ -176,9 +176,6 @@ class OreElement:
             return self.terms[i]
         return Poly.zero(self.algebra.field)
 
-    def constant_part(self) -> Poly:
-        return self.coeff(0)
-
     def __eq__(self, other):
         return (
             isinstance(other, OreElement)

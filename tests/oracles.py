@@ -93,6 +93,19 @@ def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> se
     return {(lvl.lower(l).val, lvl.lower(m).val) for l, m in affine_matches(fe, fe, sub)}
 
 
+def fixed_point(a) -> int:
+    """The unique fixed value of an AffineAut x -> lam x + mu with lam != 1."""
+    F = a.field
+    if a.lam == 1:
+        raise DomainError("shifts have no fixed point")
+    return F.div(a.mu, F.sub(1, a.lam))
+
+
+def mat_add(F: FieldDesc, A, B):
+    """The entrywise sum of two matrices over F."""
+    return tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
 def _prime_to_p(w: Poly) -> int:
     """Prime-to-p part of the exponent gcd of w."""
     g, p = exponent_gcd(w), w.field.p

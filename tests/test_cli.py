@@ -128,6 +128,24 @@ def test_inverse_group_kinds():
     assert data["group"]["order"] == 3 and data["group"]["n"] == 1
 
 
+def test_inverse_group_answers_past_the_tower_cap():
+    """f = x^2 + x + c over GF(2^12) splits only over GF(2^24), past the
+    tower cap, so eigengroup refuses it; inverse-group reads its group from
+    the solve over K.  f(lam x + mu) = lam^2 f asks lam = lam^2 and
+    mu^2 + mu = 0, so the group is {x, x + 1}."""
+    data = run_json(["inverse-group", "--field", "GF(2^12)", "--kind", "shift", "--v-basis", "1"])
+    assert data["f"] == "x^2 + x + [0,0,0,0,0,0,0,0,0,1,0,0]"
+    unit = [1] + [0] * 11
+    assert data["group"] == {"kind": "finite", "V_basis": [unit], "n": 1, "lambda_n": unit,
+                             "nu": [0] * 12, "order": 2}
+    code, out = run(["inverse-group", "--field", "GF(2^12)", "--kind", "shift", "--v-basis", "1",
+                     "--format", "text"])
+    assert code == 0 and out.splitlines()[1] == (
+        "realized group: Sh_V, V basis {[1,0,0,0,0,0,0,0,0,0,0,0]}, order 2")
+    code, out = run(["eigengroup", "--field", "GF(2^12)", "--f", data["f"]])
+    assert code == 1 and "exceeds the configured cap" in out
+
+
 def test_oracle_exhaustive():
     data = run_json(["oracle", "--field", "GF(3)", "--f", "x^2"])
     assert data["match"] is True and data["mode"] == "exhaustive"

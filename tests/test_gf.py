@@ -1,9 +1,11 @@
 """Finite field arithmetic: axioms, Frobenius, roots of unity, towers."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from orecalc import gf
 from orecalc.errors import DomainError
 from orecalc.gf import (
     GF,
@@ -18,6 +20,7 @@ from orecalc.gf import (
     pth_root,
     tower_over,
 )
+from orecalc.gf import _unpack_int
 
 from oracles import subfield_values
 
@@ -253,6 +256,61 @@ def test_log_tables_against_slow_powers(p, m):
         assert F._exp[i] == F._pow_slow(g, i)
     assert sorted(F._exp) == list(range(1, F.q))
     assert all(F._log[v] == i for i, v in enumerate(F._exp))
+
+
+# Tabled fields of both characteristics with odd and even m, so with both
+# ways of splitting the digits into halves, and GF(3^m) for every tabled m.
+TABLE_FIELDS = [(2, 2), (2, 3), (2, 8), (2, 9), (2, 16), *((3, m) for m in range(2, 11)),
+                (5, 3), (5, 6), (7, 5), (11, 2), (13, 4)]
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_tables_against_a_table_free_twin(p, m, monkeypatch):
+    """Every entry of exp, log and Zech against a twin field with the same
+    modulus and no tables: exp by repeated Kronecker products with g, Zech
+    by add_digits on digits from _unpack_int.  The three lists share one
+    int object per value."""
+    F = GF(p, m)
+    monkeypatch.setattr(gf, "_LOG_TABLE_LIMIT", 0)
+    T = gf.FieldDesc(p, m, F.modulus)
+    g = T.generator
+    assert T._digits is None and g == F.generator
+    exp = [1]
+    for _ in range(F.q - 2):
+        exp.append(T._mul_slow(exp[-1], g))
+    assert sorted(exp) == list(range(1, F.q)) and T._mul_slow(exp[-1], g) == 1
+    log = [0] * F.q
+    for i, v in enumerate(exp):
+        log[v] = i
+    assert F._exp == exp and F._log == log
+    assert all(F._exp[F._log[i]] is i for i in F._log[1:] if i)
+    if p == 2:
+        assert F._zech is None
+        return
+    half = (F.q - 1) // 2
+    assert T.add_digits(1, exp[half]) == 0
+    assert F._zech == [None if i == half else log[T.add_digits(1, v)] for i, v in enumerate(exp)]
+    assert all(F._exp[F._log[z]] is z for z in F._zech if z)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_digit_string_unpacks_every_value(p, m):
+    F = GF(p, m)
+    assert isinstance(F._digits, bytes) and len(F._digits) == F.q * m
+    assert all(F.unpack(v) == tuple(_unpack_int(v, m, p)) for v in range(F.q))
+
+
+def test_tables_take_under_80_bytes_per_element():
+    """GF(13^4) keeps 4 digit bytes, three list slots of 8 bytes and one
+    shared int object per element."""
+    mod = canonical_modulus(13, 4)
+    tracemalloc.start()
+    try:
+        F = gf.FieldDesc(13, 4, mod)
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used / F.q < 80, used / F.q
 
 
 def _assert_zech_matches_digits(F, pairs):

@@ -132,8 +132,9 @@ def test_aut_group_shape():
     gens = desc.generators()
     shift_gens = [g for g in gens if (g.lam, g.mu) == (1, 0) and not g.pol.is_zero()]
     assert {tuple(g.pol.c) for g in shift_gens} == {(1,), (0, 1)}
-    assert len(desc.eigen_elements()) == 6
-    for g in desc.eigen_elements():
+    eigen = [LambdaAut(desc.algebra, a.lam, a.mu) for a in desc.eigen.elements()]
+    assert len(eigen) == 6
+    for g in eigen:
         assert desc.contains(g)
 
 

@@ -5,7 +5,7 @@ import random
 import shlex
 import subprocess
 import sys
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 
 from orecalc import cli, modules_spectra
 from orecalc.errors import DomainError, InternalCheckError
-from orecalc.gf import GF, SPECTRUM_PAIR_CAP, Span, tower_over
+from orecalc.gf import DEFAULT_Q_CAP, GF, SPECTRUM_PAIR_CAP, Span, tower_over
 from orecalc.modules_spectra import (
     all_basis_vectors_cyclic,
     cyclic_span_dim,
     eigenline_certificate,
     factor_into_irreducibles,
     is_scalar_mat,
-    mat_add,
     mat_id,
     mat_mul,
     mat_poly,
@@ -36,7 +35,7 @@ from orecalc.modules_spectra import (
 from orecalc.ore import OreAlgebra
 from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext, roots_with_multiplicity
 
-from oracles import is_irreducible_oracle, monic_polys, roots_in_field, spectrum_points_oracle
+from oracles import is_irreducible_oracle, mat_add, monic_polys, roots_in_field, spectrum_points_oracle
 
 
 def rand_mat(F, d, rng):
@@ -670,6 +669,49 @@ def test_factorization_matches_trial_division(p):
     for d in range(1, 5):
         for f in monic_polys(F, d):
             assert factor_into_irreducibles(f) == naive_factor(f)
+
+
+def _factor_oracle_inputs(F):
+    """Seeded monic inputs of degree <= 12 over F: even draws are random,
+    odd ones products of random powers g^k with deg g <= 4 and k <= 3."""
+    out = []
+    for i in range(24):
+        rng = random.Random(f"factor/{F.p}/{i}")
+        if i % 2 == 0:
+            d = rng.randint(1, 12)
+            out.append(Poly.from_values(F, [rng.randrange(F.p) for _ in range(d)] + [1]))
+            continue
+        f = Poly.one(F)
+        while True:
+            g = Poly.from_values(F, [rng.randrange(F.p) for _ in range(rng.randint(1, 4))] + [1])
+            k = rng.randint(1, 3)
+            if f.degree + g.degree * k > 12:
+                break
+            f = f * g**k
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_factorization_matches_sympy(p):
+    """factor_into_irreducibles against sympy's factor_list over GF(p).  It
+    answers exactly when the splitting field, p^lcm of the factor degrees,
+    is within the tower cap, and refuses with a DomainError otherwise."""
+    sympy = pytest.importorskip("sympy")
+    F, x = GF(p), sympy.symbols("x")
+    answered = 0
+    for f in _factor_oracle_inputs(F):
+        lc, factors = sympy.Poly(list(reversed(f.c)), x, modulus=p).factor_list()
+        assert lc % p == 1
+        want = sorted((tuple(c % p for c in reversed(g.all_coeffs())), n) for g, n in factors)
+        assert all(c[-1] == 1 for c, _ in want)
+        if p ** lcm(*(len(c) - 1 for c, _ in want)) > DEFAULT_Q_CAP:
+            with pytest.raises(DomainError, match="exceeds the configured cap"):
+                factor_into_irreducibles(f)
+            continue
+        assert sorted((g.c, n) for g, n in factor_into_irreducibles(f)) == want, f
+        answered += 1
+    assert answered >= 16
 
 
 def test_factorization_extension_field():
