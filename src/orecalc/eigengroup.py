@@ -15,18 +15,22 @@ Structure of the group (with all data L-rational):
   the group of shifts by the shift space V of f, extended by a cyclic group
   of order n prime to p fixing nu.
 
-The closed-form computation has two steps.  A single distinct root gives
-the torus.  Otherwise one centre search reads f = f1^(p^s) through its shift
-space V: f1 = G(f_V) with f_V = x and no bound on n when V = 0, and with
-G = decompose_through(f1, f_V) and n | p^e - 1 (F_{p^e} the multiplier
-field of V) when V != 0.  Each root of f1 and of f1' is a candidate centre
-nu; with w = f_V(x - nu), f1 = G(w + f_V(nu)), and stripping the power of w
-from G(y + f_V(nu)) leaves g_nu, whose prime-to-p exponent gcd (p^e - 1
-when g_nu is constant: one coset of roots) bounds n.  Hits, the candidates
-with n >= 2, lie in one V-coset with equal data and give the eigenform
-f = f_V(x-nu)^i * g(f_V(x-nu)^n), case A10 (A11 when V = 0); no hit leaves
-the shifts alone (B11) or the trivial group (V = 0).  The round trip of the
-eigenform and the laws of the stored generators are each checked once.
+The closed-form computation has two steps.  A single distinct root gives the
+torus f = (x - a)^d, a = torus_centre(f).  Otherwise one centre search reads
+f = f1^(p^s) through its shift space V: f1 = G(f_V) with f_V = x and no
+bound on n when V = 0, and with G from decompose_through and n | p^e - 1
+(F_{p^e} the multiplier field of V) when V != 0.  If p does not divide
+d1 = deg f1, no root is split: V moves the roots of f1 freely and keeps
+multiplicities, so |V| divides d1 and V = 0, and a centre with n >= 2 kills
+the x^(d1-1) coefficient a_(d1-1) + d1 nu of f1(x + nu), so
+nu = -a_(d1-1)/d1 in K is the one candidate.  If p | d1, each root of f1 and
+of f1' is a candidate centre nu.  With w = f_V(x - nu), f1 = G(w + f_V(nu)),
+and stripping the power of w from G(y + f_V(nu)) leaves g_nu, whose
+prime-to-p exponent gcd (p^e - 1 when g_nu is constant: one coset of roots)
+bounds n.  Hits, the candidates with n >= 2, lie in one V-coset with equal
+data and give the eigenform f = f_V(x-nu)^i * g(f_V(x-nu)^n), case A10 (A11
+when V = 0); no hit leaves the shifts alone (B11) or the trivial group
+(V = 0).  The eigenform round trip and the generator laws are checked once.
 
 Descent to a subfield F_{p^j} of L intersects V with the subfield and finds
 the minimal power of the cyclic generator that can be corrected into the
@@ -57,6 +61,7 @@ from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, 
 from .poly import (
     Poly,
     RootMultiset,
+    checked_splitting_tower,
     contract_exponents,
     decompose_through,
     exponent_decomp,
@@ -99,6 +104,11 @@ def _reproducer(command: str, field: FieldDesc, *opts: str) -> str:
     mod = ",".join(map(str, field.modulus))
     spec = repr(field) if field.m == 1 else f"GF({field.p}^{field.m}, mod={mod})"
     return "reproduce: " + shlex.join(["orecalc", command, "--field", spec, *opts])
+
+
+def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup") -> InternalCheckError:
+    """A failed check on f at the given stage, with the CLI line that repeats it."""
+    return InternalCheckError(f"stage={stage}: {msg}; {_reproducer(command, f.field, '--f', repr(f))}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +208,6 @@ class ShiftSpace:
         self.tower = tower
         self.level = level
         self.basis = tuple(basis)
-        self._e = None
 
     def __eq__(self, other):
         return (
@@ -214,15 +223,6 @@ class ShiftSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def e(self) -> int | None:
-        """Multiplier exponent: largest e with F_{p^e} V <= V (None for V = 0)."""
-        if self.dim == 0:
-            return None
-        if self._e is None:
-            self._e = multiplier_field(self.tower.ext, self.basis)
-        return self._e
 
 
 def shift_space(rm: RootMultiset, level: int | None = None) -> ShiftSpace:
@@ -417,12 +417,12 @@ class Eigenform:
         finite group are checked by _verify_finite_generators."""
         L = self.tower.ext
         if self.case != "none" and self.expand() != fe:
-            raise InternalCheckError("eigenform does not expand back to f")
+            raise _stage_error("eigengroup.eigenform", self.f, "eigenform does not expand back to f")
         if self.case == "single_root":
             lam = primitive_root_of_unity(L.q - 1, L).val if L.q > 2 else 1
             gen = AffineAut(L, lam, L.mul(L.sub(1, lam), self.nu))
             if gen.apply(fe) != fe.scale_value(L.pow(lam, self.i)):
-                raise InternalCheckError("torus eigenvalue law fails")
+                raise _stage_error("eigengroup.eigenform", self.f, "torus eigenvalue law fails")
 
     def describe(self) -> dict:
         L = self.tower.ext
@@ -471,11 +471,6 @@ def torus_centre(f: Poly) -> int | None:
     return t
 
 
-def _strip_valuation(w: Poly) -> tuple[int, Poly]:
-    i = w.valuation()
-    return i, Poly.from_values(w.field, w.c[i:])
-
-
 def _unity_root(n: int, field: FieldDesc) -> int:
     try:
         return primitive_root_of_unity(n, field).val
@@ -494,11 +489,10 @@ def _coset_min(F: FieldDesc, nu: int, basis) -> int:
     return F.pack(span.reduce(F.unpack(nu)[::-1])[::-1])
 
 
-def _verify_finite_generators(desc: EigengroupDesc, fe: Poly) -> None:
-    """Every stored generator must send f to a scalar multiple of f."""
-    for gen in desc.generators():
-        if gen.eigenvalue_on(fe) is None:
-            raise InternalCheckError("claimed generator is not an eigen-substitution")
+def _verify_finite_generators(desc: EigengroupDesc, f: Poly, fe: Poly) -> None:
+    """Every stored generator must send f (lifted: fe) to a scalar multiple of f."""
+    if any(gen.eigenvalue_on(fe) is None for gen in desc.generators()):
+        raise _stage_error("eigengroup.generators", f, "claimed generator is not an eigen-substitution")
 
 
 @dataclass(frozen=True)
@@ -515,60 +509,60 @@ class EigengroupResult:
 def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupResult:
     """G_f over the splitting field L together with the eigenform of f."""
     _require_monic_nonscalar(f)
-    rm = roots_with_multiplicity(f, tower)
-    tower = rm.tower
-    L, M, p = tower.ext, tower.M, f.field.p
-    fe = rm.lifted
-    ed = exponent_decomp(f)
-    s, f1 = ed.s, ed.f1
+    ed, K = exponent_decomp(f), f.field
+    s, f1, d1, p = ed.s, ed.f1, ed.f1.degree, K.p
+    if d1 % p:  # V = 0, and the torus or one forced centre: no root is split
+        tower, a = checked_splitting_tower(f, tower)[0], torus_centre(f)
+        fe = lift_poly(f, tower)
+    else:
+        rm = roots_with_multiplicity(f, tower)
+        tower, a, fe = rm.tower, None, rm.lifted
+    L, M, lift = tower.ext, tower.M, tower.level(tower.k).lift
     f1e = fe if s == 0 else lift_poly(f1, tower)
-    distinct = rm.distinct()
 
-    if len(distinct) == 1:
-        nu = distinct[0]
+    if a is not None:
+        nu = lift(a)
         desc = EigengroupDesc("torus", tower, M, True, nu, 0, 1, ())
         form = Eigenform("single_root", f, tower, nu, f.degree, 0, s, None, (), 1)
         form.verify(fe)
         return EigengroupResult(f, tower, desc, form)
 
     # f1 = G(f_V); n is bounded by p^e - 1 when V != 0 (gcd(0, n) = n).
-    ss = shift_space(rm)
-    fv, big_g, bound = Poly.x(L), f1e, 0
-    if ss.dim:
-        fv = f_V(L, ss.basis)
-        big_g = decompose_through(f1e, fv)
-        if big_g is None:
-            raise InternalCheckError("f1 must be a polynomial in f_V once V shifts f")
-        bound = p**ss.e - 1
-
     # Candidate centres nu, read through w = f_V(x - nu): f1 = G(w + f_V(nu)).
-    cands = list(distinct)
-    seen = set(distinct)
-    cands.extend(r for r in roots_in_ext(f1.derivative(), tower) if r not in seen)
+    fv, big_g, bound, basis = Poly.x(L), f1e, 0, ()
+    if d1 % p:
+        cands = [lift(K.div(K.neg(f1.c[d1 - 1]), d1 % p))]
+    else:
+        basis, seen = shift_space(rm).basis, set(rm.distinct())
+        cands = sorted(seen) + [r for r in roots_in_ext(f1.derivative(), tower) if r not in seen]
+        if basis:
+            fv = f_V(L, basis)
+            big_g = decompose_through(f1e, fv)
+            if big_g is None:
+                raise _stage_error("eigengroup.decompose", f, "f1 must be a polynomial in f_V once V shifts f")
+            bound = p ** multiplier_field(L, basis) - 1
     hits = []
     for nu in cands:
         at = fv.eval_value(nu)
-        i_nu, g_nu = _strip_valuation(big_g.compose_affine(1, at))
+        w = big_g.compose_affine(1, at)
+        i_nu = w.valuation()
+        g_nu = Poly.from_values(L, w.c[i_nu:])
         n = gcd(bound, gcd_p(g_nu))  # gcd_p = 0 for a constant g_nu
         if n >= 2:
             hits.append((at, nu, i_nu, g_nu, n))
     if not hits:
-        desc = EigengroupDesc("finite", tower, M, True, 0, 1, 1, ss.basis)
-        if ss.dim:
-            form = Eigenform("B11", f, tower, 0, 0, 1, s, big_g, ss.basis, 1)
-        else:
-            form = Eigenform("none", f, tower, 0, 0, 1, s, None, (), 1)
+        desc = EigengroupDesc("finite", tower, M, True, 0, 1, 1, basis)
+        form = Eigenform("B11" if basis else "none", f, tower, 0, 0, 1, s, big_g if basis else None, basis, 1)
     else:
         at, nu, i_nu, g_nu, n = hits[0]
         if any(h[0] != at or h[2:] != (i_nu, g_nu, n) for h in hits):
-            raise InternalCheckError("candidate centres must lie in one V-coset with equal data")
-        nu = _coset_min(L, nu, ss.basis)
-        lam = _unity_root(n, L)
+            raise _stage_error("eigengroup.centre", f, "candidate centres must lie in one V-coset with equal data")
+        nu, lam = _coset_min(L, nu, basis), _unity_root(n, L)
         g = contract_exponents(g_nu, n) ** (p**s)
-        desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, ss.basis)
-        form = Eigenform("A10" if ss.dim else "A11", f, tower, nu, p**s * i_nu, n, s, g, ss.basis, lam)
+        desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, basis)
+        form = Eigenform("A10" if basis else "A11", f, tower, nu, p**s * i_nu, n, s, g, basis, lam)
     form.verify(fe)
-    _verify_finite_generators(desc, fe)
+    _verify_finite_generators(desc, f, fe)
     return EigengroupResult(f, tower, desc, form)
 
 
@@ -845,10 +839,8 @@ def eigengroup_over_base(f: Poly) -> EigengroupDesc:
             nu = _coset_min(K, K.div(mu_of[lam], K.sub(1, lam)), vk) if n > 1 else 0
             desc = EigengroupDesc("finite", tower, K.m, False, nu, n, lam, vk)
     if desc is None or [el.pair for el in desc.elements()] != matches:
-        line = _reproducer("aut-group", K, "--f", repr(f))
-        raise InternalCheckError(
-            f"stage=aut.solve: the solved eigenpairs are not the elements of a subgroup descriptor; {line}"
-        )
+        msg = "the solved eigenpairs are not the elements of a subgroup descriptor"
+        raise _stage_error("aut.solve", f, msg, "aut-group")
     return desc
 
 

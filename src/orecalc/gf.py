@@ -310,11 +310,15 @@ class FieldDesc:
             v += (c % self.p) * self._pw[i]
         return v
 
-    def unpack(self, v: int) -> tuple[int, ...]:
+    def _digit_seq(self, v: int):
+        """The m digits of v, low first, as a slice of the digit table or a list."""
         if self._digits is not None:
             i = v * self.m
-            return tuple(self._digits[i : i + self.m])
-        return tuple(_unpack_int(v, self.m, self.p))
+            return self._digits[i : i + self.m]
+        return _unpack_int(v, self.m, self.p)
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        return tuple(self._digit_seq(v))
 
     # -- arithmetic on packed values ------------------------------------------
 
@@ -339,10 +343,10 @@ class FieldDesc:
     def add_digits(self, a: int, b: int) -> int:
         """a + b digit by digit: the sum in fields without Zech tables, and
         the oracle for the tabled sum."""
-        da, db, p = self.unpack(a), self.unpack(b), self.p
+        da, db, p, pw = self._digit_seq(a), self._digit_seq(b), self.p, self._pw
         v = 0
         for i in range(self.m):
-            v += ((da[i] + db[i]) % p) * self._pw[i]
+            v += ((da[i] + db[i]) % p) * pw[i]
         return v
 
     def neg(self, a: int) -> int:
@@ -838,7 +842,7 @@ class TowerLevel:
         val = a.val if isinstance(a, FqElement) else a
         if self.desc is self.tower.ext:
             return val
-        return self.tower.ext.dot(self.desc.unpack(val), self.pows)
+        return self.tower.ext.dot(self.desc._digit_seq(val), self.pows)
 
     def lower(self, v: int) -> FqElement:
         """The level element whose lift is v; DomainError when v is outside."""

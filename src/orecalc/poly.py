@@ -635,6 +635,20 @@ def splitting_tower(f: Poly, extra_degrees=(), parts=None) -> FieldTower:
     return tower_over(f.field, M)
 
 
+def checked_splitting_tower(f: Poly, tower: FieldTower | None = None) -> tuple[FieldTower, list]:
+    """(tower, distinct_degree_parts(f)): the splitting tower of f, or the
+    caller's tower, refused as bad input when it misses the splitting field
+    of a factor (a part of degree d splits there exactly when d | M/k)."""
+    if tower is not None and f.field is not tower.base:
+        raise DomainError("polynomial is not over the tower base")
+    parts = distinct_degree_parts(f)
+    if tower is None:
+        return splitting_tower(f, parts=parts), parts
+    if any((tower.M // tower.k) % d for d, _ in parts):
+        raise DomainError("input does not split over the provided tower")
+    return tower, parts
+
+
 def lift_poly(f: Poly, tower: FieldTower) -> Poly:
     if f.field is tower.ext:
         return f
@@ -685,9 +699,8 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     """Exact root multiset of f over (a tower splitting) f.
 
     The distinct roots come from roots_in_ext, the multiplicities from
-    repeated exact division.  A caller's tower that misses a factor's
-    splitting field leaves a nonconstant remainder and is refused as bad
-    input; on the tower built here that remainder is an internal fault.
+    repeated exact division.  The tower comes from checked_splitting_tower,
+    so a nonconstant remainder is an internal fault.
     Nothing is cached: a caller that needs the roots again keeps the
     returned multiset (shift_space takes it as its input), and f is split
     into distinct-degree parts once, for both the tower and the roots.
@@ -696,12 +709,7 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
         raise DomainError("roots of the zero polynomial")
     if f.is_constant():
         raise DomainError("roots of a constant")
-    supplied = tower is not None
-    if supplied and f.field is not tower.base:
-        raise DomainError("polynomial is not over the tower base")
-    parts = distinct_degree_parts(f)
-    if not supplied:
-        tower = splitting_tower(f, parts=parts)
+    tower, parts = checked_splitting_tower(f, tower)
     fe = lift_poly(f, tower)
     L = tower.ext
     pairs = []
@@ -719,8 +727,6 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
             raise InternalCheckError("claimed root fails division")
         pairs.append((r, m))
     if rem.degree != 0:
-        if supplied:
-            raise DomainError("input does not split over the provided tower")
         raise InternalCheckError("splitting tower does not split the input")
     # exact product reconstruction
     check = Poly.from_values(L, (rem.c[0] if rem.c else 1,))

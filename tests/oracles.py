@@ -4,11 +4,13 @@ Each one scans or enumerates instead of calling the fast path it checks:
 roots by evaluation at every field element, subfields by spanning the
 embedded power basis, eigengroups over a subfield by affine_matches over
 its values, and the triviality of G_f by the paper's criterion from its
-own Taylor shifts.  The root finder's former slow paths live here too, on
-Poly arithmetic with a full remainder per product: square-and-multiply
-powers, the distinct-degree loop that raises to the q-th power at every
-degree, Rabin's test on those powers, equal-degree splitting by the
-(Q-1)/2-th power, and f_V as the product of its |V| linear factors.
+own Taylor shifts, which also list the centres that a scan over every root
+of f1 and f1' would hit.  The root finder's former slow paths live here
+too, on Poly arithmetic with a full remainder per product:
+square-and-multiply powers, the distinct-degree loop that raises to the
+q-th power at every degree, Rabin's test on those powers, equal-degree
+splitting by the (Q-1)/2-th power, and f_V as the product of its |V|
+linear factors.
 Subspaces given by all their values are checked by rank (p^rank elements),
 and their multiplier field is found by set membership.  The spectrum's
 closed points come from its former walk over every pair (xi, rho), with
@@ -135,6 +137,22 @@ def triviality_criterion(f: Poly, tower: FieldTower | None = None) -> bool:
         if f1e.eval_value(nu) and _prime_to_p(f1e.compose_affine(1, nu)) != 1:
             return False
     return True
+
+
+def centre_hits(rm) -> dict[int, int]:
+    """The root scan's hits on f = f1^(p^s) with V = 0, from the root
+    multiset rm of f: each root nu of f1 or of f1' in the splitting field
+    where f1(x + nu), its power of x stripped, is nonconstant with
+    prime-to-p exponent gcd n >= 2, mapped to that n."""
+    f1 = exponent_decomp(rm.poly).f1
+    f1e = lift_poly(f1, rm.tower)
+    out = {}
+    for nu in set(rm.distinct()) | set(roots_in_ext(f1.derivative(), rm.tower)):
+        sh = f1e.compose_affine(1, nu)
+        g = Poly.from_values(sh.field, sh.c[sh.valuation():])
+        if not g.is_constant() and _prime_to_p(g) >= 2:
+            out[nu] = _prime_to_p(g)
+    return out
 
 
 def pow_mod_oracle(base: Poly, e: int, mod: Poly) -> Poly:

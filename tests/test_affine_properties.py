@@ -8,7 +8,7 @@ against a plain double loop of compositions.
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import random
@@ -16,15 +16,19 @@ import random
 from orecalc.eigengroup import (
     SubgroupSpec,
     affine_matches,
+    eigengroup,
+    eigengroup_bruteforce,
     inverse_eigengroup,
+    shift_space,
     solve_affine_matches,
     torus_centre,
 )
+from orecalc.errors import DomainError
 from orecalc.gf import GF, primitive_root_of_unity
 from orecalc.lambda_aut import are_isomorphic, aut_group
-from orecalc.poly import Poly, lift_poly, radical, splitting_tower
+from orecalc.poly import Poly, exponent_decomp, lift_poly, radical, roots_with_multiplicity, splitting_tower
 
-from oracles import eigengroup_bruteforce_in_tower, subfield_values
+from oracles import centre_hits, eigengroup_bruteforce_in_tower, subfield_values
 
 # small enough for a q(q-1) loop of full compositions
 SCAN_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4)]
@@ -262,6 +266,50 @@ def test_inverse_problem_round_trips_through_the_solve(spec):
     from the solve over K, is the prescribed one, for all six kinds."""
     f = inverse_eigengroup(spec.validate())
     assert [a.pair for a in aut_group(f).eigen.elements()] == [a.pair for a in spec.elements()]
+
+
+@st.composite
+def forced_centre_inputs(draw):
+    """f = f1^(p^t), t in {0, 1}, with p not dividing deg f1: the torus
+    f1 = (x - nu)^i, or f1 = (x - nu)^i g((x - nu)^n) with g(0) != 0 and n
+    prime to p (n = 1 leaves a random f1 with a root or a factor at nu)."""
+    F = draw(st.sampled_from([GF(5), GF(7), GF(13), GF(3, 2), GF(2, 3)]))
+    w = Poly.from_values(F, (F.neg(draw(st.integers(0, F.q - 1))), 1))
+    if draw(st.booleans()):
+        f1 = w ** draw(st.integers(1, 9))
+    else:
+        low = [draw(st.integers(1, F.q - 1))] + draw(st.lists(st.integers(0, F.q - 1), max_size=2))
+        n = draw(st.sampled_from([k for k in range(1, 6) if k % F.p]))
+        f1 = w ** draw(st.integers(0, 3)) * Poly.from_values(F, low + [1]).compose(w**n)
+    assume(f1.degree % F.p)
+    return f1 ** (F.p ** draw(st.integers(0, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(forced_centre_inputs())
+def test_forced_centre_is_the_only_root_scan_hit(f):
+    """With p not dividing d1 = deg f1, eigengroup reads G_f from the one
+    candidate nu = -a_(d1-1)/d1 (or the torus): V = 0, the root scan over
+    every root of f1 and f1' hits nu alone if anything, and the descent to
+    K is brute force's group."""
+    try:
+        res = eigengroup(f)
+    except DomainError as exc:
+        assert "exceeds the configured cap" in str(exc)
+        return
+    F, tower = f.field, res.tower
+    assert [a.pair for a in res.descend().elements()] == [a.pair for a in eigengroup_bruteforce(f)]
+    a = torus_centre(f)
+    if a is not None:
+        assert (res.closure.kind, res.closure.nu) == ("torus", tower.level(tower.k).lift(a))
+        return
+    f1 = exponent_decomp(f).f1
+    nu = tower.level(tower.k).lift(F.div(F.neg(f1.c[-2]), f1.degree % F.p))
+    rm = roots_with_multiplicity(f, tower)
+    hits = centre_hits(rm)
+    assert shift_space(rm).dim == 0 and not res.closure.v_basis
+    assert set(hits) <= {nu}
+    assert (res.closure.nu, res.closure.n) == ((nu, hits[nu]) if hits else (0, 1))
 
 
 @pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF{F.q}")

@@ -2,6 +2,8 @@
 
 import json
 import random
+import shlex
+import sys
 
 import pytest
 
@@ -32,6 +34,7 @@ from orecalc.poly import (
 )
 
 from oracles import (
+    centre_hits,
     eigengroup_bruteforce_in_tower,
     fixed_point,
     monic_polys,
@@ -130,7 +133,7 @@ def test_shift_space_examples():
     F3, F5 = GF(3), GF(5)
     ss = shift_space(roots_with_multiplicity(Poly(F3, (0, 2, 0, 1))))  # x^3 - x
     assert set(span_values(ss.tower.ext, ss.basis)) == {0, 1, 2}
-    assert ss.e == 1
+    assert multiplier_field(ss.tower.ext, ss.basis) == 1
     f = Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2
     assert shift_space(roots_with_multiplicity(f)).dim == 0  # multiplicities 1 and 2 differ
     assert shift_space(roots_with_multiplicity(Poly(F3, (2, 0, 1)))).dim == 0  # x^2 - 1
@@ -143,7 +146,7 @@ def test_shift_space_levels():
     f = Poly.from_values(F3, [0, 2] + [0] * 7 + [1])  # x^9 - x
     rm = roots_with_multiplicity(f)
     full = shift_space(rm)
-    assert len(span_values(full.tower.ext, full.basis)) == 9 and full.e == 2
+    assert len(span_values(full.tower.ext, full.basis)) == 9 and multiplier_field(full.tower.ext, full.basis) == 2
     level1 = shift_space(rm, level=1)
     assert len(span_values(level1.tower.ext, level1.basis)) == 3
     assert set(span_values(level1.tower.ext, level1.basis)) == set(subfield_values(level1.tower, 1))
@@ -315,21 +318,143 @@ def test_eigengroup_splits_f_and_f1_derivative_at_most_once(split_calls):
 
 
 def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
-    """With V = 0 the centre search shifts f1 once by each root of f1 and of
-    f1'; no separate triviality pass shifts it again."""
-    F5 = GF(5)
-    cases = [
+    """With V = 0 the centre search shifts f1 once by each candidate and no
+    separate triviality pass shifts it again.  When p does not divide
+    d1 = deg f1 the one candidate is nu = -a_(d1-1)/d1; when p | d1 the
+    candidates are the roots of f1 and of f1'."""
+    F5, F7 = GF(5), GF(7)
+    forced = [
         Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2,  # trivial
-        Poly(GF(7), (1, 3, 0, 1)),  # trivial, three roots in GF(7^2)
+        Poly(F7, (1, 3, 0, 1)),  # trivial, three roots in GF(7^2)
         Poly(F5, (-2, 1)) ** 4 - 1,  # A11; f' has the root 2, no root of f
+        (Poly(F5, (-2, 1)) ** 4 - 1) ** 5,  # its 5th power: f1 is shifted
     ]
-    for f in cases:
+    for f in forced:
+        f1 = exponent_decomp(f).f1
+        d1, K = f1.degree, f.field
+        shift_calls.clear()
+        res = eigengroup(f)
+        nu = res.tower.level(res.tower.k).lift(K.div(K.neg(f1.c[d1 - 1]), d1 % K.p))
+        assert not res.closure.v_basis
+        assert [mu for lam, mu in shift_calls if lam == 1] == [nu]
+    x7 = Poly.x(F7)
+    split = [
+        Poly(F5, (1, 0, 1, 0, 0, 1)),  # x^5 + x^2 + 1, trivial
+        Poly(F7, (3, 0, 0, 0, 0, 0, 1, 1)),  # x^7 + x^6 + 3, trivial
+        (x7 - 2) * ((x7 - 2) ** 3 + 1) ** 2,  # A11 at nu = 2, n = 3, degree 7
+    ]
+    for f in split:
         rm = roots_with_multiplicity(f)
         cands = set(rm.distinct()) | set(roots_in_ext(exponent_decomp(f).f1.derivative(), rm.tower))
         shift_calls.clear()
         res = eigengroup(f)
         assert not res.closure.v_basis
         assert sorted(mu for lam, mu in shift_calls if lam == 1) == sorted(cands)
+
+
+FORCED_FIELDS = [GF(5), GF(7), GF(13), GF(3, 2), GF(2, 3)]
+
+
+def forced_centre_inputs(F, rng, count):
+    """count monic f = f1^(p^t) with p not dividing deg f1, in three kinds:
+    random f1 (almost always trivial), the torus (x - a)^d, and A11 inputs
+    f1 = (x - nu)^i g((x - nu)^n) with n >= 2 prime to p and g(0) != 0;
+    t is 0 or 1."""
+    p, x = F.p, Poly.x(F)
+    out = []
+    while len(out) < count:
+        kind, t = len(out) % 3, rng.choice([0, 0, 1])
+        if kind == 0:
+            d1 = rng.choice([d for d in range(2, 7) if d % p])
+            f1 = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d1)] + [1])
+        elif kind == 1:
+            f1 = (x - rng.randrange(F.q)) ** rng.choice([d for d in range(1, 9) if d % p])
+        else:
+            w = x - rng.randrange(F.q)
+            n = rng.choice([k for k in range(2, 6) if k % p])
+            g = Poly.from_values(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(rng.randrange(2))] + [1])
+            f1 = w ** rng.randrange(3) * g.compose(w**n)
+        if f1.degree % p:
+            out.append(f1 ** (p**t))
+    return out
+
+
+@pytest.mark.parametrize("F", FORCED_FIELDS, ids=lambda F: f"GF{F.q}")
+def test_forced_centre_agrees_with_brute_force_and_the_root_scan(F):
+    """With p not dividing d1 = deg f1 the centre is forced: V = 0, and the
+    root scan over every root of f1 and of f1' hits at most
+    nu = -a_(d1-1)/d1, where the closure's centre and order are read.  The
+    descent to K is brute force's group; inputs whose splitting field is
+    past the cap are refused, and most are answered."""
+    rng = random.Random(2300 + F.q)
+    answered = 0
+    for f in forced_centre_inputs(F, rng, 45):
+        try:
+            res = eigengroup(f)
+        except DomainError as exc:
+            assert "exceeds the configured cap" in str(exc)
+            continue
+        answered += 1
+        assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+        if res.closure.kind == "torus":
+            continue
+        f1 = exponent_decomp(f).f1
+        d1 = f1.degree
+        nu = res.tower.level(res.tower.k).lift(F.div(F.neg(f1.c[d1 - 1]), d1 % F.p))
+        rm = roots_with_multiplicity(f, res.tower)
+        assert shift_space(rm).dim == 0
+        hits = centre_hits(rm)
+        assert set(hits) <= {nu}
+        assert (res.closure.nu, res.closure.n) == ((nu, hits[nu]) if hits else (0, 1))
+    assert answered >= 35
+
+
+def test_forced_centre_refuses_a_tower_that_does_not_split():
+    """A caller's tower that misses a factor's splitting field is refused
+    with the text roots_with_multiplicity gives, on both paths."""
+    F5 = GF(5)
+    x = Poly.x(F5)
+    short = tower_over(F5, 1)
+    for f in [x**2 + 2, (x**2 + 2) ** 5, x**3 * (x**2 + 2), x**5 + x**2 + 1]:
+        with pytest.raises(DomainError) as by_roots:
+            roots_with_multiplicity(f, short)
+        with pytest.raises(DomainError) as by_eigengroup:
+            eigengroup(f, short)
+        assert str(by_eigengroup.value) == str(by_roots.value) == "input does not split over the provided tower"
+        with pytest.raises(DomainError, match="^polynomial is not over the tower base$"):
+            eigengroup(f, tower_over(GF(7), 2))
+    assert eigengroup(x**2 + 2, tower_over(F5, 4)).tower.M == 4
+
+
+@pytest.mark.parametrize("step", ["decompose", "centre", "generators", "eigenform"])
+def test_eigengroup_check_errors_name_stage_and_reproducer(step, monkeypatch):
+    """A failed check on the closure path is an internal fault at stage
+    eigengroup.<step>, on one line that ends with the CLI call repeating
+    the query."""
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+    F3, F5 = GF(3), GF(5)
+    if step == "decompose":  # x^3 - x + 1: V = F_3
+        f = Poly(F3, (1, 2, 0, 1))
+        monkeypatch.setattr(eg_mod, "decompose_through", lambda f1, fv: None)
+    elif step == "centre":  # every candidate of x^5 + x^2 + 1 made a hit
+        f = Poly(F5, (1, 0, 1, 0, 0, 1))
+        monkeypatch.setattr(eg_mod, "gcd_p", lambda g: 2)
+    elif step == "generators":  # a lambda_n of order 4 for n = 2
+        f = Poly(F5, (-2, 1)) ** 2 - 1
+        monkeypatch.setattr(eg_mod, "_unity_root", lambda n, field: field.generator)
+    else:
+        f = Poly(F5, (-2, 1)) ** 4 - 1
+        monkeypatch.setattr(eg_mod.Eigenform, "expand", lambda self: Poly.one(self.tower.ext))
+    with pytest.raises(InternalCheckError, match=rf"^stage=eigengroup\.{step}: ") as info:
+        eigengroup(f)
+    monkeypatch.undo()
+    msg = str(info.value)
+    assert "\n" not in msg
+    argv = shlex.split(msg.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "eigengroup"]
+    code, out = run(argv[1:])
+    assert code == 0
+    assert (code, out) == run(["eigengroup", "--field", repr(f.field), "--f", repr(f)])
 
 
 def test_expand_skips_the_power_under_a_constant_g(monkeypatch):
@@ -757,7 +882,8 @@ def test_inverse_validation():
 )
 def test_eigengroup_lifts_f_at_most_twice(monkeypatch, p, coeffs):
     """f itself (by identity) is lifted to L only by the root multiset and
-    the root check inside it; eigengroup_closed reuses that lift."""
+    the root check inside it, and eigengroup_closed reuses that lift; with
+    the centre forced (p not dividing deg f1) it is lifted once."""
     import sys
 
     from orecalc import poly as poly_mod

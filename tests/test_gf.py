@@ -300,6 +300,28 @@ def test_digit_string_unpacks_every_value(p, m):
     assert all(F.unpack(v) == tuple(_unpack_int(v, m, p)) for v in range(F.q))
 
 
+@pytest.mark.parametrize("p,m,k", [(3, 8, 2), (2, 12, 4), (5, 6, 3), (3, 11, 1)])
+def test_lift_and_add_digits_read_digits_without_a_tuple(p, m, k, monkeypatch):
+    """TowerLevel.lift and add_digits read the digits as a slice of the
+    digit table (a list where the field has none): on tabled fields they
+    never build the tuple that unpack returns, and their values are
+    unchanged.  (Products in an untabled field unpack their factors.)"""
+    F, rng = GF(p, m), random.Random(p * m)
+    assert isinstance(F._digit_seq(F.q - 1), bytes if F._digits is not None else list)
+    lvl = tower_over(GF(p, k), m).level(k)
+    vals = [rng.randrange(F.q) for _ in range(40)]
+    low = [rng.randrange(p**k) for _ in range(40)]
+    want = [F.add_digits(a, b) for a, b in zip(vals, vals[1:])], [lvl.lift(a) for a in low]
+    assert want[0] == [F.pack([x + y for x, y in zip(F.unpack(a), F.unpack(b))]) for a, b in zip(vals, vals[1:])]
+
+    def no_tuple(self, v):
+        raise AssertionError("unpack called")
+
+    if F._digits is not None:
+        monkeypatch.setattr(gf.FieldDesc, "unpack", no_tuple)
+    assert ([F.add_digits(a, b) for a, b in zip(vals, vals[1:])], [lvl.lift(a) for a in low]) == want
+
+
 def test_tables_take_under_80_bytes_per_element():
     """GF(13^4) keeps 4 digit bytes, three list slots of 8 bytes and one
     shared int object per element."""
