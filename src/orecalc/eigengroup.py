@@ -23,8 +23,12 @@ bound on n when V = 0, and with G from decompose_through and n | p^e - 1
 d1 = deg f1, no root is split: V moves the roots of f1 freely and keeps
 multiplicities, so |V| divides d1 and V = 0, and a centre with n >= 2 kills
 the x^(d1-1) coefficient a_(d1-1) + d1 nu of f1(x + nu), so
-nu = -a_(d1-1)/d1 in K is the one candidate.  If p | d1, each root of f1 and
-of f1' is a candidate centre nu.  With w = f_V(x - nu), f1 = G(w + f_V(nu)),
+nu = -a_(d1-1)/d1 in K is the one candidate.  If p | d1, shift_space_is_zero
+decides V = 0 over K.  Then a commutator in G_f (lam = 1) is a trivial shift,
+so all of G_f fixes one nu; the Frobenius conjugate of a generator fixes
+nu^q, so nu is in K, a root of f1 (i >= 1) or of f1' (i = 0), and no root of
+L is split.  When V != 0 each root of f1 and of f1' in L is a candidate
+centre nu.  With w = f_V(x - nu), f1 = G(w + f_V(nu)),
 and stripping the power of w from G(y + f_V(nu)) leaves g_nu, whose
 prime-to-p exponent gcd (p^e - 1 when g_nu is constant: one coset of roots)
 bounds n.  Hits, the candidates with n >= 2, lie in one V-coset with equal
@@ -54,13 +58,14 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values, tower_over
 from .poly import (
     Poly,
     RootMultiset,
+    binom_mod_p,
     checked_splitting_tower,
     contract_exponents,
     decompose_through,
@@ -72,6 +77,7 @@ from .poly import (
     poly_pow_mod,
     roots_in_ext,
     roots_with_multiplicity,
+    shift_coeffs,
     space_basis,
 )
 
@@ -108,7 +114,7 @@ def _reproducer(command: str, field: FieldDesc, *opts: str) -> str:
 
 def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup") -> InternalCheckError:
     """A failed check on f at the given stage, with the CLI line that repeats it."""
-    return InternalCheckError(f"stage={stage}: {msg}; {_reproducer(command, f.field, '--f', repr(f))}")
+    return InternalCheckError(f"{msg}; {_reproducer(command, f.field, '--f', repr(f))}", stage)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +256,18 @@ def shift_space(rm: RootMultiset, level: int | None = None) -> ShiftSpace:
     if len(qual) != L.p ** len(basis):
         raise InternalCheckError("qualifying shifts failed to form a subspace")
     return ShiftSpace(tower, level, basis)
+
+
+def shift_space_is_zero(f: Poly) -> bool:
+    """Whether V = {v : f(x + v) = f(x)} is 0, decided over K: V is the common
+    zero set of b_k(mu) - f_k, k < deg f (shift_coeffs), so V = 0 exactly when
+    their gcd is c mu^t.  The gcd is taken from the top k down until it is."""
+    G = Poly.zero(f.field)
+    for b in shift_coeffs(f, range(f.degree - 1, -1, -1)):
+        G = G.gcd(Poly.from_values(f.field, b.c[1:]))
+        if G.c and G.valuation() == G.degree:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +478,7 @@ def torus_centre(f: Poly) -> int | None:
     neg_t = F.div(f.c[d - ps], F.mul(c, d1 % F.p))
     coef = c
     for i in range(d1, -1, -1):
-        if f.c[i * ps] != F.mul(comb(d1, i) % F.p, coef):
+        if f.c[i * ps] != F.mul(binom_mod_p(d1, i, F.p), coef):
             return None
         coef = F.mul(coef, neg_t)
     if any(f.c[k] for k in range(d) if k % ps):
@@ -511,9 +529,9 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     _require_monic_nonscalar(f)
     ed, K = exponent_decomp(f), f.field
     s, f1, d1, p = ed.s, ed.f1, ed.f1.degree, K.p
-    if d1 % p:  # V = 0, and the torus or one forced centre: no root is split
-        tower, a = checked_splitting_tower(f, tower)[0], torus_centre(f)
-        fe = lift_poly(f, tower)
+    if d1 % p or shift_space_is_zero(f1):  # V = 0: every centre is in K, no root of L is split
+        (tower, parts), rm = checked_splitting_tower(f, tower), None
+        a, fe = torus_centre(f) if d1 % p else None, lift_poly(f, tower)
     else:
         rm = roots_with_multiplicity(f, tower)
         tower, a, fe = rm.tower, None, rm.lifted
@@ -532,6 +550,9 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     fv, big_g, bound, basis = Poly.x(L), f1e, 0, ()
     if d1 % p:
         cands = [lift(K.div(K.neg(f1.c[d1 - 1]), d1 % p))]
+    elif rm is None:  # the roots of f1 and of f1' in K
+        base = tower_over(K, K.m)
+        cands = [lift(r) for r in sorted({*roots_in_ext(f, base, parts), *roots_in_ext(f1.derivative(), base)})]
     else:
         basis, seen = shift_space(rm).basis, set(rm.distinct())
         cands = sorted(seen) + [r for r in roots_in_ext(f1.derivative(), tower) if r not in seen]
@@ -755,8 +776,8 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
         return []
     if d < 1:
         return [(lam, mu) for lam in F.units() for mu in F.elements()]
-    fc, gc = f.c, g.c
-    b = [Poly.from_values(F, [F.mul(comb(i, k) % F.p, fc[i]) for i in range(k, d + 1)]) for k in range(d)]
+    gc = g.c
+    b = list(shift_coeffs(f, range(d)))
     j = next((k for k in range(d - 1, -1, -1) if gc[k]), None)
     e = d - j if j is not None else 0
     G = Poly.zero(F)

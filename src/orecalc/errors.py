@@ -23,4 +23,9 @@ class ParseError(DomainError):
 
 
 class InternalCheckError(AssertionError):
-    """An internal cross-check (oracle vs. structured path) failed."""
+    """An internal cross-check (oracle vs. structured path) failed; stage,
+    when given, names the step and prefixes the message "stage=<stage>: "."""
+
+    def __init__(self, message: str = "", stage: str | None = None):
+        super().__init__(message if stage is None else f"stage={stage}: {message}")
+        self.stage = stage

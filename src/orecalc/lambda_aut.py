@@ -252,5 +252,5 @@ def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
         hom.verify()
     except InternalCheckError as exc:
         line = _reproducer("isomorphic", f.field, "--f", repr(f), "--g", repr(g))
-        raise InternalCheckError(f"stage=iso.solve: {exc}; {line}") from exc
+        raise InternalCheckError(f"{exc}; {line}", "iso.solve") from exc
     return IsoResult(True, alpha, beta, hom)

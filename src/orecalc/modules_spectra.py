@@ -337,10 +337,8 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
         for r in range(i + 2):
             R[r][i + 1] = K.sub(R[r - 1][i] if r else 0, fe[r])
     if tuple(map(tuple, R)) != X:
-        raise InternalCheckError(
-            "stage=off_f.x_table: x-action table disagrees with the ideal reduction; "
-            + _off_f_reproducer(f, xi, rho)
-        )
+        msg = "x-action table disagrees with the ideal reduction; "
+        raise InternalCheckError(msg + _off_f_reproducer(f, xi, rho), "off_f.x_table")
 
     # y-action: cyclic shift with y^p = rho + c(x) y on the module, where
     # c = phi_(p-2)' lies in K[x^p], so c(X) is the scalar c(a)
@@ -354,10 +352,8 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
 
     _check_relations(K, f, X, Y, xi, c_a, mat_scale(K, mat_id(K, p), rho))
     if not eigenline_certificate(K, X, Y, a):
-        raise InternalCheckError(
-            "stage=off_f.simplicity: the eigenline certificate fails; "
-            + _off_f_reproducer(f, xi, rho)
-        )
+        msg = "the eigenline certificate fails; "
+        raise InternalCheckError(msg + _off_f_reproducer(f, xi, rho), "off_f.simplicity")
 
     return SimpleModuleSpec("off_f", f, K, p, X, Y, xi=xi, rho=rho)
 
@@ -476,8 +472,9 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
     for p_i, _ in factors:
         if not ((f * p_i.derivative()) % p_i).is_zero():
             raise InternalCheckError(
-                "stage=spectrum.normality: factor is not normal: p_i does not divide f p_i'; "
-                + _reproducer("spectrum", K, "--f", repr(f), "--degree-bound", str(degree_bound))
+                "factor is not normal: p_i does not divide f p_i'; "
+                + _reproducer("spectrum", K, "--f", repr(f), "--degree-bound", str(degree_bound)),
+                "spectrum.normality",
             )
 
     fp = Poly.from_values(K, (K.frob(c) for c in f.c))  # f^p = fp(x^p)

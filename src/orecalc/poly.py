@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors, primitive_root_of_unity, tower_over
@@ -552,6 +552,32 @@ def gcd_p(f: Poly) -> int:
     return g
 
 
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p by Lucas' theorem, one base-p digit at a time."""
+    if p == 2:
+        return int(n & k == k)
+    out = 1
+    while k and out:
+        (n, a), (k, b) = divmod(n, p), divmod(k, p)
+        out = out * comb(a, b) % p
+    return out
+
+
+def shift_coeffs(f: Poly, ks):
+    """For each k in ks, b_k(mu) = sum_{i >= k} C(i, k) f_i mu^(i - k), the
+    x^k coefficient of f(x + mu) as a polynomial in mu; zero f_i are skipped."""
+    F, terms = f.field, [(i, c) for i, c in enumerate(f.c) if c][::-1]
+    for k in ks:
+        out = []
+        for i, c in terms:
+            if i < k:
+                break
+            if b := binom_mod_p(i, k, F.p):
+                out = out or [0] * (i - k + 1)
+                out[i - k] = F.mul(b, c)
+        yield Poly.from_values(F, out)
+
+
 # ---------------------------------------------------------------------------
 # Roots over a splitting tower
 # ---------------------------------------------------------------------------
@@ -569,7 +595,10 @@ def radical(f: Poly) -> Poly:
         if d.is_zero():
             f = poly_pth_root(f)
             continue
-        g1 = (f // f.gcd(d)).monic()  # factors whose multiplicity is prime to p
+        r = f.gcd(d)
+        if r.degree == 0 and out.degree == 0:  # f is squarefree
+            return f
+        g1 = (f // r).monic()  # factors whose multiplicity is prime to p
         out = out * (g1 // out.gcd(g1))
         # strip every factor sharing a root with g1; what remains is a p-th power
         while True:

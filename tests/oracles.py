@@ -14,7 +14,8 @@ linear factors.
 Subspaces given by all their values are checked by rank (p^rank elements),
 and their multiplier field is found by set membership.  The spectrum's
 closed points come from its former walk over every pair (xi, rho), with
-element-wise Frobenius orbits and subfield tests.
+element-wise Frobenius orbits and subfield tests.  radical_oracle is
+radical's general loop without its squarefree short-cut.
 """
 
 import random
@@ -36,6 +37,7 @@ from orecalc.poly import (
     exponent_decomp,
     exponent_gcd,
     lift_poly,
+    poly_pth_root,
     radical,
     roots_in_ext,
     roots_with_multiplicity,
@@ -181,6 +183,23 @@ def is_irreducible_oracle(f: Poly) -> bool:
         if (h - x).gcd(f).degree != 0:
             return False
     return pow_mod_oracle(x, q**d, f) == x % f
+
+
+def radical_oracle(f: Poly) -> Poly:
+    """radical(f) by the general loop alone: strip p-th roots, take the
+    factors of multiplicity prime to p as f / gcd(f, f'), and divide out
+    every factor sharing a root with them, also for a squarefree f."""
+    out, f = Poly.one(f.field), f.monic()
+    while f.degree > 0:
+        d = f.derivative()
+        if d.is_zero():
+            f = poly_pth_root(f)
+            continue
+        g1 = (f // f.gcd(d)).monic()
+        out = out * (g1 // out.gcd(g1))
+        while (g := f.gcd(g1)).degree > 0:
+            f = f // g
+    return out
 
 
 def distinct_degree_parts_oracle(f: Poly) -> list[tuple[int, Poly]]:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from orecalc import poly as poly_mod
 from orecalc.cli import run
 from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, primitive_root_of_unity, span_values, tower_over
@@ -20,6 +21,7 @@ from orecalc.eigengroup import (
     eigengroup_descend,
     inverse_eigengroup,
     shift_space,
+    shift_space_is_zero,
     solve_affine_matches,
 )
 from orecalc.poly import (
@@ -38,6 +40,7 @@ from oracles import (
     eigengroup_bruteforce_in_tower,
     fixed_point,
     monic_polys,
+    roots_in_field,
     subfield_values,
     triviality_criterion,
 )
@@ -318,10 +321,12 @@ def test_eigengroup_splits_f_and_f1_derivative_at_most_once(split_calls):
 
 
 def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
-    """With V = 0 the centre search shifts f1 once by each candidate and no
-    separate triviality pass shifts it again.  When p does not divide
-    d1 = deg f1 the one candidate is nu = -a_(d1-1)/d1; when p | d1 the
-    candidates are the roots of f1 and of f1'."""
+    """The centre search shifts once by each candidate and no separate
+    triviality pass shifts again.  When p does not divide d1 = deg f1 the
+    one candidate is nu = -a_(d1-1)/d1; when p | d1 and V = 0 the
+    candidates are the roots of f1 and of f1' in K, lifted to L; when
+    V != 0 they are all roots of f1 and f1' in L, each shifting G by
+    f_V(nu) before the generator checks shift f by the basis of V."""
     F5, F7 = GF(5), GF(7)
     forced = [
         Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2,  # trivial
@@ -343,13 +348,34 @@ def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
         Poly(F7, (3, 0, 0, 0, 0, 0, 1, 1)),  # x^7 + x^6 + 3, trivial
         (x7 - 2) * ((x7 - 2) ** 3 + 1) ** 2,  # A11 at nu = 2, n = 3, degree 7
     ]
+    outside = 0
     for f in split:
+        f1 = exponent_decomp(f).f1
         rm = roots_with_multiplicity(f)
-        cands = set(rm.distinct()) | set(roots_in_ext(exponent_decomp(f).f1.derivative(), rm.tower))
+        scan = set(rm.distinct()) | set(roots_in_ext(f1.derivative(), rm.tower))
+        lift = rm.tower.level(rm.tower.k).lift
+        cands = {lift(r) for r in roots_in_field(f1) + roots_in_field(f1.derivative())}
         shift_calls.clear()
         res = eigengroup(f)
-        assert not res.closure.v_basis
+        assert not res.closure.v_basis and shift_space(rm).dim == 0
         assert sorted(mu for lam, mu in shift_calls if lam == 1) == sorted(cands)
+        assert cands <= scan
+        outside += len(scan - cands)
+    assert outside  # roots outside K that the scan shifted by and the V = 0 path skips
+    F3 = GF(3)
+    fv = Poly(F3, (0, 2, 0, 1))  # x^3 - x
+    for f in [fv + 1, fv * (fv**4 + 1), (fv.compose_affine(1, 2) ** 2 + 1) ** 3]:
+        f1 = exponent_decomp(f).f1
+        rm = roots_with_multiplicity(f)
+        seen = rm.distinct()
+        cands = list(seen) + [r for r in roots_in_ext(f1.derivative(), rm.tower) if r not in seen]
+        basis = shift_space(rm).basis
+        w = f_V(rm.tower.ext, basis)
+        shift_calls.clear()
+        res = eigengroup(f)
+        assert res.closure.v_basis == basis != ()
+        assert shift_calls[: len(cands)] == [(1, w.eval_value(nu)) for nu in cands]
+        assert all(lam != 1 or mu in basis for lam, mu in shift_calls[len(cands) :])
 
 
 FORCED_FIELDS = [GF(5), GF(7), GF(13), GF(3, 2), GF(2, 3)]
@@ -426,6 +452,110 @@ def test_forced_centre_refuses_a_tower_that_does_not_split():
     assert eigengroup(x**2 + 2, tower_over(F5, 4)).tower.M == 4
 
 
+P_DIVIDES_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)]
+
+
+def p_divides_inputs(F, rng, count):
+    """count monic f = f1^(p^t), t in {0, 1}, with p | deg f1, in four
+    kinds: random f1; A11 inputs f1 = (x - nu)^i g((x - nu)^n) with n >= 2
+    prime to p and g(0) != 0; and, with V != 0, f1 = G(x^p - a x),
+    a = c^(p-1) (V = F_p c), and (f_V - c)^e - s^e for a random V, e = 2
+    (e = 3 in characteristic 2, where the square has f1' = 0).
+    Returns (kind, nu or None, n, f)."""
+    p, x = F.p, Poly.x(F)
+    const = lambda v: Poly.from_values(F, (v,))  # noqa: E731
+    rand = lambda d: Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])  # noqa: E731
+    out = []
+    while len(out) < count:
+        kind, nu, n = len(out) % 4, None, 1
+        if kind == 0:
+            f1 = rand(rng.choice([d for d in range(2, 9) if d % p == 0]))
+        elif kind == 1:
+            nu, n = rng.randrange(F.q), rng.choice([k for k in range(2, 7) if k % p])
+            w = x - const(nu)
+            g = Poly.from_values(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(rng.randrange(2))] + [1])
+            f1 = w ** rng.randrange(4) * g.compose(w**n)
+        elif kind == 2:
+            c = rng.randrange(1, F.q)
+            f1 = rand(rng.randrange(1, 3)).compose(f_V(F, (c,)))
+        else:
+            fv = f_V(F, [rng.randrange(1, F.q) for _ in range(rng.randrange(1, min(F.m, 2) + 1))])
+            c, s = rng.randrange(F.q), rng.randrange(1, F.q)
+            e = 3 if p == 2 else 2
+            f1 = (fv - const(c)) ** e - const(F.pow(s, e))
+        if f1.degree % p == 0 and not f1.derivative().is_zero():
+            out.append((kind, nu, n, f1 ** (p ** rng.choice([0, 0, 1]))))
+    return out
+
+
+@pytest.mark.parametrize("F", P_DIVIDES_FIELDS, ids=lambda F: f"GF{F.q}")
+def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeypatch):
+    """With p | d1 = deg f1, shift_space_is_zero(f1) is the root multiset's
+    V = 0, and a V = 0 input splits no root over L != K: split_roots runs
+    over K only once the tower has embedded K in L (built beforehand), and the closure with n >= 2 has its centre nu in K (at the
+    built nu on A11 inputs).  The descent is brute force's group over K, and
+    the closure is brute force's group over L wherever |L| <= 2^10."""
+    real_split = poly_mod.split_roots
+    fields = []
+
+    def recording(g, k):
+        fields.append(g.field)
+        return real_split(g, k)
+
+    rng = random.Random(2400 + F.q)
+    kinds, past_k, over_l = [0] * 4, 0, 0
+    for kind, nu0, n0, f in p_divides_inputs(F, rng, 40):
+        f1 = exponent_decomp(f).f1
+        zero = shift_space_is_zero(f1)
+        assert zero == shift_space_is_zero(f)
+        try:
+            splitting_tower(f).level(F.m)
+            fields.clear()
+            monkeypatch.setattr(poly_mod, "split_roots", recording)
+            res = eigengroup(f)
+        except DomainError as exc:
+            assert "exceeds the configured cap" in str(exc)
+            continue
+        finally:
+            monkeypatch.undo()
+        kinds[kind] += 1
+        tower, desc = res.tower, res.closure
+        assert zero == (shift_space(roots_with_multiplicity(f, tower)).dim == 0) == (not desc.v_basis)
+        assert not zero or kind < 2  # kinds 2 and 3 are built with V != 0
+        assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+        if tower.ext.q <= DEFAULT_BRUTE_CAP:
+            over_l += 1
+            assert pairs_of(desc.elements()) == eigengroup_bruteforce_in_tower(f, tower, tower.M)
+        if not zero:
+            continue
+        assert all(field is F for field in fields)
+        past_k += tower.M > F.m
+        if desc.n >= 2:
+            assert tower.in_subfield(desc.nu, F.m)
+        if kind == 1:
+            assert desc.nu == tower.level(tower.k).lift(nu0) and desc.n % n0 == 0
+    assert min(kinds) >= 5 and past_k >= 3 and over_l >= 8, (kinds, past_k, over_l)
+
+
+def test_p_dividing_deg_f1_with_v_zero_refuses_a_tower_that_does_not_split(monkeypatch):
+    """On the V = 0 path with p | d1 a caller's tower that misses a factor's
+    splitting field is refused with roots_with_multiplicity's text, and
+    the root multiset is not built."""
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+    F3, F5 = GF(3), GF(5)
+    short = [(Poly(F5, (1, 0, 1, 0, 0, 1)), 1), (Poly(F3, (2, 1, 1, 1)) ** 3, 1), (Poly(F3, (1, 0, 0, 1, 1, 0, 1)), 2)]
+    for f, M in short:
+        assert shift_space_is_zero(exponent_decomp(f).f1)
+        with pytest.raises(DomainError) as by_roots:
+            roots_with_multiplicity(f, tower_over(f.field, M))
+        monkeypatch.setattr(eg_mod, "roots_with_multiplicity", None)
+        with pytest.raises(DomainError) as by_eigengroup:
+            eigengroup(f, tower_over(f.field, M))
+        assert eigengroup(f).tower.M > M
+        monkeypatch.undo()
+        assert str(by_eigengroup.value) == str(by_roots.value) == "input does not split over the provided tower"
+
+
 @pytest.mark.parametrize("step", ["decompose", "centre", "generators", "eigenform"])
 def test_eigengroup_check_errors_name_stage_and_reproducer(step, monkeypatch):
     """A failed check on the closure path is an internal fault at stage
@@ -436,8 +566,8 @@ def test_eigengroup_check_errors_name_stage_and_reproducer(step, monkeypatch):
     if step == "decompose":  # x^3 - x + 1: V = F_3
         f = Poly(F3, (1, 2, 0, 1))
         monkeypatch.setattr(eg_mod, "decompose_through", lambda f1, fv: None)
-    elif step == "centre":  # every candidate of x^5 + x^2 + 1 made a hit
-        f = Poly(F5, (1, 0, 1, 0, 0, 1))
+    elif step == "centre":  # every candidate of x^5 + x^2 + x (V = 0; 0, 2 and 3 in K) made a hit
+        f = Poly(F5, (0, 1, 1, 0, 0, 1))
         monkeypatch.setattr(eg_mod, "gcd_p", lambda g: 2)
     elif step == "generators":  # a lambda_n of order 4 for n = 2
         f = Poly(F5, (-2, 1)) ** 2 - 1
@@ -448,6 +578,7 @@ def test_eigengroup_check_errors_name_stage_and_reproducer(step, monkeypatch):
     with pytest.raises(InternalCheckError, match=rf"^stage=eigengroup\.{step}: ") as info:
         eigengroup(f)
     monkeypatch.undo()
+    assert info.value.stage == f"eigengroup.{step}"
     msg = str(info.value)
     assert "\n" not in msg
     argv = shlex.split(msg.split("reproduce: ", 1)[1])

@@ -289,6 +289,7 @@ def test_iso_check_error_names_stage_and_reproducer(F, monkeypatch):
     with pytest.raises(InternalCheckError, match=r"^stage=iso\.solve: ") as info:
         are_isomorphic(f, g)
     monkeypatch.undo()
+    assert info.value.stage == "iso.solve"
     msg = str(info.value)
     assert "\n" not in msg
     argv = shlex.split(msg.split("reproduce: ", 1)[1])
@@ -399,6 +400,7 @@ def test_aut_check_error_names_stage_and_reproducer(F, monkeypatch):
     with pytest.raises(InternalCheckError, match=r"^stage=aut\.solve: ") as info:
         aut_group(f)
     monkeypatch.undo()
+    assert info.value.stage == "aut.solve"
     msg = str(info.value)
     assert "\n" not in msg
     argv = shlex.split(msg.split("reproduce: ", 1)[1])

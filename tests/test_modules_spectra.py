@@ -466,6 +466,7 @@ def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     with pytest.raises(InternalCheckError, match=r"^stage=off_f\.x_table: ") as info:
         simple_module_off_f(f, xi, rho)
     monkeypatch.undo()
+    assert info.value.stage == "off_f.x_table"
     assert "\n" not in str(info.value)
     assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
 
@@ -473,6 +474,7 @@ def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     with pytest.raises(InternalCheckError, match=r"^stage=off_f\.simplicity: ") as info:
         simple_module_off_f(f, xi, rho)
     monkeypatch.undo()
+    assert info.value.stage == "off_f.simplicity"
     assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
 
 
@@ -574,7 +576,7 @@ def test_off_f_mutated_binomial_is_caught_or_harmless(F, monkeypatch):
             try:
                 X = simple_module_off_f(f, xi, rho).X
             except InternalCheckError as exc:
-                assert str(exc).startswith("stage=off_f.x_table: ")
+                assert str(exc).startswith("stage=off_f.x_table: ") and exc.stage == "off_f.x_table"
                 raised += 1
             else:
                 assert X == good
@@ -844,6 +846,7 @@ def test_spectrum_normality_error_names_stage_and_reproducer(F, monkeypatch):
     with pytest.raises(InternalCheckError, match=r"^stage=spectrum\.normality: ") as info:
         spectrum(f, 2)
     monkeypatch.undo()
+    assert info.value.stage == "spectrum.normality"
     assert "\n" not in str(info.value)
     argv = shlex.split(str(info.value).split("reproduce: ", 1)[1])
     assert argv[:2] == ["orecalc", "spectrum"]

@@ -1,6 +1,7 @@
 """Polynomial algebra: arithmetic, roots, decompositions, additive f_V."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -21,9 +22,11 @@ from orecalc.poly import (
     multiplier_field,
     poly_pow_mod,
     poly_pth_root,
+    binom_mod_p,
     radical,
     roots_in_ext,
     roots_with_multiplicity,
+    shift_coeffs,
     space_basis,
     splitting_degree,
     split_roots,
@@ -37,6 +40,7 @@ from oracles import (
     monic_polys,
     multiplier_field_oracle,
     pow_mod_oracle,
+    radical_oracle,
     roots_in_field,
     split_roots_oracle,
     verify_fp_subspace,
@@ -621,6 +625,60 @@ def test_radical_and_distinct_degree_split():
     assert splitting_degree(g) == 2
     # x^2 + x + 1 splits already over F_4 (the generator is a root)
     assert splitting_degree(Poly.from_values(GF(2, 2), (1, 1, 1))) == 2
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (13, 1), (2, 3), (3, 2)], ids=lambda v: str(v))
+def test_radical_short_cut_matches_the_general_loop(p, m, monkeypatch):
+    """radical against its general loop (radical_oracle) on seeded inputs:
+    random f, squarefree products, and products of factors with repeated
+    and p-th-power multiplicities, times a unit.  A squarefree f returns
+    f.monic() after one gcd; the rest take the loop."""
+    F, rng = GF(p, m), random.Random(240 + p * 10 + m)
+    rand = lambda d: Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])  # noqa: E731
+    gcds, real_gcd = [], Poly.gcd
+
+    def counting(self, other):
+        gcds.append(1)
+        return real_gcd(self, other)
+
+    squarefree = 0
+    for t in range(60):
+        if t % 3 == 0:
+            f = rand(rng.randrange(1, 9))
+        else:
+            f = Poly.one(F)
+            for _ in range(rng.randrange(1, 4)):
+                e = 1 if t % 3 == 1 else rng.choice([1, 2, 3, p, p * rng.randrange(1, 3), p * p])
+                f = f * rand(rng.randrange(1, 4)) ** e
+        f = f.scale_value(rng.randrange(1, F.q))
+        gcds.clear()
+        monkeypatch.setattr(Poly, "gcd", counting)
+        got = radical(f)
+        monkeypatch.undo()
+        assert got == radical_oracle(f)
+        if f.gcd(f.derivative()).degree == 0:
+            squarefree += 1
+            assert got == f.monic() and len(gcds) == 1
+    assert 10 <= squarefree < 60
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)], ids=lambda v: str(v))
+def test_shift_coeffs_are_the_taylor_shift_coefficients(p, m):
+    """b_k(mu) from shift_coeffs is the x^k coefficient of f(x + mu) at
+    every mu of the field, for every k, on seeded sparse and dense f up to
+    degree 40; binom_mod_p is comb mod p."""
+    F, rng = GF(p, m), random.Random(241 + p * 10 + m)
+    for n in range(60):
+        assert all(binom_mod_p(n, k, p) == comb(n, k) % p for k in range(n + 2))
+    for t in range(12):
+        d = rng.randrange(1, 41)
+        dense = t % 2 == 0
+        f = Poly.from_values(F, [rng.randrange(F.q) if dense or rng.random() < 0.2 else 0 for _ in range(d)] + [1])
+        b = list(shift_coeffs(f, range(d + 1)))
+        for mu in rng.sample(range(F.q), min(F.q, 5)):
+            shifted = f.compose_affine(1, mu)
+            assert [bk.eval_value(mu) for bk in b] == list(shifted.c)
+        assert all(bk.degree <= d - k for k, bk in enumerate(b))
 
 
 def test_f_V_closed_forms():
