@@ -58,14 +58,13 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values, tower_over
 from .poly import (
     Poly,
     RootMultiset,
-    binom_mod_p,
     checked_splitting_tower,
     contract_exponents,
     decompose_through,
@@ -478,7 +477,7 @@ def torus_centre(f: Poly) -> int | None:
     neg_t = F.div(f.c[d - ps], F.mul(c, d1 % F.p))
     coef = c
     for i in range(d1, -1, -1):
-        if f.c[i * ps] != F.mul(binom_mod_p(d1, i, F.p), coef):
+        if f.c[i * ps] != F.mul(comb(d1, i) % F.p, coef):
             return None
         coef = F.mul(coef, neg_t)
     if any(f.c[k] for k in range(d) if k % ps):

@@ -554,8 +554,6 @@ def gcd_p(f: Poly) -> int:
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by Lucas' theorem, one base-p digit at a time."""
-    if p == 2:
-        return int(n & k == k)
     out = 1
     while k and out:
         (n, a), (k, b) = divmod(n, p), divmod(k, p)

@@ -10,6 +10,7 @@ from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, divisors, primitive_root_of_unity, span_values, tower_over
 from orecalc.poly import (
     Poly,
+    binom_mod_p,
     decompose_through,
     distinct_degree_parts,
     exponent_decomp,
@@ -22,7 +23,6 @@ from orecalc.poly import (
     multiplier_field,
     poly_pow_mod,
     poly_pth_root,
-    binom_mod_p,
     radical,
     roots_in_ext,
     roots_with_multiplicity,
