@@ -112,10 +112,6 @@ def present_eigenform(ef: Eigenform) -> str:
     raise InternalCheckError(f"unknown eigenform case {ef.case!r}")
 
 
-def _text_lines(lines) -> str:
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (json_payload, text)
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def _cmd_eigengroup(args):
     base = res.descend()
     payload = base.describe()
     payload["closure"] = res.closure.describe()
-    text = _text_lines(
+    text = "\n".join(
         [
             f"G_f({format_field(field)}): {present_eigengroup(base)}",
             f"G_f(closure, level {res.closure.level}): {present_eigengroup(res.closure)}",
@@ -156,7 +152,7 @@ def _cmd_centre(args):
         "c": format_poly(gens.c),
         "rank": field.p * field.p,
     }
-    text = _text_lines(
+    text = "\n".join(
         [
             f"Z = {format_field(field)}[z1, z2]",
             f"z1 = {payload['z1']}",
@@ -173,7 +169,7 @@ def _cmd_aut_group(args):
     f = _required_poly(field, args.f)
     desc = aut_group(f)
     payload = desc.describe()
-    text = _text_lines(
+    text = "\n".join(
         [
             f"Aut = ({format_field(field)}[x], +) ⋊ G_f, infinite order",
             f"eigen part: {present_eigengroup(desc.eigen)}",
@@ -242,7 +238,7 @@ def _cmd_simple_module(args):
         lines.append(f"{name} =")
         for row in mat:
             lines.append("  [" + " ".join(_elt_str(F, v) for v in row) + "]")
-    return payload, _text_lines(lines)
+    return payload, "\n".join(lines)
 
 
 def _cmd_spectrum(args):
@@ -262,7 +258,7 @@ def _cmd_spectrum(args):
             f"  degree {j}: x^p - {_elt_str(Fj, xi)}, z2 - {_elt_str(Fj, rho)}"
         )
     lines.append(f"Krull dimension {desc.krull_dim}, global dimension {desc.global_dim}")
-    return payload, _text_lines(lines)
+    return payload, "\n".join(lines)
 
 
 def _cmd_inverse_group(args):
@@ -289,7 +285,7 @@ def _cmd_inverse_group(args):
         # needs none (the descent stays first: it is the faster on large G)
         realized = eigengroup_over_base(f)
     payload = {"f": format_poly(f), "group": realized.describe()}
-    text = _text_lines(
+    text = "\n".join(
         [
             f"f = {format_poly(f)}",
             f"realized group: {present_eigengroup(realized)}",
@@ -334,7 +330,7 @@ def _cmd_oracle(args):
         "order": len(structured),
         "kind": base.kind,
     }
-    text = _text_lines(
+    text = "\n".join(
         [
             f"oracle agrees ({mode}, {checked} substitutions checked)",
             f"group: {present_eigengroup(base)}",
@@ -375,9 +371,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is registered with its help, but
+    argparse reads the options of the invoked command only, the first
+    argument not starting with "-", so only it gets them (all do without argv)."""
     top = _ArgumentParser(prog="orecalc", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
+    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
     helps = {
         "eigengroup": "eigen-substitution group of f",
         "eigenform": "structured form of f under its eigengroup",
@@ -392,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=helps[name], description=helps[name])
         p.set_defaults(handler=fn)
+        if argv is not None and name != invoked:
+            continue
         p.add_argument("--field", required=True, help='base field, e.g. "GF(5)" or "GF(2^3)"')
         p.add_argument("--f", help='polynomial in x, e.g. "x^3 + 2*x + 1" or "[1,2,0,1]"')
         p.add_argument("--g", help="second polynomial (isomorphic)")
@@ -419,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> tuple[int, str]:
     """Executes one invocation; returns (exit code, output text)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         payload, text = args.handler(args)
     except DomainError as exc:
         return 1, f"error: {exc}"

@@ -57,7 +57,7 @@ shifts f by every mu and solves a coefficient equation for lam.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
@@ -111,9 +111,10 @@ def _reproducer(command: str, field: FieldDesc, *opts: str) -> str:
     return "reproduce: " + shlex.join(["orecalc", command, "--field", spec, *opts])
 
 
-def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup") -> InternalCheckError:
-    """A failed check on f at the given stage, with the CLI line that repeats it."""
-    return InternalCheckError(f"{msg}; {_reproducer(command, f.field, '--f', repr(f))}", stage)
+def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup", *opts: str) -> InternalCheckError:
+    """A failed check on f at the given stage, with the CLI line (command
+    --f f, then opts) that repeats it."""
+    return InternalCheckError(f"{msg}; {_reproducer(command, f.field, '--f', repr(f), *opts)}", stage)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +122,9 @@ def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup") -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineAut:
-    """The substitution sigma_{lam,mu}: x -> lam*x + mu with lam != 0.
+class AffineAut(namedtuple("AffineAut", "field lam mu")):
+    """The substitution sigma_{lam,mu}: x -> lam*x + mu with lam != 0, lam
+    and mu packed values of field.
 
     Products compose substitutions left to right:
     (s1 * s2)(x) = s1(s2(x)) as ring maps, i.e. lam = lam1*lam2 and
@@ -131,13 +132,12 @@ class AffineAut:
     = sigma_{lam^i, (1-lam^i)nu + v}.
     """
 
-    field: FieldDesc
-    lam: int
-    mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lam == 0:
+    def __new__(cls, field: FieldDesc, lam: int, mu: int):
+        if lam == 0:
             raise DomainError("affine substitution needs lam != 0")
+        return super().__new__(cls, field, lam, mu)
 
     @classmethod
     def identity(cls, field: FieldDesc) -> "AffineAut":
@@ -205,22 +205,12 @@ class AffineAut:
 # ---------------------------------------------------------------------------
 
 
-class ShiftSpace:
+class ShiftSpace(namedtuple("ShiftSpace", "tower level basis")):
     """The F_p-space of shifts delta with delta + R(f) = R(f) as multisets,
-    with delta constrained to the subfield F_{p^level} of the splitting field."""
+    with delta constrained to the subfield F_{p^level} of the splitting field
+    of tower; basis is its echelon basis, a tuple of packed values."""
 
-    def __init__(self, tower: FieldTower, level: int, basis: tuple[int, ...]):
-        self.tower = tower
-        self.level = level
-        self.basis = tuple(basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftSpace)
-            and self.tower is other.tower
-            and self.level == other.level
-            and self.basis == other.basis
-        )
+    __slots__ = ()
 
     def __repr__(self):
         return f"ShiftSpace(dim={self.dim}, level={self.level})"
@@ -274,9 +264,9 @@ def shift_space_is_zero(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigengroupDesc:
-    """G_f presented over the field F_{p^level} inside the splitting tower.
+class EigengroupDesc(namedtuple("EigengroupDesc", "kind tower level over_closure nu n lambda_n v_basis")):
+    """G_f presented over the field F_{p^level} inside the splitting tower
+    (a FieldTower); over_closure marks the group over the algebraic closure.
 
     kind "torus": T_nu (all x -> lam*(x-nu)+nu); infinite when over_closure.
     kind "finite": Sh_V x| <sigma_{lambda_n,(1-lambda_n)nu}>; the trivial
@@ -284,17 +274,10 @@ class EigengroupDesc:
     kind "full": every substitution over the level field (normalized form of
     a finite descriptor with V the whole level field and n = p^level - 1).
 
-    All packed values (nu, lambda_n, v_basis) live in the level field.
+    All packed values (nu, lambda_n, the tuple v_basis) live in the level field.
     """
 
-    kind: str
-    tower: FieldTower
-    level: int
-    over_closure: bool
-    nu: int
-    n: int
-    lambda_n: int
-    v_basis: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def level_field(self) -> FieldDesc:
@@ -388,8 +371,7 @@ def _trivial_desc(tower: FieldTower, level: int, over_closure: bool) -> Eigengro
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Eigenform:
+class Eigenform(namedtuple("Eigenform", "case f tower nu i n s g v_basis lambda_n")):
     """Canonical presentation of f from which G_f is read off.
 
     case "A10": f = f_V(x-nu)^i * g(f_V(x-nu)^n)   (g may be 1)
@@ -398,20 +380,12 @@ class Eigenform:
     case "single_root": f = (x-nu)^i with i = deg f
     case "none": trivial group, f kept as is
 
-    All parts live over the splitting field; nu is the packed minimum of its
-    V-coset and (nu, i, g) is unique in cases A10/A11.
+    All parts live over the splitting field of tower: g is a Poly or None,
+    nu and lambda_n are packed values and v_basis a tuple of them; nu is the
+    packed minimum of its V-coset and (nu, i, g) is unique in cases A10/A11.
     """
 
-    case: str
-    f: Poly
-    tower: FieldTower
-    nu: int
-    i: int
-    n: int
-    s: int
-    g: Poly | None
-    v_basis: tuple[int, ...]
-    lambda_n: int
+    __slots__ = ()
 
     def expand(self) -> Poly:
         L = self.tower.ext
@@ -512,12 +486,11 @@ def _verify_finite_generators(desc: EigengroupDesc, f: Poly, fe: Poly) -> None:
         raise _stage_error("eigengroup.generators", f, "claimed generator is not an eigen-substitution")
 
 
-@dataclass(frozen=True)
-class EigengroupResult:
-    f: Poly
-    tower: FieldTower
-    closure: EigengroupDesc
-    eigenform: Eigenform
+class EigengroupResult(namedtuple("EigengroupResult", "f tower closure eigenform")):
+    """G_f of the Poly f over the splitting field of tower: the closure
+    EigengroupDesc and the Eigenform it is read from."""
+
+    __slots__ = ()
 
     def descend(self, level: int | None = None) -> EigengroupDesc:
         return eigengroup_descend(self.closure, level)
@@ -869,9 +842,10 @@ def eigengroup_over_base(f: Poly) -> EigengroupDesc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A prescribed subgroup H of the affine substitutions over a finite field.
+class SubgroupSpec(namedtuple("SubgroupSpec", "kind field n nu v_basis variant", defaults=(1, 0, (), "a"))):
+    """A prescribed subgroup H of the affine substitutions over the finite
+    field field (n = 1, nu = 0, v_basis = () and variant = "a" by default;
+    nu and the tuple v_basis are packed values).
 
     kinds: "trivial"; "cyclic" (order n fixing nu); "shift" (Sh_V, with
     realization variant "a" = additive image trick or "b" = double-coset
@@ -879,12 +853,7 @@ class SubgroupSpec:
     nu); "torus" (T_nu); "full".
     """
 
-    kind: str
-    field: FieldDesc
-    n: int = 1
-    nu: int = 0
-    v_basis: tuple[int, ...] = ()
-    variant: str = "a"
+    __slots__ = ()
 
     def v_values(self) -> tuple[int, ...]:
         return span_values(self.field, self.v_basis)

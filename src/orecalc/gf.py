@@ -460,6 +460,8 @@ class FieldDesc:
     # -- element interface -----------------------------------------------------
 
     def element(self, x) -> "FqElement":
+        """x as an element: an int n is the integer n mod p, not a packed
+        value (from_value takes those); a digit sequence is packed."""
         if isinstance(x, FqElement):
             if x.field is not self:
                 raise DomainError("element belongs to a different field")
@@ -503,6 +505,9 @@ class FieldDesc:
     def describe(self) -> dict:
         return {"p": self.p, "degree": self.m, "modulus": list(self.modulus)}
 
+    def __reduce__(self):  # unpickled as the cached field: equality of Poly is by field identity
+        return _cached_field, (self.p, self.m, self.modulus)
+
 
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldDesc] = {}
 
@@ -525,11 +530,13 @@ def GF(p: int, m: int = 1, modulus=None, *, p_cap: int | None = None, q_cap: int
             raise DomainError("modulus must be monic of the stated degree")
         if not _is_irreducible(p, mod):
             raise DomainError("modulus is reducible")
-    key = (p, m, mod)
-    field = _FIELD_CACHE.get(key)
+    return _cached_field(p, m, mod)
+
+
+def _cached_field(p: int, m: int, mod: tuple[int, ...]) -> FieldDesc:
+    field = _FIELD_CACHE.get((p, m, mod))
     if field is None:
-        field = FieldDesc(p, m, mod)
-        _FIELD_CACHE[key] = field
+        field = _FIELD_CACHE[(p, m, mod)] = FieldDesc(p, m, mod)
     return field
 
 
@@ -864,6 +871,9 @@ class FieldTower:
         self.p = base.p
         self.ext = base if ext_degree == base.m else GF(base.p, ext_degree)
         self._levels: dict[int, TowerLevel] = {}
+
+    def __reduce__(self):
+        return tower_over, (self.base, self.M)
 
     @property
     def k(self) -> int:

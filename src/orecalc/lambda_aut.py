@@ -22,12 +22,13 @@ fail loudly rather than silently.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .eigengroup import (
     EigengroupDesc,
-    _reproducer,
     _require_monic_nonscalar,
+    _stage_error,
     eigengroup_over_base,
     solve_affine_matches,
     torus_centre,
@@ -38,24 +39,22 @@ from .ore import OreAlgebra, OreElement
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class OreHom:
+class OreHom(namedtuple("OreHom", "src dst lam mu pol")):
     """The map Lambda(f) -> Lambda(g) with x -> lam*x + mu,
-    y -> lam^(deg f - 1)*y + pol(x); an automorphism when src is dst."""
+    y -> lam^(deg f - 1)*y + pol(x); an automorphism when src is dst.
+    src and dst are OreAlgebras over one field, lam != 0 and mu are packed
+    values of it and pol is a Poly over it."""
 
-    src: OreAlgebra
-    dst: OreAlgebra
-    lam: int
-    mu: int
-    pol: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.src.field is not self.dst.field:
+    def __new__(cls, src: OreAlgebra, dst: OreAlgebra, lam: int, mu: int, pol: Poly):
+        if src.field is not dst.field:
             raise DomainError("source and target algebras must share the field")
-        if self.lam == 0:
+        if lam == 0:
             raise DomainError("x-coefficient of a homomorphism must be a unit")
-        if self.pol.field is not self.src.field:
+        if pol.field is not src.field:
             raise DomainError("polynomial part over the wrong field")
+        return super().__new__(cls, src, dst, lam, mu, pol)
 
     @property
     def field(self) -> FieldDesc:
@@ -107,10 +106,14 @@ class OreHom:
 class LambdaAut(OreHom):
     """An automorphism of Lambda(f); composition and inversion stay in the class."""
 
-    def __init__(self, algebra: OreAlgebra, lam: int, mu: int, pol: Poly | None = None):
-        if pol is None:
-            pol = Poly.zero(algebra.field)
-        super().__init__(algebra, algebra, lam, mu, pol)
+    __slots__ = ()
+
+    def __new__(cls, algebra: OreAlgebra, lam: int, mu: int, pol: Poly | None = None):
+        return super().__new__(cls, algebra, algebra, lam, mu, Poly.zero(algebra.field) if pol is None else pol)
+
+    def __getnewargs__(self):
+        """copy and pickle rebuild through __new__, which takes the algebra once."""
+        return self.src, self.lam, self.mu, self.pol
 
     @property
     def algebra(self) -> OreAlgebra:
@@ -140,13 +143,12 @@ class LambdaAut(OreHom):
         return LambdaAut(self.algebra, li, mi, pol)
 
 
-@dataclass(frozen=True)
-class AutGroupDesc:
-    """Aut(Lambda(f)) = (K[x], +) x| G_f(K): always infinite through the
-    polynomial part, with the finite eigengroup as the reductive quotient."""
+class AutGroupDesc(namedtuple("AutGroupDesc", "algebra eigen")):
+    """Aut(Lambda(f)) = (K[x], +) x| G_f(K) for the OreAlgebra algebra:
+    always infinite through the polynomial part, with the finite eigengroup
+    (the EigengroupDesc eigen) as the reductive quotient."""
 
-    algebra: OreAlgebra
-    eigen: EigengroupDesc
+    __slots__ = ()
 
     @property
     def f(self) -> Poly:
@@ -187,14 +189,19 @@ def aut_group(f: Poly) -> AutGroupDesc:
 
     G_f(K) comes from eigengroup_over_base, the solve over K, so no
     splitting field is built; every generator then transports the
-    defining relation."""
+    defining relation, and one that fails raises InternalCheckError at
+    stage aut.verify with the CLI line that repeats the query."""
     _require_monic_nonscalar(f)
     desc = AutGroupDesc(OreAlgebra(f), eigengroup_over_base(f))
-    for g in desc.generators():
-        g.verify()
+    try:
+        for g in desc.generators():
+            g.verify()
+    except InternalCheckError as exc:
+        raise _stage_error("aut.verify", f, str(exc), "aut-group") from exc
     return desc
 
 
+# A dataclass: perfbench/selftest.py corrupts it with dataclasses.replace.
 @dataclass(frozen=True)
 class IsoResult:
     isomorphic: bool
@@ -251,6 +258,5 @@ def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
     try:
         hom.verify()
     except InternalCheckError as exc:
-        line = _reproducer("isomorphic", f.field, "--f", repr(f), "--g", repr(g))
-        raise InternalCheckError(f"{exc}; {line}", "iso.solve") from exc
+        raise _stage_error("iso.solve", f, str(exc), "isomorphic", "--g", repr(g)) from exc
     return IsoResult(True, alpha, beta, hom)

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd, lcm
 
-from .eigengroup import _elt_json, _poly_json, _reproducer, _require_monic_nonscalar
+from .eigengroup import _elt_json, _poly_json, _require_monic_nonscalar, _stage_error
 from .errors import DomainError, InternalCheckError
 from .gf import SPECTRUM_PAIR_CAP, FieldDesc, Span, tower_over
 from .poly import (
@@ -176,6 +176,7 @@ def all_basis_vectors_cyclic(F: FieldDesc, X, Y) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# A dataclass: perfbench/selftest.py corrupts it with dataclasses.replace.
 @dataclass(frozen=True)
 class SimpleModuleSpec:
     """A simple Lambda(f)-module given by exact matrices.
@@ -217,7 +218,9 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
     """L(p_i, q) for p_i | f irreducible and q irreducible over F_i = K[x]/(p_i).
 
     For deg p_i > 1 the residue field F_i is realized as the canonical
-    extension field and q must be given over it.
+    extension field and q must be given over it.  A failed check raises
+    InternalCheckError at stage on_f.split, on_f.relations or
+    on_f.simplicity with the CLI line that builds the module.
     """
     _require_monic_nonscalar(f)
     K = f.field
@@ -227,6 +230,10 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
         raise DomainError("p_i must be monic irreducible")
     if not (f % p_i).is_zero():
         raise DomainError("p_i does not divide f")
+
+    def error(stage: str, msg: str) -> InternalCheckError:  # q is read in y
+        return _stage_error(stage, f, msg, "simple-module", "--pi", repr(p_i), "--q", repr(q).replace("x", "y"))
+
     e = p_i.degree
     if e == 1:
         F = K
@@ -237,7 +244,7 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
         F = tower.ext
         roots = roots_in_ext(p_i, tower)
         if len(roots) != e:
-            raise InternalCheckError("irreducible p_i must split in its residue field")
+            raise error("on_f.split", "irreducible p_i must split in its residue field")
         xbar = roots[0]
         fe, pie = lift_poly(f, tower), lift_poly(p_i, tower)
     if q.field is not F:
@@ -263,38 +270,32 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
     # delta^(p-1)(f) = c f; then the residue relations
     p, c = F.p, F.pow(fe.derivative().eval_value(xbar), F.p - 1)
     z2 = Poly.from_values(F, [0] * p + [1]) - Poly.from_values(F, (0, c))
-    _check_relations(F, fe, X, Y, F.pow(xbar, p), c, mat_poly(F, z2 % q, Y))
+    _check_relations(F, fe, X, Y, F.pow(xbar, p), c, mat_poly(F, z2 % q, Y), error, "on_f.relations")
     if mat_poly(F, pie, X) != mat_zero(F, d):
-        raise InternalCheckError("p_i(X) != 0")
+        raise error("on_f.relations", "p_i(X) != 0")
     if mat_poly(F, q, Y) != mat_zero(F, d):
-        raise InternalCheckError("q(Y) != 0")
+        raise error("on_f.relations", "q(Y) != 0")
 
     # simplicity: the image algebra is the field F_i[y]/(q)
     if word_span_dim(F, X, Y) != d:
-        raise InternalCheckError("word span of the commutative image must be deg q")
+        raise error("on_f.simplicity", "word span of the commutative image must be deg q")
     if not all_basis_vectors_cyclic(F, X, Y):
-        raise InternalCheckError("a basis vector fails to generate the module")
+        raise error("on_f.simplicity", "a basis vector fails to generate the module")
 
     return SimpleModuleSpec("on_f", f, F, d, X, Y, p_i=p_i, q=q)
 
 
-def _check_relations(F: FieldDesc, f: Poly, X, Y, z1: int, c: int, z2) -> None:
+def _check_relations(F: FieldDesc, f: Poly, X, Y, z1: int, c: int, z2, error, stage: str) -> None:
     """YX - XY = f(X), x^p acts as the scalar z1 and y^p - c y as the matrix
-    z2, on a module where c(x) acts as the scalar c."""
+    z2, on a module where c(x) acts as the scalar c; a failure raises
+    error(stage, message), the caller's staged error."""
     p = F.p
     if mat_sub(F, mat_mul(F, Y, X), mat_mul(F, X, Y)) != mat_poly(F, f, X):
-        raise InternalCheckError("YX - XY != f(X) on the constructed module")
+        raise error(stage, "YX - XY != f(X) on the constructed module")
     if not is_scalar_mat(F, mat_pow(F, X, p), z1):
-        raise InternalCheckError("z1 = x^p does not act as its central character")
+        raise error(stage, "z1 = x^p does not act as its central character")
     if mat_sub(F, mat_pow(F, Y, p), mat_scale(F, Y, c)) != z2:
-        raise InternalCheckError("z2 = y^p - c(x) y does not act as its central character")
-
-
-def _off_f_reproducer(f: Poly, xi: int, rho: int) -> str:
-    """The CLI line that builds the off-f module of f at (xi, rho)."""
-    K = f.field
-    xi, rho = repr(K.from_value(xi)), repr(K.from_value(rho))
-    return _reproducer("simple-module", K, "--f", repr(f), "--xi", xi, "--rho", rho)
+        raise error(stage, "z2 = y^p - c(x) y does not act as its central character")
 
 
 def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
@@ -307,6 +308,10 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     a = K.pth_root(xi)
     if f.eval_value(a) == 0:
         raise DomainError("the maximal ideal lies on V(f^p): f(xi^(1/p)) = 0")
+
+    def error(stage: str, msg: str) -> InternalCheckError:
+        point = ("--xi", repr(K.from_value(xi)), "--rho", repr(K.from_value(rho)))
+        return _stage_error(stage, f, msg, "simple-module", *point)
 
     # closed-form x-action table; phi_t = delta^t(f) with delta(g) = f g'
     phis = [f]
@@ -337,8 +342,7 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
         for r in range(i + 2):
             R[r][i + 1] = K.sub(R[r - 1][i] if r else 0, fe[r])
     if tuple(map(tuple, R)) != X:
-        msg = "x-action table disagrees with the ideal reduction; "
-        raise InternalCheckError(msg + _off_f_reproducer(f, xi, rho), "off_f.x_table")
+        raise error("off_f.x_table", "x-action table disagrees with the ideal reduction")
 
     # y-action: cyclic shift with y^p = rho + c(x) y on the module, where
     # c = phi_(p-2)' lies in K[x^p], so c(X) is the scalar c(a)
@@ -350,10 +354,9 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     Y[1][p - 1] = c_a
     Y = tuple(tuple(row) for row in Y)
 
-    _check_relations(K, f, X, Y, xi, c_a, mat_scale(K, mat_id(K, p), rho))
+    _check_relations(K, f, X, Y, xi, c_a, mat_scale(K, mat_id(K, p), rho), error, "off_f.relations")
     if not eigenline_certificate(K, X, Y, a):
-        msg = "the eigenline certificate fails; "
-        raise InternalCheckError(msg + _off_f_reproducer(f, xi, rho), "off_f.simplicity")
+        raise error("off_f.simplicity", "the eigenline certificate fails")
 
     return SimpleModuleSpec("off_f", f, K, p, X, Y, xi=xi, rho=rho)
 
@@ -363,6 +366,7 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
 # ---------------------------------------------------------------------------
 
 
+# A dataclass: perfbench/selftest.py corrupts it with dataclasses.replace.
 @dataclass(frozen=True)
 class SpectrumDesc:
     f: Poly
@@ -471,11 +475,8 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
     factors = factor_into_irreducibles(f)
     for p_i, _ in factors:
         if not ((f * p_i.derivative()) % p_i).is_zero():
-            raise InternalCheckError(
-                "factor is not normal: p_i does not divide f p_i'; "
-                + _reproducer("spectrum", K, "--f", repr(f), "--degree-bound", str(degree_bound)),
-                "spectrum.normality",
-            )
+            msg = "factor is not normal: p_i does not divide f p_i'"
+            raise _stage_error("spectrum.normality", f, msg, "spectrum", "--degree-bound", str(degree_bound))
 
     fp = Poly.from_values(K, (K.frob(c) for c in f.c))  # f^p = fp(x^p)
     points = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .eigengroup import _stage_error
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FqElement
 from .poly import Poly
@@ -40,6 +41,7 @@ def delta_power(f: Poly, g: Poly, k: int) -> Poly:
     return g
 
 
+# A dataclass: perfbench/selftest.py corrupts it with dataclasses.replace.
 @dataclass(frozen=True)
 class CentreGens:
     """Verified central generators z1 = x^p and z2 = y^p - c(x) y."""
@@ -134,7 +136,7 @@ class OreAlgebra:
             z2 = self.from_terms(terms)
             for z, name in ((z1, "z1"), (z2, "z2")):
                 if z * self.x != self.x * z or z * self.y != self.y * z:
-                    raise InternalCheckError(f"{name} is not central")
+                    raise _stage_error("centre.central", self.f, f"{name} is not central", "centre")
             self._centre = CentreGens(z1, z2, self.c_poly)
         return self._centre
 

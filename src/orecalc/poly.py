@@ -36,7 +36,7 @@ same kernel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import comb, gcd
 
@@ -45,6 +45,11 @@ from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors,
 
 
 class Poly:
+    """A polynomial over field with packed coefficients c, lowest first.  An
+    int n given as a coefficient (Poly(field, ...), constant) or an operand
+    is the integer n mod p, not a packed value: over GF(2^2), Poly.x(F) - 2
+    is x.  Packed values go in through from_values and FieldDesc.from_value."""
+
     __slots__ = ("field", "c")
 
     def __init__(self, field: FieldDesc, coeffs=()):
@@ -498,13 +503,11 @@ def is_irreducible(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentDecomp:
-    """f = f1**(p**s) with f1' != 0; gcd_p is the prime-to-p exponent gcd."""
+class ExponentDecomp(namedtuple("ExponentDecomp", "s gcd_p f1")):
+    """f = f1**(p**s) with f1' != 0, f1 a Poly; gcd_p is the prime-to-p
+    exponent gcd."""
 
-    s: int
-    gcd_p: int
-    f1: Poly
+    __slots__ = ()
 
 
 def exponent_gcd(f: Poly) -> int:
@@ -690,20 +693,18 @@ def lower_poly(f: Poly, tower: FieldTower, j: int | None = None) -> Poly:
     return Poly.from_values(lvl.desc, (lvl.lower(v).val for v in f.c))
 
 
-@dataclass(frozen=True)
-class RootMultiset:
-    """All roots of f in the tower extension, with multiplicities.
+class RootMultiset(namedtuple("RootMultiset", "poly tower pairs lifted")):
+    """All roots of the Poly poly in the extension of the FieldTower tower,
+    with multiplicities.
 
-    pairs is sorted by packed root value; the construction asserts that the
-    multiplicities account for the whole degree and that the monic product
-    of (x - root)^mult reproduces the lifted polynomial exactly.  lifted is
-    that polynomial, poly over the tower extension.
+    pairs is a tuple of (packed root, multiplicity), sorted by packed root
+    value; the construction asserts that the multiplicities account for the
+    whole degree and that the monic product of (x - root)^mult reproduces
+    the lifted polynomial exactly.  lifted is that polynomial, poly over the
+    tower extension.
     """
 
-    poly: Poly
-    tower: FieldTower
-    pairs: tuple[tuple[int, int], ...]
-    lifted: Poly
+    __slots__ = ()
 
     def distinct(self) -> tuple[int, ...]:
         return tuple(r for r, _ in self.pairs)

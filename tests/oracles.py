@@ -16,10 +16,15 @@ and their multiplier field is found by set membership.  The spectrum's
 closed points come from its former walk over every pair (xi, rho), with
 element-wise Frobenius orbits and subfield tests.  radical_oracle is
 radical's general loop without its squarefree short-cut.
+assert_record_semantics checks the value semantics of a result record.
 """
 
+import copy
+import pickle
 import random
 from math import gcd
+
+import pytest
 
 from orecalc.eigengroup import DEFAULT_BRUTE_CAP, affine_matches, shift_space
 from orecalc.errors import DomainError, InternalCheckError
@@ -43,6 +48,21 @@ from orecalc.poly import (
     roots_with_multiplicity,
     space_basis,
 )
+
+
+def assert_record_semantics(rec, twin, text: str) -> None:
+    """rec, a record, and twin, built again from the same values: equal and
+    hashed by value, immutable, repr'd as text, and copied or pickled to an
+    equal record of the same class."""
+    assert rec is not twin and rec == twin and hash(rec) == hash(twin)
+    for name in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert repr(rec) == text
+    for back in (copy.copy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(back) is type(rec) and back == rec and hash(back) == hash(rec)
 
 
 def roots_in_field(f: Poly) -> list[int]:

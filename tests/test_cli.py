@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
+import hashlib
 import json
 import os
 import random
@@ -241,6 +243,55 @@ def test_help_exits_zero(capsys):
     assert "eigengroup" in capsys.readouterr().out
 
 
+# (argv, exit code, sha256 of stdout + "\0" + stderr) at an 80-column width:
+# the help pages and argparse errors, which the per-call parser must keep.
+HELP_AND_ERRORS = [
+    (["--help"], 0, "53de6ca44fb02018e1f275500b836dfc13805ad0fb9cf8bc7e31d110f334d78b"),
+    (["eigengroup", "--help"], 0, "b3a7eaf710d316d7c87125b8b927c84e327bcc95e8de5d9ac8004276abd9df8d"),
+    (["eigenform", "--help"], 0, "886ab30761567a5b9685a0ce221c3c04545c4224e025a16762bbd9aedbe08ca8"),
+    (["centre", "--help"], 0, "0aa8873ba64b1254e609bbed9cf6bd4ddaea6bbddc49eea1407b9d2cf3ec33ee"),
+    (["aut-group", "--help"], 0, "880430de4582453eae7baca32ff6cc51c59e5322b4016075f0daf8a012b6f64d"),
+    (["isomorphic", "--help"], 0, "d032af7ed96d7b2e0cf26950210517dd10afa9854a87ed822d19e8d53f90b9f6"),
+    (["simple-module", "--help"], 0, "f224c3f245db9c0fdb44bafd825de52ca67d61577e2dde12534f0f16457a5901"),
+    (["spectrum", "--help"], 0, "2162e04a1d5c6974bf63005eb7e814186872d106d470fdd93811fe846805d5c9"),
+    (["inverse-group", "--help"], 0, "e165c0e958214a0173a89732a31b9351dc8598e23553b92d0cf9163d6f72cccb"),
+    (["oracle", "--help"], 0, "8dcbe9e119281596de520463645f63a02e403cfd8e36015188f1f05b08d36020"),
+    ([], 1, "dd9d12e69f049b4a9d48fe09798144d18ee21ee9fd53664fc5da95022d02c726"),
+    (["bogus-command"], 1, "124e0ac63d62893cde1c2b8da0a7c8007396be5d8c5f9f7001936ad1a62b446b"),
+    (["centre", "--f", "x"], 1, "0ae039459043c69f6a2c27a6a04ef22ed12f7599e3047d7ef3b41ab47aeb63b7"),
+    (["inverse-group", "--field", "GF(3)", "--kind", "ring"], 1,
+     "aaaed6717edfec85de2169371af976cf25390f458a247a82e32c422aa47d253f"),
+    (["centre", "--field", "GF(3)", "--f", "x", "--bogus"], 1,
+     "e868243a1a087d47b0026c77bc3a0d22570c30fb140d3d8e6edf0ac5b706f3b0"),
+    (["--field", "GF(5)", "centre"], 1, "b7765a4973f1d222289221d31f2007cf7a5354e8deca7d484f4b0552b5fadd6f"),
+    (["-x", "centre", "--field", "GF(3)", "--f", "x"], 1,
+     "573ef931bb79b375a5d96c97e642bc0b75f92e4b4b13532c55347f464a340fdd"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", HELP_AND_ERRORS, ids=[" ".join(a) or "no-args" for a, _, _ in HELP_AND_ERRORS])
+def test_help_and_argparse_errors_are_byte_identical(argv, code, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    cap = capsys.readouterr()
+    assert got == code, cap
+    assert hashlib.sha256(f"{cap.out}\0{cap.err}".encode()).hexdigest() == digest, cap
+
+
+def test_parser_adds_options_to_the_invoked_command_only():
+    def option_counts(parser):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {name: len(p._actions) for name, p in sub.choices.items()}
+
+    full = option_counts(cli.build_parser())
+    assert len(full) == 9 and set(full.values()) == {17}  # -h and the 16 options
+    one = option_counts(cli.build_parser(["centre", "--field", "GF(3)", "--format", "text"]))
+    assert one["centre"] == 17 and all(v == 1 for k, v in one.items() if k != "centre")
+
+
 def test_main_streams(capsys):
     assert main(["centre", "--field", "GF(3)", "--f", "x"]) == 0
     cap = capsys.readouterr()
@@ -337,6 +388,43 @@ def test_traced_cli_prints_the_untraced_answer():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == run(args)[1]
+
+
+# The records that stay dataclasses, each with the perfbench/selftest.py
+# corruption that rebuilds it through dataclasses.replace.
+SELFTEST_DATACLASSES = {
+    "orecalc.lambda_aut.IsoResult": "iso_classify .partner and .non_partner",
+    "orecalc.modules_spectra.SimpleModuleSpec": "simple_modules .off_f and .on_f",
+    "orecalc.modules_spectra.SpectrumDesc": "simple_modules .spectrum",
+    "orecalc.ore.CentreGens": "simple_modules .centre",
+}
+
+
+def test_import_contract_of_the_benchmark_tracer():
+    """Right after `import orecalc; import orecalc.cli` every module that
+    perfbench/spans.py wraps is loaded (the tracer reads them from
+    sys.modules), and exactly the records that the self-test corrupts with
+    dataclasses.replace are dataclasses."""
+    code = (
+        "import json, sys\n"
+        "import orecalc, orecalc.cli\n"
+        "loaded = set(sys.modules)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import spans\n"
+        "wrapped = {e[1] for e in spans.SPANS + spans.METHOD_SPANS + spans.COUNTED}\n"
+        "dcs = [f'{n}.{k}' for n, m in sorted(sys.modules.items()) if n.startswith('orecalc')\n"
+        "       for k, v in vars(m).items()\n"
+        "       if isinstance(v, type) and v.__module__ == n and '__dataclass_fields__' in vars(v)]\n"
+        "print(json.dumps([sorted(m for m in wrapped if 'orecalc.' + m not in loaded), sorted(dcs)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO_ROOT / "perfbench")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    missing, dataclasses = json.loads(proc.stdout)
+    assert missing == []
+    assert dataclasses == sorted(SELFTEST_DATACLASSES)
 
 
 def _vector(F, f):

@@ -15,6 +15,8 @@ from orecalc.eigengroup import (
     DEFAULT_BRUTE_CAP,
     AffineAut,
     EigengroupDesc,
+    EigengroupResult,
+    Eigenform,
     SubgroupSpec,
     eigengroup,
     eigengroup_bruteforce,
@@ -36,6 +38,7 @@ from orecalc.poly import (
 )
 
 from oracles import (
+    assert_record_semantics,
     centre_hits,
     eigengroup_bruteforce_in_tower,
     fixed_point,
@@ -90,6 +93,30 @@ def test_affine_power_and_order():
 def test_affine_rejects_zero_lambda():
     with pytest.raises(DomainError):
         AffineAut(GF(3), 0, 1)
+
+
+def test_eigengroup_records_are_immutable_values():
+    """AffineAut, EigengroupDesc, Eigenform, EigengroupResult and SubgroupSpec
+    compare and hash by value, refuse assignment, print as Name(field=value,
+    ...) (AffineAut as its substitution) and survive copy and pickle."""
+    F = GF(7)
+    assert_record_semantics(AffineAut(F, 2, 3), AffineAut(F, 2, 3), "x -> 2*x + 3")
+    res = eigengroup(Poly.from_values(F, (1, 0, 0, 1)))  # x^3 + 1: cyclic of order 3 at 0
+    tw, closure, form = res.tower, res.closure, res.eigenform
+    desc_text = (f"EigengroupDesc(kind='finite', tower={tw!r}, level=1, over_closure=True, "
+                 "nu=0, n=3, lambda_n=2, v_basis=())")
+    assert_record_semantics(closure, EigengroupDesc("finite", tw, 1, True, 0, 3, 2, ()), desc_text)
+    form_text = (f"Eigenform(case='A11', f=x^3 + 1, tower={tw!r}, nu=0, i=0, n=3, s=0, g=x + 1, "
+                 "v_basis=(), lambda_n=2)")
+    assert_record_semantics(form, Eigenform(*form), form_text)
+    assert_record_semantics(res, EigengroupResult(*res),
+                            f"EigengroupResult(f=x^3 + 1, tower={tw!r}, closure={desc_text}, eigenform={form_text})")
+    spec = SubgroupSpec("cyclic", F, 3)
+    assert spec == SubgroupSpec("cyclic", F, n=3, nu=0, v_basis=(), variant="a")
+    assert_record_semantics(spec, SubgroupSpec("cyclic", F, 3),
+                            "SubgroupSpec(kind='cyclic', field=GF(7), n=3, nu=0, v_basis=(), variant='a')")
+    with pytest.raises(DomainError, match="lam != 0"):
+        AffineAut(F, 0, 3)
 
 
 def test_eigenvalue_on():

@@ -16,12 +16,12 @@ from orecalc.eigengroup import (
 )
 from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, tower_over
-from orecalc.lambda_aut import LambdaAut, OreHom, aut_group, are_isomorphic
+from orecalc.lambda_aut import AutGroupDesc, LambdaAut, OreHom, aut_group, are_isomorphic
 from orecalc.ore import OreAlgebra
 from orecalc.parsing import parse_field, parse_poly
 from orecalc.poly import Poly, is_irreducible, roots_in_ext
 
-from oracles import monic_polys
+from oracles import assert_record_semantics, monic_polys
 
 
 def rand_elem(A, rng, ydeg=2, xdeg=3):
@@ -65,6 +65,29 @@ def test_hom_validation():
         LambdaAut(A, 1, 0, Poly.zero(F2))
     with pytest.raises(DomainError):
         LambdaAut(A, 1, 0).apply(B.x)
+
+
+def test_hom_records_are_immutable_values():
+    """OreHom, LambdaAut and AutGroupDesc compare and hash by value, refuse
+    assignment, print as Name(field=value, ...) and survive copy and pickle;
+    LambdaAut is rebuilt from its four arguments."""
+    F = GF(7)
+    f = Poly(F, (1, 0, 0, 1))
+    A, B = OreAlgebra(f), OreAlgebra(f.compose_affine(1, 1))
+    ore = "Ore(GF(7), f=x^3 + 1)"
+    assert_record_semantics(OreHom(A, B, 1, 6, Poly.x(F)), OreHom(A, B, 1, 6, Poly.x(F)),
+                            f"OreHom(src={ore}, dst=Ore(GF(7), f=x^3 + 3*x^2 + 3*x + 2), lam=1, mu=6, pol=x)")
+    assert_record_semantics(LambdaAut(A, 2, 1), LambdaAut(OreAlgebra(f), 2, 1, Poly.zero(F)),
+                            f"LambdaAut(src={ore}, dst={ore}, lam=2, mu=1, pol=0)")
+    desc = aut_group(f)
+    assert_record_semantics(desc, AutGroupDesc(OreAlgebra(f), desc.eigen),
+                            f"AutGroupDesc(algebra={ore}, eigen={desc.eigen!r})")
+    with pytest.raises(DomainError, match="share the field"):
+        OreHom(A, OreAlgebra(Poly(GF(5), (1, 0, 0, 1))), 1, 0, Poly.zero(F))
+    with pytest.raises(DomainError, match="must be a unit"):
+        OreHom(A, B, 0, 1, Poly.zero(F))
+    with pytest.raises(DomainError, match="wrong field"):
+        OreHom(A, B, 1, 1, Poly.zero(GF(5)))
 
 
 def test_non_eigenpair_is_not_a_homomorphism():
@@ -401,6 +424,28 @@ def test_aut_check_error_names_stage_and_reproducer(F, monkeypatch):
         aut_group(f)
     monkeypatch.undo()
     assert info.value.stage == "aut.solve"
+    msg = str(info.value)
+    assert "\n" not in msg
+    argv = shlex.split(msg.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "aut-group"]
+    assert cli.run(argv[1:]) == good
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF4"])
+def test_aut_verify_error_names_stage_and_reproducer(F, monkeypatch):
+    """A generator that fails the relation transport is an internal fault
+    at stage aut.verify, on one line that ends with the CLI call repeating
+    the query."""
+    x = Poly.x(F)
+    f = x**3 + x + 1
+    good = cli.run(["aut-group", "--field", repr(F), "--f", repr(f)])
+    generators = AutGroupDesc.generators
+    monkeypatch.setattr(AutGroupDesc, "generators",
+                        lambda self: generators(self) + [LambdaAut(self.algebra, 1, 1)])  # x -> x + 1 moves f
+    with pytest.raises(InternalCheckError, match=r"^stage=aut\.verify: relation transport fails") as info:
+        aut_group(f)
+    monkeypatch.undo()
+    assert info.value.stage == "aut.verify"
     msg = str(info.value)
     assert "\n" not in msg
     argv = shlex.split(msg.split("reproduce: ", 1)[1])

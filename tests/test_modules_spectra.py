@@ -447,6 +447,67 @@ def _off_f_module_via(line):
     return payload["X"], payload["Y"]
 
 
+def _rerun(line, command="simple-module"):
+    """Run the CLI line at the end of a check error; return (code, output)."""
+    assert "\n" not in line
+    argv = shlex.split(line.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", command]
+    return cli.run(argv[1:])
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(5)], ids=["GF3", "GF5"])
+def test_relation_check_errors_name_their_family_stage(F, monkeypatch):
+    """The shared relation check raises at the stage of the family that
+    called it, with the CLI line that rebuilds that module."""
+    f = Poly(F, (1, 1)) ** 2 * Poly.x(F)
+    off_argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--xi", "1", "--rho", "2"]
+    on_argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--pi", "x + 1", "--q", "y + 2"]
+    good_off, good_on = cli.run(off_argv), cli.run(on_argv)
+    assert good_off[0] == good_on[0] == 0
+    for stage, build, good in (
+        ("off_f.relations", lambda: simple_module_off_f(f, 1, 2), good_off),
+        ("on_f.relations", lambda: simple_module_on_f(f, Poly(F, (1, 1)), Poly(F, (2, 1))), good_on),
+    ):
+        monkeypatch.setattr(modules_spectra, "is_scalar_mat", lambda *args: False)
+        with pytest.raises(InternalCheckError, match=rf"^stage={stage}: z1 = x\^p does not act") as info:
+            build()
+        monkeypatch.undo()
+        assert info.value.stage == stage
+        assert _rerun(str(info.value)) == good
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
+def test_on_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
+    """Each check of the on-f module (p_i split in its residue field, p_i(X)
+    = 0, q(Y) = 0, the word span and the cyclic basis vectors) raises at its
+    stage, on one line that ends with the CLI call rebuilding the module;
+    q, over the residue field of degree 2, is printed in y."""
+    x = Poly.x(F)
+    p_i = next(g for g in monic_polys(F, 2) if is_irreducible(g))
+    f = p_i * x
+    residue = tower_over(F, F.m * 2).ext
+    q = next(g for g in monic_polys(residue, 2) if is_irreducible(g))
+    argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--pi", repr(p_i), "--q", repr(q).replace("x", "y")]
+    good = cli.run(argv)
+    assert good[0] == 0
+    real_mat_poly = modules_spectra.mat_poly
+    faults = [
+        ("on_f.split", "roots_in_ext", lambda g, tower: [], "must split"),
+        ("on_f.relations", "mat_poly", lambda F2, g, A: None if g == lift_poly(p_i, tower_over(F, F.m * 2))
+         else real_mat_poly(F2, g, A), r"p_i\(X\) != 0"),
+        ("on_f.relations", "mat_poly", lambda F2, g, A: None if g == q else real_mat_poly(F2, g, A), r"q\(Y\) != 0"),
+        ("on_f.simplicity", "word_span_dim", lambda *args: 0, "word span"),
+        ("on_f.simplicity", "all_basis_vectors_cyclic", lambda *args: False, "basis vector"),
+    ]
+    for stage, name, fake, text in faults:
+        monkeypatch.setattr(modules_spectra, name, fake)
+        with pytest.raises(InternalCheckError, match=rf"^stage={stage}: .*{text}") as info:
+            simple_module_on_f(f, p_i, q)
+        monkeypatch.undo()
+        assert info.value.stage == stage
+        assert _rerun(str(info.value)) == good
+
+
 @pytest.mark.parametrize("F", [GF(3), GF(13), GF(3, 2)], ids=["GF3", "GF13", "GF3_2"])
 def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     """A corrupted closed-form table fails the comparison with the table
@@ -592,14 +653,19 @@ def test_relation_check_is_shared_by_both_families():
     on = simple_module_on_f(Poly(K, (1, 1)) ** 2, Poly(K, (1, 1)), Poly(K, (2, 0, 1)))
     c_off = _c_poly(off.f).eval_value(K.pth_root(2))
     z2_on = mat_sub(K, mat_pow(K, on.Y, 5), mat_scale(K, on.Y, _c_poly(on.f).eval_value(4)))
+
+    def error(stage, msg):
+        return InternalCheckError(msg, stage)
+
     for spec, z1, c, z2 in (
         (off, 2, c_off, mat_scale(K, mat_id(K, 5), 3)),
         (on, K.pow(4, 5), _c_poly(on.f).eval_value(4), z2_on),
     ):
-        modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, z1, c, z2)
+        modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, z1, c, z2, error, "any.stage")
         for bad in ((K.add(z1, 1), c, z2), (z1, K.add(c, 1), z2), (z1, c, mat_add(K, z2, mat_id(K, spec.dim)))):
-            with pytest.raises(InternalCheckError):
-                modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, *bad)
+            with pytest.raises(InternalCheckError) as info:
+                modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, *bad, error, "any.stage")
+            assert info.value.stage == "any.stage"
 
 
 def test_off_f_distinct_characters_separate_modules():

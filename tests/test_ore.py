@@ -1,10 +1,12 @@
 """Ore extension K[x][y; f d/dx]: normal form, centre, normality, rank."""
 
 import random
+import shlex
 
 import pytest
 
-from orecalc.errors import DomainError
+from orecalc.cli import run
+from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF
 from orecalc.ore import (
     OreAlgebra,
@@ -331,3 +333,23 @@ def test_normal_form_accessors():
     assert e.coeff(9).is_zero()
     assert A.zero().is_zero() and A.zero().y_degree == -1
     assert repr(A.y * A.y + A.x) == "y^2 + x"
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
+def test_centre_check_error_names_stage_and_reproducer(F, monkeypatch):
+    """A z2 built from a wrong c is not central: an internal fault at stage
+    centre.central, on one line that ends with the CLI call for the centre."""
+    f = Poly(F, (1, 1, 1))
+    good = run(["centre", "--field", repr(F), "--f", repr(f)])
+    assert good[0] == 0
+    c_poly = OreAlgebra.c_poly
+    monkeypatch.setattr(OreAlgebra, "c_poly", property(lambda self: c_poly.fget(self) + 1))
+    with pytest.raises(InternalCheckError, match=r"^stage=centre\.central: z2 is not central; ") as info:
+        OreAlgebra(f).centre_generators()
+    monkeypatch.undo()
+    assert info.value.stage == "centre.central"
+    msg = str(info.value)
+    assert "\n" not in msg
+    argv = shlex.split(msg.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "centre"]
+    assert run(argv[1:]) == good

@@ -9,7 +9,9 @@ from orecalc import poly as poly_mod
 from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import GF, divisors, primitive_root_of_unity, span_values, tower_over
 from orecalc.poly import (
+    ExponentDecomp,
     Poly,
+    RootMultiset,
     binom_mod_p,
     decompose_through,
     distinct_degree_parts,
@@ -34,6 +36,7 @@ from orecalc.poly import (
 )
 
 from oracles import (
+    assert_record_semantics,
     distinct_degree_parts_oracle,
     f_V_oracle,
     is_irreducible_oracle,
@@ -834,3 +837,30 @@ def test_monic_polys_enumeration():
     assert len({c.c for c in cubics}) == len(cubics)
     assert all(f.is_monic() and f.degree == 3 for f in cubics)
     assert list(monic_polys(GF(3), 0)) == [Poly.one(GF(3))]
+
+
+def test_poly_records_are_immutable_values():
+    """ExponentDecomp and RootMultiset compare and hash by value, refuse
+    assignment, print as Name(field=value, ...) and survive copy and pickle."""
+    F = GF(3)
+    ed = exponent_decomp(Poly(F, (1, 0, 0, 1)))  # x^3 + 1 = (x + 1)^3
+    assert_record_semantics(ed, ExponentDecomp(1, 1, Poly(F, (1, 1))), "ExponentDecomp(s=1, gcd_p=1, f1=x + 1)")
+    rm = roots_with_multiplicity(Poly(F, (2, 0, 1)))  # x^2 + 2 = (x - 1)(x - 2)
+    assert_record_semantics(rm, RootMultiset(*rm), f"RootMultiset(poly=x^2 + 2, tower={rm.tower!r}, "
+                            "pairs=((1, 1), (2, 1)), lifted=x^2 + 2)")
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
+def test_int_operands_are_integers_mod_p_not_packed_values(p, m):
+    """An int operand or coefficient n is n * 1 = n mod p; a packed value
+    (here t, packed as p) goes in through from_value or from_values."""
+    F = GF(p, m)
+    x = Poly.x(F)
+    t = F.from_value(p)  # the packed value p is t, not the integer p = 0
+    assert x - p == x and x * p == Poly.zero(F) and p * x == Poly.zero(F)
+    assert x + (p + 1) == x + 1 and (x + 1) - (p + 1) == x and (p + 1) - x == 1 - x
+    assert Poly(F, (p, 1)) == x and Poly.constant(F, p + 1) == Poly.one(F)
+    assert F.element(p) == F.zero and F.element(p + 1) == F.one
+    assert (x * x + p) % x == Poly.zero(F) and (x * x + p) // x == x
+    assert x - t == Poly.from_values(F, (F.neg(p), 1)) != x
+    assert Poly(F, (t, 1)) == Poly.from_values(F, (p, 1)) and (x + t).c == (p, 1)
