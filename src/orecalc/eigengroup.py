@@ -34,7 +34,17 @@ prime-to-p exponent gcd (p^e - 1 when g_nu is constant: one coset of roots)
 bounds n.  Hits, the candidates with n >= 2, lie in one V-coset with equal
 data and give the eigenform f = f_V(x-nu)^i * g(f_V(x-nu)^n), case A10 (A11
 when V = 0); no hit leaves the shifts alone (B11) or the trivial group
-(V = 0).  The eigenform round trip and the generator laws are checked once.
+(V = 0).  Each fact is checked once.  Eigenform.verify checks the round trip
+f = w^i g(w^n), w = f_V(x - nu) (A10; A11 with f_V = x), f = g(f_V)^(p^s)
+(B11) or f = (x - nu)^d; the generator laws of the closure (the same nu, n,
+lambda_n and V) follow from it and lambda_n^n = 1 (eigengroup.generators).
+f_V is additive and vanishes on V, as Ore's recursion
+f_{U+<b>} = f_U^p - f_U(b)^(p-1) f_U keeps both: shifts by V fix w.
+n | p^e - 1 (n is a gcd with bound), so lambda_n^n = 1 puts lam = lambda_n
+in F_{p^e}, which maps V onto itself, and f_V(lam y) = lam^|V| f_V(y) =
+lam f_V(y) as |V| is a power of p^e (f_V = x when V = 0): the cyclic
+generator sends w to lam w and f to lam^i f.  A single root needs no torus
+check: (lam (x - nu))^d = lam^d (x - nu)^d.
 
 Descent to a subfield F_{p^j} of L intersects V with the subfield and finds
 the minimal power of the cyclic generator that can be corrected into the
@@ -70,6 +80,7 @@ from .poly import (
     decompose_through,
     exponent_decomp,
     f_V,
+    field_spec,
     gcd_p,
     lift_poly,
     multiplier_field,
@@ -106,9 +117,7 @@ def _poly_json(g: Poly | None):
 
 def _reproducer(command: str, field: FieldDesc, *opts: str) -> str:
     """The one-line CLI call that repeats a computation, for check errors."""
-    mod = ",".join(map(str, field.modulus))
-    spec = repr(field) if field.m == 1 else f"GF({field.p}^{field.m}, mod={mod})"
-    return "reproduce: " + shlex.join(["orecalc", command, "--field", spec, *opts])
+    return "reproduce: " + shlex.join(["orecalc", command, "--field", field_spec(field), *opts])
 
 
 def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup", *opts: str) -> InternalCheckError:
@@ -404,16 +413,9 @@ class Eigenform(namedtuple("Eigenform", "case f tower nu i n s g v_basis lambda_
 
     def verify(self, fe: Poly) -> None:
         """Round-trip to fe, f lifted to the splitting field (case "none" is
-        f itself), and the torus law for a single root; the generators of a
-        finite group are checked by _verify_finite_generators."""
-        L = self.tower.ext
+        f itself); the generator laws follow from it (module docstring)."""
         if self.case != "none" and self.expand() != fe:
             raise _stage_error("eigengroup.eigenform", self.f, "eigenform does not expand back to f")
-        if self.case == "single_root":
-            lam = primitive_root_of_unity(L.q - 1, L).val if L.q > 2 else 1
-            gen = AffineAut(L, lam, L.mul(L.sub(1, lam), self.nu))
-            if gen.apply(fe) != fe.scale_value(L.pow(lam, self.i)):
-                raise _stage_error("eigengroup.eigenform", self.f, "torus eigenvalue law fails")
 
     def describe(self) -> dict:
         L = self.tower.ext
@@ -478,12 +480,6 @@ def _coset_min(F: FieldDesc, nu: int, basis) -> int:
     for b in basis:
         span.add(F.unpack(b)[::-1])
     return F.pack(span.reduce(F.unpack(nu)[::-1])[::-1])
-
-
-def _verify_finite_generators(desc: EigengroupDesc, f: Poly, fe: Poly) -> None:
-    """Every stored generator must send f (lifted: fe) to a scalar multiple of f."""
-    if any(gen.eigenvalue_on(fe) is None for gen in desc.generators()):
-        raise _stage_error("eigengroup.generators", f, "claimed generator is not an eigen-substitution")
 
 
 class EigengroupResult(namedtuple("EigengroupResult", "f tower closure eigenform")):
@@ -555,7 +551,8 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
         desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, basis)
         form = Eigenform("A10" if basis else "A11", f, tower, nu, p**s * i_nu, n, s, g, basis, lam)
     form.verify(fe)
-    _verify_finite_generators(desc, f, fe)
+    if L.pow(desc.lambda_n, desc.n) != 1:  # with the round trip, the generator laws
+        raise _stage_error("eigengroup.generators", f, "lambda_n^n != 1: a generator is not an eigen-substitution")
     return EigengroupResult(f, tower, desc, form)
 
 

@@ -27,10 +27,12 @@ Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
   so the trace (p = 2) is a sum and h^((Q-1)/2) = N(h)^((p-1)/2) takes
   m - 1 products; a root r found brings its conjugates r^q, q = |base|.
 
-Every answer is checked: split roots evaluate to zero and number deg g,
-roots_in_ext evaluates each root in f, and roots_with_multiplicity
-reconstructs f exactly from the root multiset.  poly_pow_mod runs on the
-same kernel.
+Each fact is checked once: split_roots evaluates its roots in the part it
+splits and counts them, and a part divides radical(f), so roots_in_ext does
+not evaluate f again; roots_with_multiplicity rebuilds f from the root
+multiset.  A failed check raises InternalCheckError at stage poly.ddf,
+poly.split, poly.roots or poly.peel, naming f and its field.  poly_pow_mod
+runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors, primitive_root_of_unity, tower_over
+
+
+def field_spec(field: FieldDesc) -> str:
+    """The field as the CLI reads it, with its modulus when m > 1."""
+    return repr(field) if field.m == 1 else f"GF({field.p}^{field.m}, mod={','.join(map(str, field.modulus))})"
+
+
+def _check_error(stage: str, f: Poly, msg: str) -> InternalCheckError:
+    """A failed check on f at the given stage, naming f and its field."""
+    return InternalCheckError(f"{msg}: f = {f!r} over {field_spec(f.field)}", stage)
 
 
 class Poly:
@@ -632,7 +644,7 @@ def _degree_parts(g: Poly, limit: int) -> list[tuple[int, Poly]]:
     while g.degree > 0 and d < limit:
         d += 1
         if d > g.degree:
-            raise InternalCheckError("distinct-degree split ran past the degree")
+            raise _check_error("poly.ddf", g, "distinct-degree split ran past the degree")
         h = Poly.from_values(F, next(powers))
         gd = g.gcd(h - x)
         if gd.degree > 0:
@@ -752,16 +764,16 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
             rem = quo
             m += 1
         if m == 0:
-            raise InternalCheckError("claimed root fails division")
+            raise _check_error("poly.roots", f, "claimed root fails division")
         pairs.append((r, m))
     if rem.degree != 0:
-        raise InternalCheckError("splitting tower does not split the input")
+        raise _check_error("poly.roots", f, "splitting tower does not split the input")
     # exact product reconstruction
     check = Poly.from_values(L, (rem.c[0] if rem.c else 1,))
     for r, m in pairs:
         check = check * Poly.from_values(L, (L.neg(r), 1)) ** m
     if check != fe:
-        raise InternalCheckError("root multiset does not reconstruct the polynomial")
+        raise _check_error("poly.roots", f, "root multiset does not reconstruct the polynomial")
     return RootMultiset(f, tower, tuple(pairs), fe)
 
 
@@ -786,9 +798,6 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
     for d, gd in _degree_parts(radical(f), n) if parts is None else parts:
         if n % d == 0:
             roots += split_roots(lift_poly(gd, tower), tower.k)
-    fe = lift_poly(f, tower)
-    if any(fe.eval_value(r) for r in roots):
-        raise InternalCheckError("a split root is not a root of the input")
     return sorted(roots)
 
 
@@ -841,9 +850,9 @@ def split_roots(g: Poly, k: int) -> list[int]:
                 todo += [w, v] if w.degree >= v.degree else [v, w]
                 break
         else:
-            raise InternalCheckError("equal-degree splitting found no split")
+            raise _check_error("poly.split", g, "equal-degree splitting found no split")
     if len(out) != g.degree or any(g.eval_value(r) for r in out):
-        raise InternalCheckError("split roots do not account for the degree")
+        raise _check_error("poly.split", g, "split roots do not account for the degree")
     return sorted(out)
 
 
@@ -932,7 +941,7 @@ def decompose_through(f: Poly, h: Poly) -> Poly | None:
         coeffs[j] = c
         cur = cur - h_pow(j).scale_value(c)
         if not cur.is_zero() and cur.degree >= d:
-            raise InternalCheckError("peeling failed to reduce the degree")
+            raise _check_error("poly.peel", f, "peeling failed to reduce the degree")
     g = Poly.from_values(F, (coeffs.get(i, 0) for i in range(max(coeffs) + 1 if coeffs else 0)))
     return g
 

@@ -16,6 +16,9 @@ and their multiplier field is found by set membership.  The spectrum's
 closed points come from its former walk over every pair (xi, rho), with
 element-wise Frobenius orbits and subfield tests.  radical_oracle is
 radical's general loop without its squarefree short-cut.
+generator_laws_hold applies every generator of a closure descriptor to f,
+the law that eigengroup_closed derives from the eigenform round trip and
+lambda_n^n = 1 instead of checking it.
 assert_record_semantics checks the value semantics of a result record.
 """
 
@@ -115,6 +118,14 @@ def eigengroup_bruteforce_in_tower(f: Poly, tower: FieldTower, level: int) -> se
     fe = lift_poly(f, tower)
     lvl = tower.level(level)
     return {(lvl.lower(l).val, lvl.lower(m).val) for l, m in affine_matches(fe, fe, sub)}
+
+
+def generator_laws_hold(res) -> bool:
+    """Every generator of the closure descriptor of the EigengroupResult res
+    sends f, lifted to the splitting field, to a scalar multiple of f: the
+    torus law for a single root, the cyclic generator and the shifts by V."""
+    fe = lift_poly(res.f, res.tower)
+    return all(gen.eigenvalue_on(fe) is not None for gen in res.closure.generators())
 
 
 def fixed_point(a) -> int:

@@ -35,7 +35,7 @@ from orecalc.modules_spectra import (
 from orecalc.ore import OreAlgebra, delta_power
 from orecalc.poly import Poly, f_V, is_irreducible, lift_poly
 
-from oracles import monic_polys, triviality_criterion
+from oracles import generator_laws_hold, monic_polys, triviality_criterion
 
 
 def report(n, name, t0):
@@ -64,12 +64,15 @@ def test_acceptance_1_oracle_sweep():
             for f in monic_polys(F, d):
                 res = eigengroup(f)
                 assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+                assert generator_laws_hold(res)
                 assert triviality_criterion(f) == res.closure.is_trivial()
     rng = random.Random(101)
     for F in (GF(5), GF(2, 2)):
         for _ in range(50):
             f = rand_monic(F, rng.randrange(1, 5), rng)
-            assert structured_pairs(f) == pairs_of(eigengroup_bruteforce(f))
+            res = eigengroup(f)
+            assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+            assert generator_laws_hold(res)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"oracle sweep exceeded its budget: {elapsed:.1f}s"
     report(1, "oracle sweep", t0)
@@ -113,7 +116,9 @@ def test_acceptance_2_inverse_roundtrip():
         for spec in _subgroup_specs(F):
             spec.validate()
             f = inverse_eigengroup(spec)
-            realized = eigengroup(f).descend()
+            res = eigengroup(f)
+            assert generator_laws_hold(res)
+            realized = res.descend()
             # the spec and the descent share one pair enumerator; brute
             # force over K is the independent reference for both
             assert pairs_of(spec.elements()) == pairs_of(eigengroup_bruteforce(f))

@@ -16,7 +16,7 @@ import pytest
 import orecalc.cli as cli
 from orecalc import poly as poly_mod
 from orecalc.cli import main, run
-from orecalc.gf import GF, primitive_root_of_unity
+from orecalc.gf import GF, divisors, primitive_root_of_unity
 from orecalc.parsing import parse_poly
 from orecalc.poly import Poly
 
@@ -470,9 +470,14 @@ def test_isomorphic_powers_stay_below_the_field_size(monkeypatch):
 
 
 def _fuzz_queries(rng, F, spec, degrees):
-    """Seeded isomorphic/aut-group queries: partners, random pairs, torus
-    pairs f = (x - a)^d, g = (x - b)^d, and inputs the CLI must refuse
-    (unequal degrees, non-monic)."""
+    """Seeded queries for every subcommand.  Six isomorphic/aut-group
+    queries: partners, random pairs, torus pairs f = (x - a)^d,
+    g = (x - b)^d, and inputs the CLI must refuse (unequal degrees,
+    non-monic).  Then one query each for eigengroup, eigenform, oracle,
+    centre, spectrum and inverse-group, and two for simple-module, on f
+    (p_i = x - a a factor of f, q of degree 1 or 2 in y, which may be
+    reducible) and off f (a random point, which may lie on f); either
+    format, and refusals included."""
     for _ in range(6):
         d = rng.choice(degrees)
         f = Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])
@@ -492,6 +497,29 @@ def _fuzz_queries(rng, F, spec, degrees):
             yield ["aut-group", "--field", spec, "--f", _vector(F, f)]
         else:
             yield ["isomorphic", "--field", spec, "--f", _vector(F, f), "--g", _vector(F, g)]
+    elt = lambda: repr(F.from_value(rng.randrange(F.q)))  # noqa: E731
+    rand = lambda d: Poly.from_values(F, [rng.randrange(F.q) for _ in range(d)] + [1])  # noqa: E731
+    for command in ("eigengroup", "eigenform", "oracle", "centre", "spectrum", "on_f", "off_f", "inverse-group"):
+        f = rand(rng.choice(degrees))
+        args = ["--field", spec, "--f", _vector(F, f), "--format", rng.choice(["json", "text"])]
+        if command == "oracle":
+            args += ["--seed", str(rng.randrange(100))]
+        elif command == "spectrum":
+            args += ["--degree-bound", str(rng.randrange(3))]
+        elif command == "on_f":
+            command, a = "simple-module", Poly.from_values(F, (rng.randrange(F.q), 1))
+            args[3] = _vector(F, f * a)
+            args += ["--pi", _vector(F, a), "--q", _vector(F, rand(rng.choice([1, 2])))]
+        elif command == "off_f":
+            command = "simple-module"
+            args += ["--xi", elt(), "--rho", elt()]
+        elif command == "inverse-group":
+            kind = rng.choice(["trivial", "cyclic", "shift", "shift_cyclic", "torus", "full"])
+            n = rng.choice(divisors(F.q - 1))
+            basis = ";".join(repr(F.from_value(F.p**i)) for i in range(rng.randrange(F.m + 1)))
+            args = ["--field", spec, "--kind", kind, "--n", str(n), "--nu", elt(), "--variant", rng.choice("ab")]
+            args += ["--v-basis", basis] if basis else []
+        yield [command, *args]
 
 
 # torus pairs over GF(2^20) that listed all 2^20 - 1 matches (13.5 s and 130 s)
@@ -504,15 +532,18 @@ TORUS_2_20 = [["isomorphic", "--field", "GF(2^20)", "--f", f, "--g", g]
     (2, 3, (2, 3, 4), []), (2, 20, (1, 2, 3, 4), TORUS_2_20),
 ], ids=["GF2", "GF7", "GF9", "GF8", "GF2_20"])
 def test_isomorphism_queries_exit_cleanly(p, m, degrees, fixed):
-    """Every seeded query answers (exit 0, JSON on stdout) or is refused
-    (exit 1, one error line) within the subprocess timeout; no traceback."""
+    """Every seeded query, of every subcommand, answers (exit 0, JSON or
+    text on stdout) or is refused (exit 1, one error line) within the
+    subprocess timeout; no traceback."""
     F = GF(p, m)
     spec = f"GF({p})" if m == 1 else f"GF({p}^{m})"
     for args in fixed + list(_fuzz_queries(random.Random(f"fuzz/{p}/{m}"), F, spec, degrees)):
         proc = _module_cli(args, timeout=30)
         assert proc.returncode in (0, 1), (args, proc.stderr)
         assert b"Traceback" not in proc.stderr, (args, proc.stderr)
-        if proc.returncode == 0:
+        if proc.returncode == 0 and "text" in args:
+            assert proc.stdout.strip()
+        elif proc.returncode == 0:
             json.loads(proc.stdout)
         else:
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr

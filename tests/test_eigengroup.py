@@ -42,6 +42,7 @@ from oracles import (
     centre_hits,
     eigengroup_bruteforce_in_tower,
     fixed_point,
+    generator_laws_hold,
     monic_polys,
     roots_in_field,
     subfield_values,
@@ -449,6 +450,7 @@ def test_forced_centre_agrees_with_brute_force_and_the_root_scan(F):
             continue
         answered += 1
         assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+        assert generator_laws_hold(res)
         if res.closure.kind == "torus":
             continue
         f1 = exponent_decomp(f).f1
@@ -550,6 +552,7 @@ def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeyp
         assert zero == (shift_space(roots_with_multiplicity(f, tower)).dim == 0) == (not desc.v_basis)
         assert not zero or kind < 2  # kinds 2 and 3 are built with V != 0
         assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+        assert generator_laws_hold(res)
         if tower.ext.q <= DEFAULT_BRUTE_CAP:
             over_l += 1
             assert pairs_of(desc.elements()) == eigengroup_bruteforce_in_tower(f, tower, tower.M)
@@ -636,8 +639,9 @@ def test_expand_skips_the_power_under_a_constant_g(monkeypatch):
 
 
 def test_a_wrong_cyclic_generator_is_refused(monkeypatch):
-    """The eigenform round trip does not involve lambda_n; the generator
-    check refuses a lambda_n whose substitution is no eigen-substitution."""
+    """The eigenform round trip does not involve lambda_n; the certificate
+    lambda_n^n = 1 refuses a lambda_n whose substitution is no
+    eigen-substitution."""
     import sys
 
     eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
@@ -802,6 +806,7 @@ def test_oracle_sweep_base_field(p):
         for f in monic_polys(F, d):
             res = eigengroup(f)
             assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+            assert generator_laws_hold(res)
             assert triviality_criterion(f) == res.closure.is_trivial()
             assert_canonical_centre(res.closure)
             assert_canonical_centre(res.descend())
@@ -817,6 +822,7 @@ def test_oracle_sweep_quadratic_extension(p):
             res = eigengroup(f, tower)
             down = res.descend(level=2)
             assert pairs_of(down.elements()) == eigengroup_bruteforce_in_tower(f, tower, 2)
+            assert generator_laws_hold(res)
             assert triviality_criterion(f, tower) == res.closure.is_trivial()
             assert_canonical_centre(down)
 
@@ -830,6 +836,7 @@ def test_oracle_extension_base_field():
             )
             res = eigengroup(f)
             assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
+            assert generator_laws_hold(res)
             assert triviality_criterion(f) == res.closure.is_trivial()
 
 

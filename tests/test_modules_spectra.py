@@ -267,6 +267,37 @@ def test_on_f_dimension_law_sweep():
                 assert is_scalar_mat(K, mat_pow(K, spec.X, 2), K.pow(xbar, 2))
 
 
+@pytest.mark.parametrize("F", [GF(2), GF(5), GF(2, 2), GF(3, 2)], ids=["GF2", "GF5", "GF2_2", "GF3_2"])
+def test_on_f_never_runs_the_span_checks(F, monkeypatch):
+    """simple_module_on_f proves simplicity from q irreducible, q(Y) = 0 and
+    X scalar; the word span and the cyclic basis vectors run here only as
+    oracles, on p_i of degree 1 and 2 and q of degree 1 to 3."""
+    rng = random.Random(f"on_f/{F!r}")
+
+    def irreducible(field, d):
+        while not is_irreducible(g := Poly.from_values(field, [rng.randrange(field.q) for _ in range(d)] + [1])):
+            pass
+        return g
+
+    x, cases = Poly.x(F), []
+    for e in (1, 2):
+        p_i = irreducible(F, e)
+        residue = F if e == 1 else tower_over(F, F.m * 2).ext
+        cases += [(p_i * x * p_i, p_i, irreducible(residue, d)) for d in (1, 2, 3)]
+
+    def not_on_f(*args):
+        raise AssertionError("simple_module_on_f ran a span check")
+
+    monkeypatch.setattr(modules_spectra, "word_span_dim", not_on_f)
+    monkeypatch.setattr(modules_spectra, "all_basis_vectors_cyclic", not_on_f)
+    specs = [simple_module_on_f(f, p_i, q) for f, p_i, q in cases]
+    monkeypatch.undo()
+    for spec, (_, _, q) in zip(specs, cases):
+        assert spec.dim == q.degree
+        assert word_span_dim(spec.field, spec.X, spec.Y) == q.degree
+        assert all_basis_vectors_cyclic(spec.field, spec.X, spec.Y)
+
+
 # ---------------------------------------------------------------------------
 # Modules off the locus
 # ---------------------------------------------------------------------------
@@ -479,9 +510,9 @@ def test_relation_check_errors_name_their_family_stage(F, monkeypatch):
 @pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
 def test_on_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     """Each check of the on-f module (p_i split in its residue field, p_i(X)
-    = 0, q(Y) = 0, the word span and the cyclic basis vectors) raises at its
-    stage, on one line that ends with the CLI call rebuilding the module;
-    q, over the residue field of degree 2, is printed in y."""
+    = 0, q(Y) = 0) raises at its stage, on one line that ends with the CLI
+    call rebuilding the module; q, over the residue field of degree 2, is
+    printed in y."""
     x = Poly.x(F)
     p_i = next(g for g in monic_polys(F, 2) if is_irreducible(g))
     f = p_i * x
@@ -496,8 +527,6 @@ def test_on_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
         ("on_f.relations", "mat_poly", lambda F2, g, A: None if g == lift_poly(p_i, tower_over(F, F.m * 2))
          else real_mat_poly(F2, g, A), r"p_i\(X\) != 0"),
         ("on_f.relations", "mat_poly", lambda F2, g, A: None if g == q else real_mat_poly(F2, g, A), r"q\(Y\) != 0"),
-        ("on_f.simplicity", "word_span_dim", lambda *args: 0, "word span"),
-        ("on_f.simplicity", "all_basis_vectors_cyclic", lambda *args: False, "basis vector"),
     ]
     for stage, name, fake, text in faults:
         monkeypatch.setattr(modules_spectra, name, fake)
@@ -733,10 +762,17 @@ def test_factorization_examples():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_factorization_matches_trial_division(p):
+    """Against trial division, and the product of the factors is f: the
+    reconstruction factor_into_irreducibles leaves to the root multiset."""
     F = GF(p)
     for d in range(1, 5):
         for f in monic_polys(F, d):
-            assert factor_into_irreducibles(f) == naive_factor(f)
+            got = factor_into_irreducibles(f)
+            assert got == naive_factor(f)
+            rebuilt = Poly.one(F)
+            for q, n in got:
+                rebuilt = rebuilt * q**n
+            assert rebuilt == f
 
 
 def _factor_oracle_inputs(F):

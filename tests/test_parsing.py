@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orecalc.errors import ParseError
 from orecalc.gf import GF, canonical_modulus
@@ -121,6 +123,24 @@ def test_poly_roundtrip_random():
             s = format_poly(f)
             assert parse_poly(F, s) == f
             assert format_poly(parse_poly(F, s)) == s
+
+
+ROUND_TRIP_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(11), GF(13), GF(2, 3), GF(3, 2)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_format_poly_round_trips_and_is_a_fixpoint(data):
+    """parse_poly(format_poly(f)) == f and format_poly is a fixpoint of the
+    round trip, in x and, as the CLI reads q, in y; over prime fields up to
+    GF(13), GF(2^3) and GF(3^2), with sparse and dense coefficients."""
+    F = data.draw(st.sampled_from(ROUND_TRIP_FIELDS), label="field")
+    coeff = st.one_of(st.integers(0, F.q - 1), st.just(0), st.just(1))
+    f = Poly.from_values(F, data.draw(st.lists(coeff, max_size=9), label="coefficients"))
+    text = format_poly(f)
+    assert parse_poly(F, text) == f
+    assert format_poly(parse_poly(F, text)) == text
+    assert parse_poly(F, text.replace("x", "y"), var="y") == f
 
 
 def test_parse_poly_var_parameter():

@@ -228,8 +228,9 @@ def test_split_roots_refuse_a_wrong_base_degree():
     t = F.gen.val
     g = Poly.from_values(F, (F.neg(t), 1)) * Poly.from_values(F, (F.neg(1), 1))  # (x - t)(x - 1)
     assert split_roots(g, 2) == sorted({1, t})
-    with pytest.raises(InternalCheckError, match="do not account"):
+    with pytest.raises(InternalCheckError, match="^stage=poly.split: split roots do not account") as info:
         split_roots(g, 1)
+    assert info.value.stage == "poly.split"
 
 
 def test_roots_in_ext_without_parts_match_the_parts(split_calls):
@@ -539,8 +540,52 @@ def test_roots_over_a_short_built_tower_is_an_internal_fault(monkeypatch):
     F = GF(3)
     f = Poly(F, (1, 0, 1))
     monkeypatch.setattr(poly_mod, "splitting_tower", lambda g, parts=None: tower_over(g.field, 1))
-    with pytest.raises(InternalCheckError, match="splitting tower"):
+    with pytest.raises(InternalCheckError, match="^stage=poly.roots: splitting tower") as info:
         roots_with_multiplicity(f)
+    assert info.value.stage == "poly.roots" and str(info.value).endswith(": f = x^2 + 1 over GF(3)")
+
+
+class _FixedDraws:
+    """A stand-in for random.Random whose draws are always b = 0, a = 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def randrange(self, lo, hi=None):
+        return 0 if hi is None else lo
+
+
+@pytest.mark.parametrize("stage", ["poly.ddf", "poly.split", "poly.roots", "poly.peel"])
+def test_poly_check_errors_name_stage_field_and_input(stage, monkeypatch):
+    """Each staged check in poly.py, made to fail, raises at its stage and
+    names the polynomial it checked and its field (with the modulus for an
+    extension field)."""
+    F5, F9 = GF(5), GF(3, 2)
+    x = Poly.x(F5)
+    if stage == "poly.ddf":  # x^(q^d) mod g read as x + 1: no part ever splits off
+        g, tower = Poly.from_values(F9, (F9.gen.val, 0, 1)), tower_over(F9, 6)  # x^2 + t; steps up to d = 3
+        monkeypatch.setattr(poly_mod._Residues, "frobenius", lambda self, e, *args, **kw: iter(lambda: self.residue((1, 1)), None))
+        run, text, named = lambda: roots_in_ext(g, tower), "distinct-degree split ran past the degree", g
+    elif stage == "poly.split":  # h = x never splits (x - 1)(x - 4): both roots are squares
+        g = (x - 1) * (x - 4)
+        monkeypatch.setattr(poly_mod, "random", type("Draws", (), {"Random": _FixedDraws}))
+        run, text, named = lambda: split_roots(g, 1), "equal-degree splitting found no split", g
+    elif stage == "poly.roots":  # a claimed root that is none
+        g = x**2 * (x - 1)
+        real = poly_mod.roots_in_ext
+        monkeypatch.setattr(poly_mod, "roots_in_ext", lambda f, tower, parts=None: real(f, tower, parts) + [2])
+        run, text, named = lambda: roots_with_multiplicity(g), "claimed root fails division", g
+    else:  # a peeling step that removes nothing
+        h = x**2 + 1
+        g = h**3 + h
+        monkeypatch.setattr(Poly, "scale_value", lambda self, v: Poly.zero(self.field))
+        run, text, named = lambda: decompose_through(g, h), "peeling failed to reduce the degree", g
+    with pytest.raises(InternalCheckError, match=rf"^stage={stage.replace('.', '[.]')}: {text}") as info:
+        run()
+    monkeypatch.undo()
+    assert info.value.stage == stage
+    spec = "GF(5)" if named.field is F5 else "GF(3^2, mod=" + ",".join(map(str, F9.modulus)) + ")"
+    assert str(info.value).endswith(f": f = {named!r} over {spec}")
 
 
 def test_roots_split_the_input_once(split_calls):
