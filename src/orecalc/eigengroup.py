@@ -39,10 +39,10 @@ f = w^i g(w^n), w = f_V(x - nu) (A10; A11 with f_V = x), f = g(f_V)^(p^s)
 (B11) or f = (x - nu)^d; the generator laws of the closure (the same nu, n,
 lambda_n and V) follow from it and lambda_n^n = 1 (eigengroup.generators).
 f_V is additive and vanishes on V, as Ore's recursion
-f_{U+<b>} = f_U^p - f_U(b)^(p-1) f_U keeps both: shifts by V fix w.
-n | p^e - 1 (n is a gcd with bound), so lambda_n^n = 1 puts lam = lambda_n
-in F_{p^e}, which maps V onto itself, and f_V(lam y) = lam^|V| f_V(y) =
-lam f_V(y) as |V| is a power of p^e (f_V = x when V = 0): the cyclic
+f_{U+<b>} = f_U^p - f_U(b)^(p-1) f_U keeps both: shifts by V fix w.  When
+V != 0, n divides bound = p^e - 1, so lambda_n^n = 1 puts lam = lambda_n in
+F_{p^e}, which maps V onto itself, and f_V(lam y) = lam^|V| f_V(y) =
+lam f_V(y) as |V| is a power of p^e (when V = 0, f_V = x): the cyclic
 generator sends w to lam w and f to lam^i f.  A single root needs no torus
 check: (lam (x - nu))^d = lam^d (x - nu)^d.
 

@@ -565,27 +565,27 @@ def test_poly_check_errors_name_stage_field_and_input(stage, monkeypatch):
     if stage == "poly.ddf":  # x^(q^d) mod g read as x + 1: no part ever splits off
         g, tower = Poly.from_values(F9, (F9.gen.val, 0, 1)), tower_over(F9, 6)  # x^2 + t; steps up to d = 3
         monkeypatch.setattr(poly_mod._Residues, "frobenius", lambda self, e, *args, **kw: iter(lambda: self.residue((1, 1)), None))
-        run, text, named = lambda: roots_in_ext(g, tower), "distinct-degree split ran past the degree", g
+        run, text = lambda: roots_in_ext(g, tower), "distinct-degree split ran past the degree"
     elif stage == "poly.split":  # h = x never splits (x - 1)(x - 4): both roots are squares
         g = (x - 1) * (x - 4)
         monkeypatch.setattr(poly_mod, "random", type("Draws", (), {"Random": _FixedDraws}))
-        run, text, named = lambda: split_roots(g, 1), "equal-degree splitting found no split", g
+        run, text = lambda: split_roots(g, 1), "equal-degree splitting found no split"
     elif stage == "poly.roots":  # a claimed root that is none
         g = x**2 * (x - 1)
         real = poly_mod.roots_in_ext
         monkeypatch.setattr(poly_mod, "roots_in_ext", lambda f, tower, parts=None: real(f, tower, parts) + [2])
-        run, text, named = lambda: roots_with_multiplicity(g), "claimed root fails division", g
+        run, text = lambda: roots_with_multiplicity(g), "claimed root fails division"
     else:  # a peeling step that removes nothing
         h = x**2 + 1
         g = h**3 + h
         monkeypatch.setattr(Poly, "scale_value", lambda self, v: Poly.zero(self.field))
-        run, text, named = lambda: decompose_through(g, h), "peeling failed to reduce the degree", g
+        run, text = lambda: decompose_through(g, h), "peeling failed to reduce the degree"
     with pytest.raises(InternalCheckError, match=rf"^stage={stage.replace('.', '[.]')}: {text}") as info:
         run()
     monkeypatch.undo()
     assert info.value.stage == stage
-    spec = "GF(5)" if named.field is F5 else "GF(3^2, mod=" + ",".join(map(str, F9.modulus)) + ")"
-    assert str(info.value).endswith(f": f = {named!r} over {spec}")
+    spec = "GF(5)" if g.field is F5 else "GF(3^2, mod=" + ",".join(map(str, F9.modulus)) + ")"
+    assert str(info.value).endswith(f": f = {g!r} over {spec}")
 
 
 def test_roots_split_the_input_once(split_calls):
