@@ -54,7 +54,6 @@ from .eigengroup import (
     EigengroupDesc,
     EigengroupResult,
     Eigenform,
-    ShiftSpace,
     SubgroupSpec,
     eigengroup,
     eigengroup_bruteforce,
@@ -115,7 +114,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "RootMultiset",
-    "ShiftSpace",
     "SimpleModuleSpec",
     "SpectrumDesc",
     "SubgroupSpec",

@@ -23,12 +23,16 @@ bound on n when V = 0, and with G from decompose_through and n | p^e - 1
 d1 = deg f1, no root is split: V moves the roots of f1 freely and keeps
 multiplicities, so |V| divides d1 and V = 0, and a centre with n >= 2 kills
 the x^(d1-1) coefficient a_(d1-1) + d1 nu of f1(x + nu), so
-nu = -a_(d1-1)/d1 in K is the one candidate.  If p | d1, shift_space_is_zero
-decides V = 0 over K.  Then a commutator in G_f (lam = 1) is a trivial shift,
-so all of G_f fixes one nu; the Frobenius conjugate of a generator fixes
-nu^q, so nu is in K, a root of f1 (i >= 1) or of f1' (i = 0), and no root of
-L is split.  When V != 0 each root of f1 and of f1' in L is a candidate
-centre nu.  With w = f_V(x - nu), f1 = G(w + f_V(nu)),
+nu = -a_(d1-1)/d1 in K is the one candidate.  If p | d1, shift_space takes
+the gcd G over K of the shift equations of f1 and decides V = 0 when G is
+c mu^t.  Then a commutator in G_f (lam = 1) is a trivial shift, so all of
+G_f fixes one nu; the Frobenius conjugate of a generator fixes nu^q, so nu
+is in K, a root of f1 (i >= 1) or of f1' (i = 0), and no root of L is
+split.  Otherwise shift_space splits f1 once and reads V off the distinct
+roots r as {0} u {r - r0 : G(r - r0) = 0}, and each of those roots and each
+root of f1' in L is a candidate centre nu; no root multiset is built.  The
+splitting tower is built, and f split into distinct-degree parts, once on
+every path.  With w = f_V(x - nu), f1 = G(w + f_V(nu)),
 and stripping the power of w from G(y + f_V(nu)) leaves g_nu, whose
 prime-to-p exponent gcd (p^e - 1 when g_nu is constant: one coset of roots)
 bounds n.  Hits, the candidates with n >= 2, lie in one V-coset with equal
@@ -56,7 +60,11 @@ every level), lambda_n is the level field's own primitive_root_of_unity(n),
 bases are echelonized; identical inputs produce identical descriptors.  V
 moves between the steps as its reduced echelon basis only; its values are
 listed where elements are (v_values of the descriptors, for elements() and
-the descent and variant-b scans).
+the descent and variant-b scans); contains tests one pair against the
+descriptor without listing the group.  A failed check raises
+InternalCheckError at stage eigengroup.<step> (shift_space, decompose,
+centre, generators, eigenform, elements, descend or inverse), ending with
+the CLI line that repeats the query wherever f is known.
 
 The inverse problem (realize a prescribed subgroup H as G_f) is solved by
 explicit witness polynomials per subgroup shape, and every structured result
@@ -74,7 +82,6 @@ from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values, tower_over
 from .poly import (
     Poly,
-    RootMultiset,
     checked_splitting_tower,
     contract_exponents,
     decompose_through,
@@ -86,7 +93,6 @@ from .poly import (
     multiplier_field,
     poly_pow_mod,
     roots_in_ext,
-    roots_with_multiplicity,
     shift_coeffs,
     space_basis,
 )
@@ -214,58 +220,29 @@ class AffineAut(namedtuple("AffineAut", "field lam mu")):
 # ---------------------------------------------------------------------------
 
 
-class ShiftSpace(namedtuple("ShiftSpace", "tower level basis")):
-    """The F_p-space of shifts delta with delta + R(f) = R(f) as multisets,
-    with delta constrained to the subfield F_{p^level} of the splitting field
-    of tower; basis is its echelon basis, a tuple of packed values."""
+def shift_space(f: Poly, tower: FieldTower, parts=None) -> tuple[tuple[int, ...], list[int]]:
+    """(basis, roots): the reduced echelon basis of the shift space
+    V = {v : f(x + v) = f(x)} of f in the extension L of tower, which splits
+    f, and the sorted distinct roots of f in L, or () and [] when V = 0
+    (parts as for roots_in_ext).
 
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"ShiftSpace(dim={self.dim}, level={self.level})"
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def shift_space(rm: RootMultiset, level: int | None = None) -> ShiftSpace:
-    """Shift space of the root multiset of f at the given subfield level of
-    its tower (default: the whole of L)."""
-    _require_monic_nonscalar(rm.poly)
-    tower = rm.tower
-    if len(rm.pairs) == 1:
-        raise DomainError("shift space needs at least two distinct roots")
-    if level is None:
-        level = tower.M
-    if tower.M % level:
-        raise DomainError("shift level must divide the splitting degree")
-    L = tower.ext
-    mult = rm.as_multiset()
-    distinct = rm.distinct()
-    cands = {L.sub(r, r2) for r in distinct for r2 in distinct if r != r2}
-    qual = {0}
-    for delta in cands:
-        if level < tower.M and not tower.in_subfield(delta, level):
-            continue
-        if all(mult.get(L.add(r, delta)) == m for r, m in rm.pairs):
-            qual.add(delta)
+    V is the common zero set of b_k(mu) - f_k, k < deg f (shift_coeffs), so
+    V - {0} is the set of nonzero roots of the gcd G over K of
+    (b_k(mu) - f_k)/mu.  G is taken from the top k down; once it is c mu^t,
+    V = 0 and no root is split.  Otherwise a shift by v in V permutes the
+    roots of f, so with r0 the least root, V = {0} u {r - r0 : G(r - r0) = 0}
+    over the roots r.  The shifts found must form a subspace."""
+    K, G = f.field, Poly.zero(f.field)
+    for b in shift_coeffs(f, range(f.degree - 1, -1, -1)):
+        G = G.gcd(Poly.from_values(K, b.c[1:]))
+        if G.c and G.valuation() == G.degree:
+            return (), []
+    L, Ge, roots = tower.ext, lift_poly(G, tower), roots_in_ext(f, tower, parts)
+    qual = {0} | {v for v in (L.sub(r, roots[0]) for r in roots) if Ge.eval_value(v) == 0}
     basis = space_basis(L, qual)
     if len(qual) != L.p ** len(basis):
-        raise InternalCheckError("qualifying shifts failed to form a subspace")
-    return ShiftSpace(tower, level, basis)
-
-
-def shift_space_is_zero(f: Poly) -> bool:
-    """Whether V = {v : f(x + v) = f(x)} is 0, decided over K: V is the common
-    zero set of b_k(mu) - f_k, k < deg f (shift_coeffs), so V = 0 exactly when
-    their gcd is c mu^t.  The gcd is taken from the top k down until it is."""
-    G = Poly.zero(f.field)
-    for b in shift_coeffs(f, range(f.degree - 1, -1, -1)):
-        G = G.gcd(Poly.from_values(f.field, b.c[1:]))
-        if G.c and G.valuation() == G.degree:
-            return True
-    return False
+        raise _stage_error("eigengroup.shift_space", f, "the shifts that fix f do not form a subspace")
+    return basis, roots
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +314,20 @@ class EigengroupDesc(namedtuple("EigengroupDesc", "kind tower level over_closure
         pairs = _subgroup_pairs(F, kind, self.nu, self.n, self.lambda_n, self.v_values())
         out = [AffineAut(F, l, m) for l, m in pairs]
         if len(out) != self.order():
-            raise InternalCheckError("element enumeration does not match the order formula")
+            raise InternalCheckError("element enumeration does not match the order formula", "eigengroup.elements")
         return out
+
+    def contains(self, lam: int, mu: int) -> bool:
+        """Whether x -> lam*x + mu (lam != 0 and mu packed values of the
+        level field) is in the group, read off the descriptor without
+        listing the group."""
+        F = self.level_field
+        if self.kind == "full":
+            return True
+        off = F.sub(mu, F.mul(F.sub(1, lam), self.nu))
+        if self.kind == "torus":
+            return off == 0
+        return F.pow(lam, self.n) == 1 and _coset_min(F, off, self.v_basis) == 0
 
     def describe(self) -> dict:
         F = self.level_field
@@ -409,7 +398,7 @@ class Eigenform(namedtuple("Eigenform", "case f tower nu i n s g v_basis lambda_
         if self.case == "B11":
             p = L.p
             return self.g.compose(f_V(L, self.v_basis)) ** (p**self.s)
-        raise InternalCheckError(f"unknown eigenform case {self.case!r}")
+        raise _stage_error("eigengroup.eigenform", self.f, f"unknown eigenform case {self.case!r}")
 
     def verify(self, fe: Poly) -> None:
         """Round-trip to fe, f lifted to the splitting field (case "none" is
@@ -464,13 +453,12 @@ def torus_centre(f: Poly) -> int | None:
     return t
 
 
-def _unity_root(n: int, field: FieldDesc) -> int:
+def _unity_root(n: int, field: FieldDesc, f: Poly) -> int:
     try:
         return primitive_root_of_unity(n, field).val
     except DomainError as exc:
-        raise InternalCheckError(
-            f"required root of unity of order {n} missing from the splitting field"
-        ) from exc
+        msg = f"required root of unity of order {n} missing from the splitting field"
+        raise _stage_error("eigengroup.generators", f, msg) from exc
 
 
 def _coset_min(F: FieldDesc, nu: int, basis) -> int:
@@ -497,15 +485,12 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
     _require_monic_nonscalar(f)
     ed, K = exponent_decomp(f), f.field
     s, f1, d1, p = ed.s, ed.f1, ed.f1.degree, K.p
-    if d1 % p or shift_space_is_zero(f1):  # V = 0: every centre is in K, no root of L is split
-        (tower, parts), rm = checked_splitting_tower(f, tower), None
-        a, fe = torus_centre(f) if d1 % p else None, lift_poly(f, tower)
-    else:
-        rm = roots_with_multiplicity(f, tower)
-        tower, a, fe = rm.tower, None, rm.lifted
+    tower, parts = checked_splitting_tower(f, tower)
     L, M, lift = tower.ext, tower.M, tower.level(tower.k).lift
+    fe = lift_poly(f, tower)
     f1e = fe if s == 0 else lift_poly(f1, tower)
 
+    a = torus_centre(f) if d1 % p else None
     if a is not None:
         nu = lift(a)
         desc = EigengroupDesc("torus", tower, M, True, nu, 0, 1, ())
@@ -515,15 +500,16 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
 
     # f1 = G(f_V); n is bounded by p^e - 1 when V != 0 (gcd(0, n) = n).
     # Candidate centres nu, read through w = f_V(x - nu): f1 = G(w + f_V(nu)).
-    fv, big_g, bound, basis = Poly.x(L), f1e, 0, ()
+    fv, big_g, bound = Poly.x(L), f1e, 0
+    basis, roots = ((), []) if d1 % p else shift_space(f1, tower, parts)
     if d1 % p:
         cands = [lift(K.div(K.neg(f1.c[d1 - 1]), d1 % p))]
-    elif rm is None:  # the roots of f1 and of f1' in K
+    elif not roots:  # V = 0: the roots of f1 and of f1' in K
         base = tower_over(K, K.m)
         cands = [lift(r) for r in sorted({*roots_in_ext(f, base, parts), *roots_in_ext(f1.derivative(), base)})]
     else:
-        basis, seen = shift_space(rm).basis, set(rm.distinct())
-        cands = sorted(seen) + [r for r in roots_in_ext(f1.derivative(), tower) if r not in seen]
+        seen = set(roots)
+        cands = roots + [r for r in roots_in_ext(f1.derivative(), tower) if r not in seen]
         if basis:
             fv = f_V(L, basis)
             big_g = decompose_through(f1e, fv)
@@ -546,7 +532,7 @@ def eigengroup_closed(f: Poly, tower: FieldTower | None = None) -> EigengroupRes
         at, nu, i_nu, g_nu, n = hits[0]
         if any(h[0] != at or h[2:] != (i_nu, g_nu, n) for h in hits):
             raise _stage_error("eigengroup.centre", f, "candidate centres must lie in one V-coset with equal data")
-        nu, lam = _coset_min(L, nu, basis), _unity_root(n, L)
+        nu, lam = _coset_min(L, nu, basis), _unity_root(n, L, f)
         g = contract_exponents(g_nu, n) ** (p**s)
         desc = EigengroupDesc("finite", tower, M, True, nu, n, lam, basis)
         form = Eigenform("A10" if basis else "A11", f, tower, nu, p**s * i_nu, n, s, g, basis, lam)
@@ -582,7 +568,7 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
             return EigengroupDesc("torus", tower, level, False, lower(desc.nu), 0, 1, ())
         return _trivial_desc(tower, level, False)
     if desc.kind == "full":
-        raise InternalCheckError("full descriptors are a descent-side normal form only")
+        raise InternalCheckError("full descriptors are a descent-side normal form only", "eigengroup.descend")
 
     vk_vals = tuple(v for v in desc.v_values() if tower.in_subfield(v, level))
     vk_basis = space_basis(lvl.desc, tuple(sorted(lower(v) for v in vk_vals)))
@@ -605,7 +591,7 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
                 continue
             mu2 = L.sub(target, L.dot(coords[: len(vb)], vb))
             if not tower.in_subfield(mu2, level):
-                raise InternalCheckError("descent shift correction left the subfield")
+                raise InternalCheckError("descent shift correction left the subfield", "eigengroup.descend")
             n_k = desc.n // i2
             lam_k = primitive_root_of_unity(n_k, lvl.desc).val
             nu_k = _coset_min(lvl.desc, lower(L.div(mu2, L.sub(1, lam2))), vk_basis)
@@ -914,7 +900,7 @@ def inverse_eigengroup(spec: SubgroupSpec) -> Poly:
             image = {fv.eval_value(a) for a in F.elements()}
             off = [r for r in F.elements() if r not in image]
             if not off:
-                raise InternalCheckError("additive map with nonzero kernel cannot be onto")
+                raise InternalCheckError("additive map with nonzero kernel cannot be onto", "eigengroup.inverse")
             return fv - Poly.from_values(F, (off[0],))
         in_v = set(spec.v_values())
         nu_aux = next(v for v in F.elements() if v not in in_v)

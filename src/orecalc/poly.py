@@ -30,9 +30,10 @@ Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
 Each fact is checked once: split_roots evaluates its roots in the part it
 splits and counts them, and a part divides radical(f), so roots_in_ext does
 not evaluate f again; roots_with_multiplicity rebuilds f from the root
-multiset.  A failed check raises InternalCheckError at stage poly.ddf,
-poly.split, poly.roots or poly.peel, naming f and its field.  poly_pow_mod
-runs on the same kernel.
+multiset, which also checks the multiplicities and the splitting field
+(the eigengroup needs only the distinct roots).  A failed check raises
+InternalCheckError at stage poly.ddf, poly.split, poly.roots or poly.peel,
+naming f and its field.  poly_pow_mod runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -710,10 +711,9 @@ class RootMultiset(namedtuple("RootMultiset", "poly tower pairs lifted")):
     with multiplicities.
 
     pairs is a tuple of (packed root, multiplicity), sorted by packed root
-    value; the construction asserts that the multiplicities account for the
-    whole degree and that the monic product of (x - root)^mult reproduces
-    the lifted polynomial exactly.  lifted is that polynomial, poly over the
-    tower extension.
+    value; the construction checks that the leading coefficient times the
+    product of (x - root)^mult reproduces the lifted polynomial exactly.
+    lifted is that polynomial, poly over the tower extension.
     """
 
     __slots__ = ()
@@ -739,11 +739,13 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     """Exact root multiset of f over (a tower splitting) f.
 
     The distinct roots come from roots_in_ext, the multiplicities from
-    repeated exact division.  The tower comes from checked_splitting_tower,
-    so a nonconstant remainder is an internal fault.
-    Nothing is cached: a caller that needs the roots again keeps the
-    returned multiset (shift_space takes it as its input), and f is split
-    into distinct-degree parts once, for both the tower and the roots.
+    repeated exact division, the first taken as exact: split_roots has
+    evaluated each root.  The tower comes from checked_splitting_tower.  The
+    one check is the reconstruction: lc(f) times the product of
+    (x - r)^m must be f lifted, which also fails on a root that is none and
+    on a tower that does not split f (the product then falls short of the
+    degree).  Nothing is cached, and f is split into distinct-degree parts
+    once, for both the tower and the roots.
     """
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
@@ -756,20 +758,14 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     rem = fe
     for r in roots_in_ext(f, tower, parts):
         lin = Poly.from_values(L, (L.neg(r), 1))
-        m = 0
-        while True:
+        rem, m = rem // lin, 1
+        while rem.degree > 0:
             quo, rr = rem.divmod(lin)
             if not rr.is_zero():
                 break
-            rem = quo
-            m += 1
-        if m == 0:
-            raise _check_error("poly.roots", f, "claimed root fails division")
+            rem, m = quo, m + 1
         pairs.append((r, m))
-    if rem.degree != 0:
-        raise _check_error("poly.roots", f, "splitting tower does not split the input")
-    # exact product reconstruction
-    check = Poly.from_values(L, (rem.c[0] if rem.c else 1,))
+    check = Poly.from_values(L, (fe.lc,))
     for r, m in pairs:
         check = check * Poly.from_values(L, (L.neg(r), 1)) ** m
     if check != fe:

@@ -19,7 +19,6 @@ from orecalc.eigengroup import (
     eigengroup,
     eigengroup_bruteforce,
     inverse_eigengroup,
-    shift_space,
     solve_affine_matches,
     torus_centre,
 )
@@ -28,7 +27,7 @@ from orecalc.gf import GF, primitive_root_of_unity
 from orecalc.lambda_aut import are_isomorphic, aut_group
 from orecalc.poly import Poly, exponent_decomp, lift_poly, radical, roots_with_multiplicity, splitting_tower
 
-from oracles import centre_hits, eigengroup_bruteforce_in_tower, subfield_values
+from oracles import centre_hits, eigengroup_bruteforce_in_tower, shift_space_oracle, subfield_values
 
 # small enough for a q(q-1) loop of full compositions
 SCAN_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4)]
@@ -307,7 +306,7 @@ def test_forced_centre_is_the_only_root_scan_hit(f):
     nu = tower.level(tower.k).lift(F.div(F.neg(f1.c[-2]), f1.degree % F.p))
     rm = roots_with_multiplicity(f, tower)
     hits = centre_hits(rm)
-    assert shift_space(rm).dim == 0 and not res.closure.v_basis
+    assert not shift_space_oracle(rm) and not res.closure.v_basis
     assert set(hits) <= {nu}
     assert (res.closure.nu, res.closure.n) == ((nu, hits[nu]) if hits else (0, 1))
 

@@ -155,6 +155,31 @@ def test_oracle_exhaustive():
     assert data["match"] is True and data["mode"] == "sampled" and data["checked"] == 256
 
 
+SAMPLED_ORACLE = [  # (field, f, format, the stdout the listing of the group gave)
+    ("GF(2^20)", "x+1", "json", '{"checked": 256, "kind": "torus", "match": true, "mode": "sampled", "order": 1048575}'),
+    ("GF(2^20)", "x+1", "text", "oracle agrees (sampled, 256 substitutions checked)\ngroup: T_[1" + ",0" * 19
+     + "] = \u27e8\u03c3_{\u03bb,(1-\u03bb)\u00b7[1" + ",0" * 19
+     + "]} : \u03bb in GF(2^20)^x\u27e9, order 1048575"),
+    ("GF(2^12)", "x^4+x+1", "json", '{"checked": 256, "kind": "finite", "match": true, "mode": "sampled", "order": 12}'),
+    ("GF(3^12)", "x^3-x+1", "json", '{"checked": 256, "kind": "finite", "match": true, "mode": "sampled", "order": 6}'),
+    ("GF(2^11)", "x^2+x", "json", '{"checked": 256, "kind": "finite", "match": true, "mode": "sampled", "order": 2}'),
+]
+
+
+@pytest.mark.parametrize("field,f,fmt,want", SAMPLED_ORACLE)
+def test_sampled_oracle_lists_no_group(field, f, fmt, want, monkeypatch):
+    """Sampled mode tests membership from the descriptor and reads the order
+    from order(): with elements() made to raise it prints the bytes that
+    listing the group gave (2^20 - 1 torus pairs for x + 1)."""
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+
+    def refuse(self):
+        raise AssertionError("elements() was called")
+
+    monkeypatch.setattr(eg_mod.EigengroupDesc, "elements", refuse)
+    assert run(["oracle", "--field", field, "--f", f, "--format", fmt]) == (0, want)
+
+
 def test_oracle_ignores_environment_cap(monkeypatch):
     # the cap reaches the brute force only through --cap
     monkeypatch.setenv("ORECALC_BRUTE_CAP", "4")
@@ -403,8 +428,9 @@ SELFTEST_DATACLASSES = {
 def test_import_contract_of_the_benchmark_tracer():
     """Right after `import orecalc; import orecalc.cli` every module that
     perfbench/spans.py wraps is loaded (the tracer reads them from
-    sys.modules), and exactly the records that the self-test corrupts with
-    dataclasses.replace are dataclasses."""
+    sys.modules), every function, class and method it wraps or counts
+    resolves by getattr there, and exactly the records that the self-test
+    corrupts with dataclasses.replace are dataclasses."""
     code = (
         "import json, sys\n"
         "import orecalc, orecalc.cli\n"
@@ -412,18 +438,25 @@ def test_import_contract_of_the_benchmark_tracer():
         "sys.path.insert(0, sys.argv[1])\n"
         "import spans\n"
         "wrapped = {e[1] for e in spans.SPANS + spans.METHOD_SPANS + spans.COUNTED}\n"
+        "unresolved = []\n"
+        "for e in spans.SPANS + spans.METHOD_SPANS + spans.COUNTED:\n"
+        "    obj = sys.modules.get('orecalc.' + e[1])\n"
+        "    for name in e[2:]:\n"
+        "        obj = getattr(obj, name, None)\n"
+        "    if obj is None:\n"
+        "        unresolved.append('.'.join(e[1:]))\n"
         "dcs = [f'{n}.{k}' for n, m in sorted(sys.modules.items()) if n.startswith('orecalc')\n"
         "       for k, v in vars(m).items()\n"
         "       if isinstance(v, type) and v.__module__ == n and '__dataclass_fields__' in vars(v)]\n"
-        "print(json.dumps([sorted(m for m in wrapped if 'orecalc.' + m not in loaded), sorted(dcs)]))\n"
+        "print(json.dumps([sorted(m for m in wrapped if 'orecalc.' + m not in loaded), unresolved, sorted(dcs)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO_ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code, str(REPO_ROOT / "perfbench")],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    missing, dataclasses = json.loads(proc.stdout)
-    assert missing == []
+    missing, unresolved, dataclasses = json.loads(proc.stdout)
+    assert missing == [] and unresolved == []
     assert dataclasses == sorted(SELFTEST_DATACLASSES)
 
 

@@ -23,7 +23,6 @@ from orecalc.eigengroup import (
     eigengroup_descend,
     inverse_eigengroup,
     shift_space,
-    shift_space_is_zero,
     solve_affine_matches,
 )
 from orecalc.poly import (
@@ -45,6 +44,7 @@ from oracles import (
     generator_laws_hold,
     monic_polys,
     roots_in_field,
+    shift_space_oracle,
     subfield_values,
     triviality_criterion,
 )
@@ -161,26 +161,83 @@ def test_bruteforce_preconditions_and_cap():
 
 
 def test_shift_space_examples():
+    """V != 0 comes with the distinct roots of f; V = 0 is decided over K
+    before any root is split, also for a single root."""
     F3, F5 = GF(3), GF(5)
-    ss = shift_space(roots_with_multiplicity(Poly(F3, (0, 2, 0, 1))))  # x^3 - x
-    assert set(span_values(ss.tower.ext, ss.basis)) == {0, 1, 2}
-    assert multiplier_field(ss.tower.ext, ss.basis) == 1
-    f = Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2
-    assert shift_space(roots_with_multiplicity(f)).dim == 0  # multiplicities 1 and 2 differ
-    assert shift_space(roots_with_multiplicity(Poly(F3, (2, 0, 1)))).dim == 0  # x^2 - 1
-    with pytest.raises(DomainError):
-        shift_space(roots_with_multiplicity(Poly(F3, (1, 2, 1))))  # (x+1)^2 has a single root
+    f = Poly(F3, (0, 2, 0, 1))  # x^3 - x
+    tower = splitting_tower(f)
+    basis, roots = shift_space(f, tower)
+    assert set(span_values(tower.ext, basis)) == {0, 1, 2} and roots == [0, 1, 2]
+    assert multiplier_field(tower.ext, basis) == 1
+    for f in [
+        Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2,  # multiplicities 1 and 2 differ
+        Poly(F3, (2, 0, 1)),  # x^2 - 1
+        Poly(F3, (1, 2, 1)),  # (x + 1)^2, a single root
+    ]:
+        assert shift_space(f, splitting_tower(f)) == ((), [])
 
 
 def test_shift_space_levels():
+    """The pairwise oracle restricted to a subfield level is V intersected
+    with that subfield."""
     F3 = GF(3)
     f = Poly.from_values(F3, [0, 2] + [0] * 7 + [1])  # x^9 - x
     rm = roots_with_multiplicity(f)
-    full = shift_space(rm)
-    assert len(span_values(full.tower.ext, full.basis)) == 9 and multiplier_field(full.tower.ext, full.basis) == 2
-    level1 = shift_space(rm, level=1)
-    assert len(span_values(level1.tower.ext, level1.basis)) == 3
-    assert set(span_values(level1.tower.ext, level1.basis)) == set(subfield_values(level1.tower, 1))
+    L = rm.tower.ext
+    full = shift_space(f, rm.tower)[0]
+    assert full == shift_space_oracle(rm)
+    assert len(span_values(L, full)) == 9 and multiplier_field(L, full) == 2
+    level1 = shift_space_oracle(rm, level=1)
+    assert set(span_values(L, level1)) == set(subfield_values(rm.tower, 1)) == set(span_values(L, full)) & set(
+        subfield_values(rm.tower, 1))
+
+
+SHIFT_REACH = [  # (p, m, f as {exponent: packed coefficient}) with V != 0
+    (2, 1, {256: 1, 1: 1}),  # x^256 + x: V = GF(2^8)
+    (3, 1, {81: 1, 1: 2, 0: 1}),  # x^81 - x + 1: V = GF(3^4)
+    (2, 3, None),  # (x^8 + x)^3 + 1 over GF(2^3)
+    (3, 2, None),  # (x^9 - x)^4 + 1 over GF(3^2)
+]
+
+
+@pytest.mark.parametrize("p,m,coeffs", SHIFT_REACH, ids=["x256+x", "x81-x+1", "GF8", "GF9"])
+def test_shift_space_matches_the_pairwise_oracle_at_reach(p, m, coeffs):
+    """The gcd route equals the pairwise multiset oracle, and its roots are
+    the distinct roots of the multiset."""
+    F = GF(p, m)
+    if coeffs is None:
+        fv = Poly.from_values(F, [0, F.neg(1)] + [0] * (F.q - 2) + [1])  # x^q - x
+        f = fv**3 + 1 if p == 2 else fv**4 + 1
+    else:
+        f = Poly.from_values(F, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+    rm = roots_with_multiplicity(f)
+    basis, roots = shift_space(f, rm.tower)
+    assert basis and basis == shift_space_oracle(rm)
+    assert roots == list(rm.distinct())
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2)], ids=lambda F: f"GF{F.q}")
+def test_shift_space_matches_the_pairwise_oracle_on_small_inputs(F):
+    """Every monic f of small degree, and the V != 0 inputs of
+    p_divides_inputs: the gcd route is the pairwise oracle, on f and on
+    f1 of f = f1^(p^s)."""
+    degree = {2: 6, 3: 4, 5: 3, 4: 3, 9: 2}[F.q]
+    inputs = [f for d in range(1, degree + 1) for f in monic_polys(F, d)]
+    inputs += [f for kind, _, _, f in p_divides_inputs(F, random.Random(2700 + F.q), 24) if kind >= 2]
+    nonzero = 0
+    for f in inputs:
+        try:
+            rm = roots_with_multiplicity(f)
+        except DomainError as exc:
+            assert "exceeds the configured cap" in str(exc)
+            continue
+        want = shift_space_oracle(rm)
+        for g in (f, exponent_decomp(f).f1):
+            basis, roots = shift_space(g, rm.tower)
+            assert basis == want
+            assert roots == (list(rm.distinct()) if want else [])
+        nonzero += bool(want)
+    assert nonzero >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +405,45 @@ def test_eigengroup_splits_f_and_f1_derivative_at_most_once(split_calls):
         assert set(calls) <= {f, f1d}
 
 
+def test_eigengroup_builds_no_root_multiset(monkeypatch, split_calls):
+    """On V != 0 inputs eigengroup never calls roots_with_multiplicity (made
+    to raise here): f is split into distinct-degree parts once, for the
+    tower, and the roots of f1 (f = f1^(p^s)) are asked for once, by
+    shift_space, besides those of f1'."""
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+
+    def refuse(*args):
+        raise AssertionError("roots_with_multiplicity was called")
+
+    monkeypatch.setattr(poly_mod, "roots_with_multiplicity", refuse)
+    real, asked = eg_mod.roots_in_ext, []
+    monkeypatch.setattr(eg_mod, "roots_in_ext", lambda g, tower, parts=None: asked.append(g) or real(g, tower, parts))
+    F3 = GF(3)
+    fv = Poly(F3, (0, 2, 0, 1))  # x^3 - x
+    cases = [
+        fv + 1,  # B11
+        fv * (fv**4 + 1),  # A10
+        (fv.compose_affine(1, 2) ** 2 + 1) ** 3,  # a p-th power
+        Poly(GF(2), [0, 1] + [0] * 62 + [1]),  # x^64 + x
+        Poly.from_values(GF(3, 2), (1, 4, 0, 1)),  # centre outside K
+    ]
+    for f in cases:
+        split_calls.clear()
+        asked.clear()
+        res = eigengroup(f)
+        f1 = exponent_decomp(f).f1
+        assert res.closure.v_basis
+        assert split_calls.get(f) == 1
+        assert asked.count(f1) == 1 and set(asked) <= {f1, f1.derivative()}
+
+
 def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
     """The centre search shifts once by each candidate and no separate
     triviality pass shifts again.  When p does not divide d1 = deg f1 the
     one candidate is nu = -a_(d1-1)/d1; when p | d1 and V = 0 the
     candidates are the roots of f1 and of f1' in K, lifted to L; when
     V != 0 they are all roots of f1 and f1' in L, each shifting G by
-    f_V(nu) before the generator checks shift f by the basis of V."""
+    f_V(nu), and no shift follows."""
     F5, F7 = GF(5), GF(7)
     forced = [
         Poly(F5, (0, 1)) * Poly(F5, (1, 1)) ** 2,  # trivial
@@ -385,7 +474,7 @@ def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
         cands = {lift(r) for r in roots_in_field(f1) + roots_in_field(f1.derivative())}
         shift_calls.clear()
         res = eigengroup(f)
-        assert not res.closure.v_basis and shift_space(rm).dim == 0
+        assert not res.closure.v_basis and not shift_space_oracle(rm)
         assert sorted(mu for lam, mu in shift_calls if lam == 1) == sorted(cands)
         assert cands <= scan
         outside += len(scan - cands)
@@ -397,13 +486,12 @@ def test_eigengroup_shifts_each_candidate_centre_once(shift_calls):
         rm = roots_with_multiplicity(f)
         seen = rm.distinct()
         cands = list(seen) + [r for r in roots_in_ext(f1.derivative(), rm.tower) if r not in seen]
-        basis = shift_space(rm).basis
+        basis = shift_space_oracle(rm)
         w = f_V(rm.tower.ext, basis)
         shift_calls.clear()
         res = eigengroup(f)
         assert res.closure.v_basis == basis != ()
-        assert shift_calls[: len(cands)] == [(1, w.eval_value(nu)) for nu in cands]
-        assert all(lam != 1 or mu in basis for lam, mu in shift_calls[len(cands) :])
+        assert shift_calls == [(1, w.eval_value(nu)) for nu in cands]
 
 
 FORCED_FIELDS = [GF(5), GF(7), GF(13), GF(3, 2), GF(2, 3)]
@@ -457,7 +545,7 @@ def test_forced_centre_agrees_with_brute_force_and_the_root_scan(F):
         d1 = f1.degree
         nu = res.tower.level(res.tower.k).lift(F.div(F.neg(f1.c[d1 - 1]), d1 % F.p))
         rm = roots_with_multiplicity(f, res.tower)
-        assert shift_space(rm).dim == 0
+        assert not shift_space_oracle(rm)
         hits = centre_hits(rm)
         assert set(hits) <= {nu}
         assert (res.closure.nu, res.closure.n) == ((nu, hits[nu]) if hits else (0, 1))
@@ -519,9 +607,10 @@ def p_divides_inputs(F, rng, count):
 
 @pytest.mark.parametrize("F", P_DIVIDES_FIELDS, ids=lambda F: f"GF{F.q}")
 def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeypatch):
-    """With p | d1 = deg f1, shift_space_is_zero(f1) is the root multiset's
-    V = 0, and a V = 0 input splits no root over L != K: split_roots runs
-    over K only once the tower has embedded K in L (built beforehand), and the closure with n >= 2 has its centre nu in K (at the
+    """With p | d1 = deg f1, shift_space(f1) is the pairwise oracle's V
+    (and shift_space(f)'s), and a V = 0 input splits no root over L != K:
+    split_roots runs over K only once the tower has embedded K in L (built
+    beforehand), and the closure with n >= 2 has its centre nu in K (at the
     built nu on A11 inputs).  The descent is brute force's group over K, and
     the closure is brute force's group over L wherever |L| <= 2^10."""
     real_split = poly_mod.split_roots
@@ -535,8 +624,6 @@ def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeyp
     kinds, past_k, over_l = [0] * 4, 0, 0
     for kind, nu0, n0, f in p_divides_inputs(F, rng, 40):
         f1 = exponent_decomp(f).f1
-        zero = shift_space_is_zero(f1)
-        assert zero == shift_space_is_zero(f)
         try:
             splitting_tower(f).level(F.m)
             fields.clear()
@@ -549,7 +636,9 @@ def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeyp
             monkeypatch.undo()
         kinds[kind] += 1
         tower, desc = res.tower, res.closure
-        assert zero == (shift_space(roots_with_multiplicity(f, tower)).dim == 0) == (not desc.v_basis)
+        basis = shift_space_oracle(roots_with_multiplicity(f, tower))
+        assert shift_space(f1, tower)[0] == shift_space(f, tower)[0] == basis == desc.v_basis
+        zero = not basis
         assert not zero or kind < 2  # kinds 2 and 3 are built with V != 0
         assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))
         assert generator_laws_hold(res)
@@ -571,14 +660,13 @@ def test_p_dividing_deg_f1_with_v_zero_refuses_a_tower_that_does_not_split(monke
     """On the V = 0 path with p | d1 a caller's tower that misses a factor's
     splitting field is refused with roots_with_multiplicity's text, and
     the root multiset is not built."""
-    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
     F3, F5 = GF(3), GF(5)
     short = [(Poly(F5, (1, 0, 1, 0, 0, 1)), 1), (Poly(F3, (2, 1, 1, 1)) ** 3, 1), (Poly(F3, (1, 0, 0, 1, 1, 0, 1)), 2)]
     for f, M in short:
-        assert shift_space_is_zero(exponent_decomp(f).f1)
+        assert shift_space(exponent_decomp(f).f1, splitting_tower(f)) == ((), [])
         with pytest.raises(DomainError) as by_roots:
             roots_with_multiplicity(f, tower_over(f.field, M))
-        monkeypatch.setattr(eg_mod, "roots_with_multiplicity", None)
+        monkeypatch.setattr(poly_mod, "roots_with_multiplicity", None)
         with pytest.raises(DomainError) as by_eigengroup:
             eigengroup(f, tower_over(f.field, M))
         assert eigengroup(f).tower.M > M
@@ -586,13 +674,21 @@ def test_p_dividing_deg_f1_with_v_zero_refuses_a_tower_that_does_not_split(monke
         assert str(by_eigengroup.value) == str(by_roots.value) == "input does not split over the provided tower"
 
 
-@pytest.mark.parametrize("step", ["decompose", "centre", "generators", "eigenform"])
+CHECK_STEPS = {  # step id -> stage; the first seven have f in scope and print a reproducer
+    "decompose": "decompose", "centre": "centre", "generators": "generators", "eigenform": "eigenform",
+    "shift_space": "shift_space", "unity_root": "generators", "unknown_case": "eigenform",
+    "elements": "elements", "descend_full": "descend", "descend_shift": "descend", "inverse": "inverse",
+}
+
+
+@pytest.mark.parametrize("step", list(CHECK_STEPS))
 def test_eigengroup_check_errors_name_stage_and_reproducer(step, monkeypatch):
-    """A failed check on the closure path is an internal fault at stage
-    eigengroup.<step>, on one line that ends with the CLI call repeating
-    the query."""
+    """A failed check in eigengroup.py is an internal fault at its stage
+    eigengroup.<stage>, on one line; where f is in scope it ends with the
+    CLI call repeating the query."""
     eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
-    F3, F5 = GF(3), GF(5)
+    F3, F5, F9 = GF(3), GF(5), GF(3, 2)
+    f, call = None, None
     if step == "decompose":  # x^3 - x + 1: V = F_3
         f = Poly(F3, (1, 2, 0, 1))
         monkeypatch.setattr(eg_mod, "decompose_through", lambda f1, fv: None)
@@ -601,16 +697,45 @@ def test_eigengroup_check_errors_name_stage_and_reproducer(step, monkeypatch):
         monkeypatch.setattr(eg_mod, "gcd_p", lambda g: 2)
     elif step == "generators":  # a lambda_n of order 4 for n = 2
         f = Poly(F5, (-2, 1)) ** 2 - 1
-        monkeypatch.setattr(eg_mod, "_unity_root", lambda n, field: field.generator)
-    else:
+        monkeypatch.setattr(eg_mod, "_unity_root", lambda n, field, f: field.generator)
+    elif step == "eigenform":
         f = Poly(F5, (-2, 1)) ** 4 - 1
         monkeypatch.setattr(eg_mod.Eigenform, "expand", lambda self: Poly.one(self.tower.ext))
-    with pytest.raises(InternalCheckError, match=rf"^stage=eigengroup\.{step}: ") as info:
-        eigengroup(f)
+    elif step == "shift_space":  # x^3 - x + 1 with one of its roots r, r + 1, r + 2 lost: V reads {0, 1} or {0, 2}
+        f = Poly(F3, (1, 2, 0, 1))
+        real = eg_mod.roots_in_ext
+        monkeypatch.setattr(eg_mod, "roots_in_ext", lambda g, tower, parts=None: real(g, tower, parts)[:-1])
+    elif step == "unity_root":  # no root of unity of order n = 2 found
+        f = Poly(F5, (-2, 1)) ** 2 - 1
+
+        def missing(n, field):
+            raise DomainError("no root of unity")
+
+        monkeypatch.setattr(eg_mod, "primitive_root_of_unity", missing)
+    elif step == "unknown_case":
+        f = Poly(F5, (-2, 1)) ** 4 - 1
+        call = lambda: eigengroup(f).eigenform._replace(case="bogus").expand()  # noqa: E731
+    elif step == "elements":  # lambda_n = 1 named of order n = 2
+        call = lambda: EigengroupDesc("finite", tower_over(F5, 1), 1, False, 0, 2, 1, ()).elements()  # noqa: E731
+    elif step == "descend_full":  # full is a descent-side form, never a closure
+        call = lambda: eigengroup_descend(EigengroupDesc("full", tower_over(F3, 1), 1, True, 0, 2, 2, (1,)))  # noqa: E731
+    elif step == "descend_shift":  # the V part of 2 nu read as 0: nu is outside K (test_descend_moves_...)
+        res = eigengroup(Poly.from_values(F9, (1, 4, 0, 1)))
+        monkeypatch.setattr(eg_mod, "Span", type("ZeroCoords", (eg_mod.Span,), {"coords": lambda self, v: [0] * len(v)}))
+        call = res.descend
+    else:  # an f_V that is onto leaves no constant off its image
+        monkeypatch.setattr(eg_mod, "f_V", lambda field, V, nu=0: Poly.x(field))
+        call = lambda: inverse_eigengroup(SubgroupSpec("shift", F3, v_basis=(1,)))  # noqa: E731
+    stage = f"eigengroup.{CHECK_STEPS[step]}"
+    with pytest.raises(InternalCheckError, match=rf"^stage={stage.replace('.', '[.]')}: ") as info:
+        call() if call else eigengroup(f)
     monkeypatch.undo()
-    assert info.value.stage == f"eigengroup.{step}"
+    assert info.value.stage == stage
     msg = str(info.value)
     assert "\n" not in msg
+    if f is None:
+        assert "reproduce: " not in msg
+        return
     argv = shlex.split(msg.split("reproduce: ", 1)[1])
     assert argv[:2] == ["orecalc", "eigengroup"]
     code, out = run(argv[1:])
@@ -646,7 +771,7 @@ def test_a_wrong_cyclic_generator_is_refused(monkeypatch):
 
     eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
     f = Poly(GF(5), (-2, 1)) ** 2 - 1  # A11 with n = 2 at nu = 2
-    monkeypatch.setattr(eg_mod, "_unity_root", lambda n, field: field.generator)  # order 4
+    monkeypatch.setattr(eg_mod, "_unity_root", lambda n, field, f: field.generator)  # order 4
     with pytest.raises(InternalCheckError, match="not an eigen-substitution"):
         eigengroup(f)
 
@@ -778,6 +903,23 @@ def test_elements_form_a_group():
         for b in desc.elements():
             assert (a * b).pair in elems
     assert (1, 0) in elems
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5), GF(2, 2), GF(2, 3), GF(3, 2)], ids=lambda F: f"GF{F.q}")
+def test_contains_is_membership_in_the_listed_elements(F):
+    """contains, read off the descriptor, is membership in elements() for
+    every pair (lam, mu) over K, on the descended groups of every monic f
+    of degree up to 3 and of x^q - x: tori, full groups, shifts and cycles."""
+    inputs = [f for d in range(1, 4) for f in monic_polys(F, d)]
+    inputs.append(Poly.from_values(F, [0, F.neg(1)] + [0] * (F.q - 2) + [1]))
+    kinds = set()
+    for f in inputs:
+        desc = eigengroup(f).descend()
+        got = {(lam, mu) for lam in F.units() for mu in F.elements() if desc.contains(lam, mu)}
+        assert got == pairs_of(desc.elements())
+        kinds.add((desc.kind, desc.n > 1, bool(desc.v_basis)))
+    assert {kind for kind, _, _ in kinds} == {"torus", "full", "finite"}
+    assert any(v for _, _, v in kinds) and (F.q == 2 or any(n for _, n, _ in kinds))
 
 
 def test_infinite_descriptor_rejects_enumeration():
@@ -1046,9 +1188,8 @@ def test_inverse_validation():
     ],
 )
 def test_eigengroup_lifts_f_at_most_twice(monkeypatch, p, coeffs):
-    """f itself (by identity) is lifted to L only by the root multiset and
-    the root check inside it, and eigengroup_closed reuses that lift; with
-    the centre forced (p not dividing deg f1) it is lifted once."""
+    """f itself (by identity) is lifted to L once, by eigengroup_closed,
+    on every path: no root multiset lifts it again."""
     import sys
 
     from orecalc import poly as poly_mod
@@ -1064,5 +1205,5 @@ def test_eigengroup_lifts_f_at_most_twice(monkeypatch, p, coeffs):
     monkeypatch.setattr(poly_mod, "lift_poly", counting)
     monkeypatch.setattr(eg_mod, "lift_poly", counting)
     res = eigengroup(f)
-    assert 1 <= sum(calls) <= 2
+    assert sum(calls) == 1
     assert pairs_of(res.descend().elements()) == pairs_of(eigengroup_bruteforce(f))

@@ -270,8 +270,9 @@ def test_on_f_dimension_law_sweep():
 @pytest.mark.parametrize("F", [GF(2), GF(5), GF(2, 2), GF(3, 2)], ids=["GF2", "GF5", "GF2_2", "GF3_2"])
 def test_on_f_never_runs_the_span_checks(F, monkeypatch):
     """simple_module_on_f proves simplicity from q irreducible, q(Y) = 0 and
-    X scalar; the word span and the cyclic basis vectors run here only as
-    oracles, on p_i of degree 1 and 2 and q of degree 1 to 3."""
+    X scalar, and its relations from q(Y) = 0 and p_i | f; the word span,
+    the cyclic basis vectors, the relation check and p_i(X) = 0 run here
+    only as oracles, on p_i of degree 1 and 2 and q of degree 1 to 3."""
     rng = random.Random(f"on_f/{F!r}")
 
     def irreducible(field, d):
@@ -290,12 +291,22 @@ def test_on_f_never_runs_the_span_checks(F, monkeypatch):
 
     monkeypatch.setattr(modules_spectra, "word_span_dim", not_on_f)
     monkeypatch.setattr(modules_spectra, "all_basis_vectors_cyclic", not_on_f)
+    monkeypatch.setattr(modules_spectra, "_check_relations", not_on_f)
     specs = [simple_module_on_f(f, p_i, q) for f, p_i, q in cases]
     monkeypatch.undo()
-    for spec, (_, _, q) in zip(specs, cases):
-        assert spec.dim == q.degree
-        assert word_span_dim(spec.field, spec.X, spec.Y) == q.degree
-        assert all_basis_vectors_cyclic(spec.field, spec.X, spec.Y)
+    for spec, (f, p_i, q) in zip(specs, cases):
+        L, X, Y, d = spec.field, spec.X, spec.Y, q.degree
+        assert spec.dim == d
+        assert word_span_dim(L, X, Y) == d
+        assert all_basis_vectors_cyclic(L, X, Y)
+        tower = tower_over(F, L.m)
+        fe, xbar = lift_poly(f, tower), X[0][0]
+        c = L.pow(fe.derivative().eval_value(xbar), L.p - 1)
+        z2 = Poly.from_values(L, [0] * L.p + [1]) - Poly.from_values(L, (0, c))
+        assert mat_poly(L, lift_poly(p_i, tower), X) == mat_zero(L, d)
+        assert mat_sub(L, mat_mul(L, Y, X), mat_mul(L, X, Y)) == mat_poly(L, fe, X)
+        assert is_scalar_mat(L, mat_pow(L, X, L.p), L.pow(xbar, L.p))
+        assert mat_sub(L, mat_pow(L, Y, L.p), mat_scale(L, Y, c)) == mat_poly(L, z2 % q, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -488,31 +499,31 @@ def _rerun(line, command="simple-module"):
 
 @pytest.mark.parametrize("F", [GF(3), GF(5)], ids=["GF3", "GF5"])
 def test_relation_check_errors_name_their_family_stage(F, monkeypatch):
-    """The shared relation check raises at the stage of the family that
-    called it, with the CLI line that rebuilds that module."""
+    """The relation check raises at the off-f stage, with the CLI line that
+    rebuilds that module; the on-f module, whose relations follow from
+    p_i | f, X scalar and q(Y) = 0, does not run it and still builds with
+    the check made to fail."""
     f = Poly(F, (1, 1)) ** 2 * Poly.x(F)
     off_argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--xi", "1", "--rho", "2"]
     on_argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--pi", "x + 1", "--q", "y + 2"]
     good_off, good_on = cli.run(off_argv), cli.run(on_argv)
     assert good_off[0] == good_on[0] == 0
-    for stage, build, good in (
-        ("off_f.relations", lambda: simple_module_off_f(f, 1, 2), good_off),
-        ("on_f.relations", lambda: simple_module_on_f(f, Poly(F, (1, 1)), Poly(F, (2, 1))), good_on),
-    ):
-        monkeypatch.setattr(modules_spectra, "is_scalar_mat", lambda *args: False)
-        with pytest.raises(InternalCheckError, match=rf"^stage={stage}: z1 = x\^p does not act") as info:
-            build()
-        monkeypatch.undo()
-        assert info.value.stage == stage
-        assert _rerun(str(info.value)) == good
+    monkeypatch.setattr(modules_spectra, "is_scalar_mat", lambda *args: False)
+    with pytest.raises(InternalCheckError, match=r"^stage=off_f.relations: z1 = x\^p does not act") as info:
+        simple_module_off_f(f, 1, 2)
+    on = simple_module_on_f(f, Poly(F, (1, 1)), Poly(F, (2, 1)))
+    monkeypatch.undo()
+    assert info.value.stage == "off_f.relations"
+    assert _rerun(str(info.value)) == good_off
+    assert json.loads(good_on[1]) == on.describe()
 
 
 @pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
 def test_on_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
-    """Each check of the on-f module (p_i split in its residue field, p_i(X)
-    = 0, q(Y) = 0) raises at its stage, on one line that ends with the CLI
-    call rebuilding the module; q, over the residue field of degree 2, is
-    printed in y."""
+    """Each check of the on-f module (p_i split in its residue field and
+    q(Y) = 0, the one relation check) raises at its stage, on one line that
+    ends with the CLI call rebuilding the module; q, over the residue field
+    of degree 2, is printed in y."""
     x = Poly.x(F)
     p_i = next(g for g in monic_polys(F, 2) if is_irreducible(g))
     f = p_i * x
@@ -524,8 +535,6 @@ def test_on_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     real_mat_poly = modules_spectra.mat_poly
     faults = [
         ("on_f.split", "roots_in_ext", lambda g, tower: [], "must split"),
-        ("on_f.relations", "mat_poly", lambda F2, g, A: None if g == lift_poly(p_i, tower_over(F, F.m * 2))
-         else real_mat_poly(F2, g, A), r"p_i\(X\) != 0"),
         ("on_f.relations", "mat_poly", lambda F2, g, A: None if g == q else real_mat_poly(F2, g, A), r"q\(Y\) != 0"),
     ]
     for stage, name, fake, text in faults:
