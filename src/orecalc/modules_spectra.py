@@ -268,10 +268,7 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
         Y.append(tuple(row))
     Y = tuple(Y)
 
-    # the one relation check: with X = xbar I, YX - XY = 0 = f(X) as
-    # p_i | f and p_i(xbar) = 0 (split_roots evaluated xbar), X^p is
-    # scalar, and z2 = y^p - c(x) y acts as (y^p - c(xbar) y) mod q once
-    # q(Y) = 0
+    # the one relation check; the others follow from it (module docstring)
     if mat_poly(F, q, Y) != mat_zero(F, d):
         raise error("on_f.relations", "q(Y) != 0")
 

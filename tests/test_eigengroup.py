@@ -187,29 +187,27 @@ def test_shift_space_levels():
     full = shift_space(f, rm.tower)[0]
     assert full == shift_space_oracle(rm)
     assert len(span_values(L, full)) == 9 and multiplier_field(L, full) == 2
-    level1 = shift_space_oracle(rm, level=1)
-    assert set(span_values(L, level1)) == set(subfield_values(rm.tower, 1)) == set(span_values(L, full)) & set(
-        subfield_values(rm.tower, 1))
+    sub = set(subfield_values(rm.tower, 1))
+    assert set(span_values(L, shift_space_oracle(rm, level=1))) == sub == set(span_values(L, full)) & sub
 
 
-SHIFT_REACH = [  # (p, m, f as {exponent: packed coefficient}) with V != 0
-    (2, 1, {256: 1, 1: 1}),  # x^256 + x: V = GF(2^8)
-    (3, 1, {81: 1, 1: 2, 0: 1}),  # x^81 - x + 1: V = GF(3^4)
-    (2, 3, None),  # (x^8 + x)^3 + 1 over GF(2^3)
-    (3, 2, None),  # (x^9 - x)^4 + 1 over GF(3^2)
-]
+def _x_q_minus_x(F):
+    return Poly.from_values(F, [0, F.neg(1)] + [0] * (F.q - 2) + [1])
 
 
-@pytest.mark.parametrize("p,m,coeffs", SHIFT_REACH, ids=["x256+x", "x81-x+1", "GF8", "GF9"])
-def test_shift_space_matches_the_pairwise_oracle_at_reach(p, m, coeffs):
+SHIFT_REACH = {  # inputs with V != 0
+    "x256+x": lambda: Poly(GF(2), [0, 1] + [0] * 254 + [1]),  # V = GF(2^8)
+    "x81-x+1": lambda: Poly(GF(3), [1, 2] + [0] * 79 + [1]),  # V = GF(3^4)
+    "(x8+x)^3+1": lambda: _x_q_minus_x(GF(2, 3)) ** 3 + 1,  # over GF(2^3)
+    "(x9-x)^4+1": lambda: _x_q_minus_x(GF(3, 2)) ** 4 + 1,  # over GF(3^2)
+}
+
+
+@pytest.mark.parametrize("name", list(SHIFT_REACH))
+def test_shift_space_matches_the_pairwise_oracle_at_reach(name):
     """The gcd route equals the pairwise multiset oracle, and its roots are
     the distinct roots of the multiset."""
-    F = GF(p, m)
-    if coeffs is None:
-        fv = Poly.from_values(F, [0, F.neg(1)] + [0] * (F.q - 2) + [1])  # x^q - x
-        f = fv**3 + 1 if p == 2 else fv**4 + 1
-    else:
-        f = Poly.from_values(F, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+    f = SHIFT_REACH[name]()
     rm = roots_with_multiplicity(f)
     basis, roots = shift_space(f, rm.tower)
     assert basis and basis == shift_space_oracle(rm)
