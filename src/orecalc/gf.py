@@ -46,12 +46,13 @@ Packed F_p vectors
 Over a prime field, linear algebra keeps a whole vector in one int: entry i
 sits in slot i, a field of `width` bytes in native byte order, and slots
 are not reduced mod p until they are read.  A row operation v - c*row is
-then the single big-int step v + (p - c)*row, and a matrix product row is
-one sum of packed rows scaled by entries.  The width is the fewest bytes
-(rounded up to an array item size when there is one) that hold the largest
-value a slot can reach: (p-1) + n(p-1)^2 in a Span of length-n vectors,
-which meets at most n stored rows, and n(p-1)^2 in a product with inner
-dimension n.  Span and FieldDesc.mat_mul use the format, and so does
+then the single big-int step v + (p - c)*row, and a matrix applied to a
+vector is one sum of packed columns scaled by its entries (LinearMap).  The
+width is the fewest bytes (rounded up to an array item size when there is
+one) that hold the largest value a slot can reach: (p-1) + n(p-1)^2 in a
+Span of length-n vectors, which meets at most n stored rows, and n(p-1)^2
+in a product with inner dimension n.  Span and LinearMap use the format
+(FieldDesc.mat_mul applies A's rows to the LinearMap of B's rows), and so does
 FieldDesc._mul_slow on the digit vectors of extension-field elements, with
 slots sized for m(p-1)^2 + p.
 """
@@ -177,6 +178,39 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
             _MODULUS_CACHE[key] = cand
             return cand
     raise InternalCheckError(f"no irreducible of degree {m} over F_{p}")
+
+
+class LinearMap:
+    """The matrix with the given columns, each of length n, applied to a
+    vector v as sum_j v_j col_j; v may be longer than the list of columns,
+    and its extra entries are ignored.  Over a prime field each column is
+    packed once and a product is one sum of packed columns scaled by the
+    entries of v, unpacked mod p, with slots sized for at most `terms`
+    columns; over an extension field it is one FieldDesc.dot per row.
+    append adds a column."""
+
+    __slots__ = ("field", "n", "_width", "_cols", "_rows")
+
+    def __init__(self, F: "FieldDesc", n: int, terms: int, cols=()):
+        self.field, self.n = F, n
+        if F.m == 1:
+            self._width = _slot_width(terms * (F.p - 1) ** 2)
+            self._cols = [_pack(col, self._width) for col in cols]
+        else:
+            self._rows = [list(row) for row in zip(*cols)] or [[] for _ in range(n)]
+
+    def append(self, col) -> None:
+        if self.field.m == 1:
+            self._cols.append(_pack(col, self._width))
+        else:
+            for row, v in zip(self._rows, col):
+                row.append(v)
+
+    def apply(self, v) -> list[int]:
+        F = self.field
+        if F.m == 1:
+            return _unpack(sum(map(operator.mul, v, self._cols)), self.n, self._width, F.p)
+        return [F.dot(row, v) for row in self._rows]
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +443,10 @@ class FieldDesc:
         return acc
 
     def mat_mul(self, A, B) -> tuple[tuple[int, ...], ...]:
-        """The product A B of row-major matrices.  Over a prime field each row
-        of B is packed once, so a row of the product is one sum of packed rows
-        scaled by the entries of a row of A, unpacked mod p."""
-        if self.m > 1:
-            Bt = tuple(zip(*B))
-            return tuple(tuple(self.dot(row, col) for col in Bt) for row in A)
-        p, cols = self.p, len(B[0]) if B else 0
-        width = _slot_width(len(B) * (p - 1) ** 2)
-        packed = [_pack(row, width) for row in B]
-        return tuple(tuple(_unpack(sum(map(operator.mul, row, packed)), cols, width, p)) for row in A)
+        """The product A B of row-major matrices: row i is row i of A
+        applied to the LinearMap whose columns are the rows of B."""
+        rows = LinearMap(self, len(B[0]) if B else 0, len(B), B)
+        return tuple(tuple(rows.apply(row)) for row in A)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

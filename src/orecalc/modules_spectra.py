@@ -23,9 +23,12 @@ The x-action table is never trusted as typed: it is re-derived from the
 defining relation alone, x 1 = xi^(1/p) 1 and x (y v) = y (x v) - f(x) v
 (as yx - xy = f), so column i + 1 of X is column i shifted down one place
 minus f(X) e_i, by Horner over the columns built so far; the two matrices
-must agree exactly.  As z2 is central, c' = 0: c lies in K[x^p], so c(X) is
-the scalar c(xi^(1/p)).  A wrong value there, in the last column of Y,
-fails YX - XY = f(X) on that column.
+must agree exactly.  The Horner steps and the cyclic span of the eigenline
+certificate apply a matrix to a vector through gf.LinearMap: one sum of
+packed columns over a prime field, one dot per row over an extension.  As
+z2 is central, c' = 0: c lies in K[x^p], so c(X) is the scalar
+c(xi^(1/p)).  A wrong value there, in the last column of Y, fails
+YX - XY = f(X) on that column.
 
 Off f, simplicity rests on an eigenline certificate.  With a = xi^(1/p) and
 N = X - a (nilpotent, as X^p = xi) it asks for N e_0 = 0, rank N = p - 1 and
@@ -44,7 +47,8 @@ p_i(x-bar) = 0, x^p acts as the scalar x-bar^p, and z2 = y^p - c(x) y as
 (y^p - c(x-bar) y) mod q once q(Y) = 0, the one check that stays.
 
 The spectrum of Lambda: minimal primes are the irreducible factors p_i of f
-(computed through Frobenius orbits of the roots), the height-one completely
+(computed over K from the distinct-degree parts, split over K, with no
+splitting field; see factor_into_irreducibles), the height-one completely
 prime layer is the same list, and maximal ideals of Z off V(f^p) are
 enumerated as Frobenius orbits of points (xi, rho) up to a residue degree
 bound, each orbit once, by its least pair, built from the orbit minima of
@@ -55,18 +59,20 @@ are both the constant 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb, gcd, lcm
 
 from .eigengroup import _elt_json, _poly_json, _require_monic_nonscalar, _stage_error
 from .errors import DomainError, InternalCheckError
-from .gf import SPECTRUM_PAIR_CAP, FieldDesc, Span, tower_over
+from .gf import SPECTRUM_PAIR_CAP, FieldDesc, LinearMap, Span, tower_over
 from .poly import (
     Poly,
+    distinct_degree_parts,
     is_irreducible,
     lift_poly,
-    lower_poly,
     roots_in_ext,
-    roots_with_multiplicity,
+    split_equal_degree,
+    split_roots,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,10 +98,6 @@ def mat_scale(F: FieldDesc, A, s: int):
 
 def mat_mul(F: FieldDesc, A, B):
     return F.mat_mul(A, B)
-
-
-def mat_vec(F: FieldDesc, A, v):
-    return tuple(F.dot(row, v) for row in A)
 
 
 def mat_pow(F: FieldDesc, A, e: int):
@@ -144,14 +146,17 @@ def word_span_dim(F: FieldDesc, X, Y) -> int:
 
 
 def cyclic_span_dim(F: FieldDesc, X, Y, v) -> int:
-    """Dimension of the span of the words in X and Y applied to v."""
+    """Dimension of the span of the words in X and Y applied to v; X and Y
+    are taken as LinearMaps of their columns once per call."""
+    d = len(v)
     span = Span(F)
+    maps = [LinearMap(F, d, d, zip(*A)) for A in (X, Y)]
     frontier = [v] if span.add(v) else []
-    while frontier and span.rank < len(v):
+    while frontier and span.rank < d:
         new = []
         for u in frontier:
-            for A in (X, Y):
-                w = mat_vec(F, A, u)
+            for A in maps:
+                w = A.apply(u)
                 if span.add(w):
                     new.append(w)
         frontier = new
@@ -321,17 +326,20 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
 
     # independent re-derivation from the defining relation: x 1 = a 1 and
     # x (y v) = y (x v) - f(x) v, so column i + 1 is column i shifted down
-    # minus f(X) e_i, by Horner, which needs only the columns 0..i built so far
-    R = [[0] * p for _ in range(p)]
-    R[0][0] = a
+    # minus f(X) e_i, by Horner, which needs only the columns 0..i built so
+    # far: R applies them, one more after each step
+    col = [a] + [0] * (p - 1)
+    cols, R = [col], LinearMap(K, p, p, [col])
     for i in range(p - 1):
         fe = [0] * p
-        for c in reversed(f.c):
-            fe = [K.dot(row, fe) for row in R]
+        fe[i] = f.c[-1]
+        for c in reversed(f.c[:-1]):
+            fe = R.apply(fe)
             fe[i] = K.add(fe[i], c)
-        for r in range(i + 2):
-            R[r][i + 1] = K.sub(R[r - 1][i] if r else 0, fe[r])
-    if tuple(map(tuple, R)) != X:
+        col = [K.sub(col[r - 1] if r else 0, fe[r]) for r in range(i + 2)] + [0] * (p - i - 2)
+        cols.append(col)
+        R.append(col)
+    if tuple(zip(*cols)) != X:
         raise error("off_f.x_table", "x-action table disagrees with the ideal reduction")
 
     # y-action: cyclic shift with y^p = rho + c(x) y on the module, where
@@ -406,36 +414,40 @@ class SpectrumDesc:
 
 
 def factor_into_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors with multiplicities via Frobenius orbits.
-    Their product is f unchecked: the orbits, each of one multiplicity,
-    partition the root multiset, and rebuilding f from that multiset is
-    roots_with_multiplicity's one check."""
+    """Monic irreducible factors of f over K with their multiplicities,
+    sorted by degree, then coefficients.
+
+    No field past K is built: the distinct-degree parts of f are split over
+    K, those of degree 1 into their roots by split_roots and those holding
+    several factors of degree d > 1 by split_equal_degree, and each
+    multiplicity is read by exact division.  Two checks stay: the factors
+    must rebuild f, which fails on a wrong multiplicity or a missed factor,
+    and each must pass Rabin's test, which fails on a part split too little.
+    Either raises InternalCheckError at stage spectrum.factor."""
     _require_monic_nonscalar(f)
-    rm = roots_with_multiplicity(f)
-    tower = rm.tower
-    L = tower.ext
-    mult = rm.as_multiset()
-    remaining = set(rm.distinct())
+    K = f.field
     factors = []
-    while remaining:
-        v = min(remaining)
-        orbit = [v]
-        w = L.frob(v, tower.k)
-        while w != v:
-            orbit.append(w)
-            w = L.frob(w, tower.k)
-        prod = Poly.one(L)
-        for w in orbit:
-            if w not in remaining or mult[w] != mult[v]:
-                raise InternalCheckError("Frobenius orbit is not multiplicity-stable")
-            remaining.discard(w)
-            prod = prod * Poly.from_values(L, (L.neg(w), 1))
-        p_i = lower_poly(prod, tower)
-        if not is_irreducible(p_i):
-            raise InternalCheckError("orbit polynomial failed the irreducibility test")
-        factors.append((p_i, mult[v]))
-    factors.sort(key=lambda t: (t[0].degree, t[0].c))
-    return factors
+    for d, gd in distinct_degree_parts(f):
+        if d == 1:
+            factors += [Poly.from_values(K, (K.neg(r), 1)) for r in split_roots(gd, K.m)]
+        else:
+            factors += split_equal_degree(gd, d)
+    out, rebuilt, rem = [], Poly.one(K), f
+    for p_i in factors:
+        m = 0
+        while True:
+            quo, r = rem.divmod(p_i)
+            if not r.is_zero():
+                break
+            rem, m = quo, m + 1
+        out.append((p_i, m))
+        rebuilt = rebuilt * p_i**m
+    if rebuilt != f:
+        raise _stage_error("spectrum.factor", f, "the irreducible factors do not rebuild f", "spectrum")
+    if not all(is_irreducible(p_i) for p_i in factors):
+        raise _stage_error("spectrum.factor", f, "a factor failed Rabin's irreducibility test", "spectrum")
+    out.sort(key=lambda t: (t[0].degree, t[0].c))
+    return out
 
 
 def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
@@ -490,5 +502,5 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
         }
         for o in orbits:
             if fpj.eval_value(o[0]):
-                points.extend((j, o[0], rho) for rho in reps[len(o)])
+                points.extend(zip(repeat(j), repeat(o[0]), reps[len(o)]))
     return SpectrumDesc(f, tuple(factors), tuple(points), degree_bound)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .eigengroup import _stage_error
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError
 from .gf import FieldDesc, FqElement
-from .poly import Poly
+from .poly import Poly, _check_error
 
 
 def delta_apply(f: Poly, g: Poly) -> Poly:
@@ -304,9 +304,11 @@ def is_central(elem: OreElement) -> bool:
 
 
 def verify_normality(f: Poly) -> None:
-    """Check f * a = omega(a) * f on the generators (omega: x -> x, y -> y - f')."""
+    """Check f * a = omega(a) * f on the generators (omega: x -> x, y -> y - f');
+    a failure raises InternalCheckError at stage ore.normality, naming f and
+    its field."""
     A = OreAlgebra(f)
     fe = A.element(f)
     for gen in (A.x, A.y):
         if fe * gen != A.omega(gen) * fe:
-            raise InternalCheckError("f is not normal for the claimed twist")
+            raise _check_error("ore.normality", f, "f is not normal for the claimed twist")

@@ -25,7 +25,10 @@ Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
   equal-degree splitting (Cantor-Zassenhaus): for h = a x + b,
   h^(p^i) = a^(p^i) x^(p^i) + b^(p^i) with x^(p^i) from the p-power steps,
   so the trace (p = 2) is a sum and h^((Q-1)/2) = N(h)^((p-1)/2) takes
-  m - 1 products; a root r found brings its conjugates r^q, q = |base|.
+  m - 1 products; a root r found brings its conjugates r^q, q = |base|;
+- split_equal_degree splits a part whose factors have degree d > 1 over
+  F_q itself, by h^((q^d-1)/2) for odd q and by the trace from the 2-power
+  steps for q = 2^k, for the spectrum's factorization over K.
 
 Each fact is checked once: split_roots evaluates its roots in the part it
 splits and counts them, and a part divides radical(f), so roots_in_ext does
@@ -701,11 +704,6 @@ def lift_poly(f: Poly, tower: FieldTower) -> Poly:
     return Poly.from_values(tower.ext, (lvl.lift(v) for v in f.c))
 
 
-def lower_poly(f: Poly, tower: FieldTower, j: int | None = None) -> Poly:
-    lvl = tower.level(tower.k if j is None else j)
-    return Poly.from_values(lvl.desc, (lvl.lower(v).val for v in f.c))
-
-
 class RootMultiset(namedtuple("RootMultiset", "poly tower pairs lifted")):
     """All roots of the Poly poly in the extension of the FieldTower tower,
     with multiplicities.
@@ -850,6 +848,45 @@ def split_roots(g: Poly, k: int) -> list[int]:
     if len(out) != g.degree or any(g.eval_value(r) for r in out):
         raise _check_error("poly.split", g, "split roots do not account for the degree")
     return sorted(out)
+
+
+def split_equal_degree(g: Poly, d: int) -> list[Poly]:
+    """The monic irreducible factors of a monic g over F_q that is a product
+    of distinct irreducibles of degree d, unsorted.
+
+    Equal-degree splitting over F_q itself (Cantor-Zassenhaus): each factor
+    is a field F_{q^d}, on which a random residue h of degree < deg u takes
+    a random value, so gcd(u, h^((q^d-1)/2) - 1) for odd q, or gcd(u, T(h))
+    with the trace T(h) = sum_{i < kd} h^(2^i) for q = 2^k, is a proper
+    factor of u about half the time.  The 2-power steps are those of
+    _Residues.frobenius with the field's Frobenius on the coefficients.
+    split_roots covers d = 1; the generator is local and seeded per call.
+    """
+    F, rng = g.field, random.Random(0)
+    out, todo = [], [g]
+    while todo:
+        u = todo.pop()
+        n = u.degree
+        if n == d:
+            out.append(u)
+            continue
+        ring = _Residues(u)
+        for _ in range(64):  # failed draws in a row before the split is declared faulty
+            h = [rng.randrange(F.q) for _ in range(n)]
+            if F.p == 2:
+                s, steps = h, F.m * d - 1
+                for t in islice(ring.frobenius(2, F.frob, h=h, steps=steps), steps):
+                    s = [a ^ b for a, b in zip(s, t)]
+            else:
+                s = ring.pow(h, (F.q**d - 1) // 2)
+                s[0] = F.sub(s[0], 1)
+            w = u.gcd(Poly.from_values(F, s))
+            if 0 < w.degree < n:
+                todo += [w, u // w]
+                break
+        else:
+            raise _check_error("poly.split", g, "equal-degree splitting found no split")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ linear factors.
 Subspaces given by all their values are checked by rank (p^rank elements),
 and their multiplier field is found by set membership.  The spectrum's
 closed points come from its former walk over every pair (xi, rho), with
-element-wise Frobenius orbits and subfield tests.  radical_oracle is
+element-wise Frobenius orbits and subfield tests, and the irreducible
+factors over K from the Frobenius orbits of the roots of f in its
+splitting field (factor_orbits_oracle, which lowers each orbit's product
+with lower_poly).  radical_oracle is
 radical's general loop without its squarefree short-cut.
 generator_laws_hold applies every generator of a closure descriptor to f,
 the law that eigengroup_closed derives from the eigenform round trip and
@@ -344,6 +347,38 @@ def f_V_oracle(field: FieldDesc, V, nu=0) -> Poly:
     for v in verify_fp_subspace(field, V):
         out = out * Poly.from_values(field, (field.neg(field.add(nu, v)), 1))
     return out
+
+
+def lower_poly(f: Poly, tower: FieldTower, j: int | None = None) -> Poly:
+    """f, over the tower extension with its coefficients in the level j
+    (the base by default), as a polynomial over that level."""
+    lvl = tower.level(tower.k if j is None else j)
+    return Poly.from_values(lvl.desc, (lvl.lower(v).val for v in f.c))
+
+
+def factor_orbits_oracle(f: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of f with multiplicities, sorted by degree
+    and coefficients, through the Frobenius orbits of the roots of f in its
+    splitting field: each orbit has one multiplicity, and its linear factors
+    multiply to a factor over K."""
+    rm = roots_with_multiplicity(f)
+    tower = rm.tower
+    L = tower.ext
+    mult = rm.as_multiset()
+    remaining = set(rm.distinct())
+    factors = []
+    while remaining:
+        v = min(remaining)
+        orbit = [v]
+        while (w := L.frob(orbit[-1], tower.k)) != v:
+            orbit.append(w)
+        prod = Poly.one(L)
+        for w in orbit:
+            assert w in remaining and mult[w] == mult[v], "Frobenius orbit is not multiplicity-stable"
+            remaining.discard(w)
+            prod = prod * Poly.from_values(L, (L.neg(w), 1))
+        factors.append((lower_poly(prod, tower), mult[v]))
+    return sorted(factors, key=lambda t: (t[0].degree, t[0].c))
 
 
 def spectrum_points_oracle(f: Poly, bound: int) -> tuple[tuple[int, int, int], ...]:

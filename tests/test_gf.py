@@ -9,6 +9,7 @@ from orecalc import gf
 from orecalc.errors import DomainError
 from orecalc.gf import (
     GF,
+    LinearMap,
     Span,
     canonical_modulus,
     divisors,
@@ -584,3 +585,26 @@ def test_field_size_caps():
     with pytest.raises(DomainError):
         GF(2, 21)
     assert GF(17, p_cap=17).q == 17
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2)], ids=lambda v: str(v))
+def test_linear_map_equals_the_dot_path(p, m):
+    """LinearMap.apply, one sum of packed columns over a prime field, equals
+    one FieldDesc.dot per row at lengths 1 and p, with all columns given at
+    once or appended one at a time (each product then meets the columns
+    appended so far), and FieldDesc.mat_mul, which applies it, equals the
+    product by dots."""
+    F, rng = GF(p, m), random.Random(f"linear_map/{p}/{m}")
+    for n in (1, p):
+        cols = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+        cols[0] = [F.q - 1] * n  # the largest packed value in every slot
+        whole, grown = LinearMap(F, n, n, cols), LinearMap(F, n, n)
+        for k, col in enumerate(cols):
+            grown.append(col)
+            for v in ([F.q - 1] * n, [rng.randrange(F.q) for _ in range(n)]):
+                assert grown.apply(v) == [F.dot(row, v) for row in zip(*cols[: k + 1])]
+        for v in ([0] * n, [F.q - 1] * n, [rng.randrange(F.q) for _ in range(n)]):
+            assert whole.apply(v) == [F.dot(row, v) for row in zip(*cols)]
+        A = tuple(tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(n))
+        B = tuple(map(tuple, cols))
+        assert F.mat_mul(A, B) == tuple(tuple(F.dot(row, col) for col in zip(*B)) for row in A)

@@ -33,9 +33,17 @@ from orecalc.modules_spectra import (
     word_span_dim,
 )
 from orecalc.ore import OreAlgebra
+from orecalc.parsing import parse_poly
 from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext, roots_with_multiplicity
 
-from oracles import is_irreducible_oracle, mat_add, monic_polys, roots_in_field, spectrum_points_oracle
+from oracles import (
+    factor_orbits_oracle,
+    is_irreducible_oracle,
+    mat_add,
+    monic_polys,
+    roots_in_field,
+    spectrum_points_oracle,
+)
 
 
 def rand_mat(F, d, rng):
@@ -771,13 +779,13 @@ def test_factorization_examples():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_factorization_matches_trial_division(p):
-    """Against trial division, and the product of the factors is f: the
-    reconstruction factor_into_irreducibles leaves to the root multiset."""
+    """Against trial division and the orbit oracle, and the product of the
+    factors is f."""
     F = GF(p)
     for d in range(1, 5):
         for f in monic_polys(F, d):
             got = factor_into_irreducibles(f)
-            assert got == naive_factor(f)
+            assert got == naive_factor(f) == factor_orbits_oracle(f)
             rebuilt = Poly.one(F)
             for q, n in got:
                 rebuilt = rebuilt * q**n
@@ -808,8 +816,8 @@ def _factor_oracle_inputs(F):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_factorization_matches_sympy(p):
     """factor_into_irreducibles against sympy's factor_list over GF(p).  It
-    answers exactly when the splitting field, p^lcm of the factor degrees,
-    is within the tower cap, and refuses with a DomainError otherwise."""
+    factors over K and builds no splitting field, so it answers all 24
+    inputs, also those whose splitting field is past the tower cap."""
     sympy = pytest.importorskip("sympy")
     F, x = GF(p), sympy.symbols("x")
     answered = 0
@@ -818,13 +826,140 @@ def test_factorization_matches_sympy(p):
         assert lc % p == 1
         want = sorted((tuple(c % p for c in reversed(g.all_coeffs())), n) for g, n in factors)
         assert all(c[-1] == 1 for c, _ in want)
-        if p ** lcm(*(len(c) - 1 for c, _ in want)) > DEFAULT_Q_CAP:
-            with pytest.raises(DomainError, match="exceeds the configured cap"):
-                factor_into_irreducibles(f)
-            continue
         assert sorted((g.c, n) for g, n in factor_into_irreducibles(f)) == want, f
         answered += 1
-    assert answered >= 16
+    assert answered == 24
+
+
+def _irreducibles(F, d):
+    return [u for u in monic_polys(F, d) if is_irreducible_oracle(u)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)], ids=lambda v: str(v))
+def test_factorization_matches_the_orbit_oracle_and_the_construction(p, m, monkeypatch):
+    """Seeded f = product of u^k over two or three distinct irreducibles u of
+    one degree d in 2..4, so that the distinct-degree part of degree d is
+    split by split_equal_degree, times a linear factor and a factor of
+    another degree; the multiplicities k include p and p + 1, and every
+    third f is raised to the p-th power.  The factors equal the list f was
+    built from and the Frobenius-orbit oracle's, when the splitting field
+    is within the tower cap."""
+    F = GF(p, m)
+    q, rng = F.q, random.Random(f"edf/{p}/{m}")
+    irr = {d: _irreducibles(F, d) for d in (1, 2, 3, 4) if q**d <= 6561}
+    splits = []
+    real = modules_spectra.split_equal_degree
+    monkeypatch.setattr(modules_spectra, "split_equal_degree", lambda g, d: splits.append(g.degree // d) or real(g, d))
+    checked = 0
+    for i in range(12):
+        d = rng.choice([d for d in irr if d > 1 and len(irr[d]) >= 2])
+        us = rng.sample(irr[d], rng.randint(2, min(3, len(irr[d]))))
+        us.append(rng.choice(irr[1]))
+        e = rng.choice([e for e in irr if e != d])
+        other = [u for u in irr[e] if u not in us]
+        if other and q ** lcm(d, e) <= DEFAULT_Q_CAP:
+            us.append(rng.choice(other))
+        want = [(u, rng.choice([1, 2, p, p + 1])) for u in us]
+        if i % 3 == 0:
+            want = [(u, k * p) for u, k in want]
+        f = Poly.one(F)
+        for u, k in want:
+            f = f * u**k
+        want.sort(key=lambda t: (t[0].degree, t[0].c))
+        assert factor_into_irreducibles(f) == want, f
+        if q ** lcm(*(u.degree for u in us)) <= DEFAULT_Q_CAP:
+            assert factor_orbits_oracle(f) == want, f
+            checked += 1
+    assert checked >= 6
+    assert sum(n >= 2 for n in splits) == 12
+
+
+@pytest.mark.parametrize("step", ["rebuild", "rabin"])
+@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
+def test_factor_check_errors_name_stage_and_reproducer(F, step, monkeypatch):
+    """A root lost by split_roots fails the rebuild of f; a part of two
+    quadratics left unsplit divides f exactly and fails Rabin's test.  Both
+    raise at stage spectrum.factor, on one line that ends with the CLI call
+    for the spectrum."""
+    u, v = _irreducibles(F, 2)[:2]
+    f = u * v * (Poly.x(F) + 1) ** 2
+    good = cli.run(["spectrum", "--field", repr(F), "--f", repr(f)])
+    assert good[0] == 0
+    if step == "rebuild":
+        real = modules_spectra.split_roots
+        monkeypatch.setattr(modules_spectra, "split_roots", lambda g, k: real(g, k)[1:])
+        text = "the irreducible factors do not rebuild f"
+    else:
+        monkeypatch.setattr(modules_spectra, "split_equal_degree", lambda g, d: [g])
+        text = "a factor failed Rabin's irreducibility test"
+    with pytest.raises(InternalCheckError, match=rf"^stage=spectrum\.factor: {text}; ") as info:
+        factor_into_irreducibles(f)
+    monkeypatch.undo()
+    assert info.value.stage == "spectrum.factor"
+    assert "\n" not in str(info.value)
+    argv = shlex.split(str(info.value).split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", "spectrum"]
+    assert cli.run(argv[1:]) == good
+
+
+def _record_towers(monkeypatch):
+    """Patch tower_over in every orecalc module that binds it; returns the
+    list of the degrees over F_p it is asked for."""
+    degrees = []
+    real = tower_over
+
+    def record(base, ext_degree):
+        degrees.append(ext_degree)
+        return real(base, ext_degree)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "orecalc" or name.startswith("orecalc.")) and getattr(mod, "tower_over", None) is real:
+            monkeypatch.setattr(mod, "tower_over", record)
+    return degrees
+
+
+@pytest.mark.parametrize(
+    "F,f",
+    [
+        (GF(2), "(x^5+x^2+1)*(x^7+x+1)"),
+        (GF(2), "(x^3+x+1)^2*(x^3+x^2+1)*(x^4+x+1)^2*x"),
+        (GF(3), "(x^2+1)^3*(x^2+x+2)*(x^3+2*x+1)"),
+        (GF(3, 2), "(x^3+x+[0,1])*(x^2+[1,1])^3*(x^4+x+[1,0])"),
+        (GF(2, 2), "(x^5+x^2+1)*(x^3+x+1)*(x^3+x^2+1)"),
+    ],
+    ids=["GF2_5_7", "GF2_3_3_4", "GF3_2_2_3", "GF9_2_3_4", "GF4_3_3_5"],
+)
+def test_factor_and_spectrum_build_no_tower_past_the_bound(F, f, monkeypatch):
+    """factor_into_irreducibles builds no tower, and spectrum(f, b) none of
+    degree above K.m * max(1, b) over F_p: the splitting field of f (degree
+    up to 35 here) is never built."""
+    g = parse_poly(F, f)
+    degrees = _record_towers(monkeypatch)
+    got = factor_into_irreducibles(g)
+    assert degrees == []
+    rebuilt = Poly.one(F)
+    for u, k in got:
+        assert is_irreducible_oracle(u)
+        rebuilt = rebuilt * u**k
+    assert rebuilt == g
+    for b in (0, 1, 2):
+        degrees.clear()
+        sp = spectrum(g, b)
+        assert sp.min_primes == tuple(got)
+        assert max(degrees, default=0) <= F.m * max(1, b)
+
+
+def test_spectrum_past_the_splitting_cap_answers():
+    """(x^5+x^2+1)(x^7+x+1) over GF(2) splits over GF(2^35), past the tower
+    cap that refused it with exit 1; spectrum now answers, with the two
+    factors and the points of the pair walk."""
+    F = GF(2)
+    u, v = parse_poly(F, "x^5+x^2+1"), parse_poly(F, "x^7+x+1")
+    assert is_irreducible_oracle(u) and is_irreducible_oracle(v)
+    sp = spectrum(u * v, 2)
+    assert sp.min_primes == ((u, 1), (v, 1))
+    assert sp.max_off_f == spectrum_points_oracle(u * v, 2)
+    assert cli.run(["spectrum", "--field", "GF(2)", "--f", "(x^5+x^2+1)*(x^7+x+1)"])[0] == 0
 
 
 def test_factorization_extension_field():

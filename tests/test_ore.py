@@ -353,3 +353,19 @@ def test_centre_check_error_names_stage_and_reproducer(F, monkeypatch):
     argv = shlex.split(msg.split("reproduce: ", 1)[1])
     assert argv[:2] == ["orecalc", "centre"]
     assert run(argv[1:]) == good
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
+def test_normality_check_error_names_stage_field_and_input(F, monkeypatch):
+    """A twist that does not fix x fails the normality check: an internal
+    fault at stage ore.normality, naming f and its field (with the modulus
+    for an extension field), as poly.py's staged checks do."""
+    f = Poly(F, (1, 1, 1))
+    verify_normality(f)
+    monkeypatch.setattr(OreAlgebra, "omega", lambda self, a: a + self.one())
+    with pytest.raises(InternalCheckError, match=r"^stage=ore\.normality: f is not normal for the claimed twist") as info:
+        verify_normality(f)
+    monkeypatch.undo()
+    assert info.value.stage == "ore.normality"
+    spec = "GF(3)" if F.m == 1 else "GF(2^2, mod=" + ",".join(map(str, F.modulus)) + ")"
+    assert str(info.value).endswith(f": f = {f!r} over {spec}")

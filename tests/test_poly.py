@@ -21,7 +21,6 @@ from orecalc.poly import (
     gcd_p,
     is_irreducible,
     lift_poly,
-    lower_poly,
     multiplier_field,
     poly_pow_mod,
     poly_pth_root,
@@ -31,6 +30,7 @@ from orecalc.poly import (
     shift_coeffs,
     space_basis,
     splitting_degree,
+    split_equal_degree,
     split_roots,
     splitting_tower,
 )
@@ -40,6 +40,7 @@ from oracles import (
     distinct_degree_parts_oracle,
     f_V_oracle,
     is_irreducible_oracle,
+    lower_poly,
     monic_polys,
     multiplier_field_oracle,
     pow_mod_oracle,
@@ -909,3 +910,32 @@ def test_int_operands_are_integers_mod_p_not_packed_values(p, m):
     assert (x * x + p) % x == Poly.zero(F) and (x * x + p) // x == x
     assert x - t == Poly.from_values(F, (F.neg(p), 1)) != x
     assert Poly(F, (t, 1)) == Poly.from_values(F, (p, 1)) and (x + t).c == (p, 1)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)], ids=lambda v: str(v))
+def test_split_equal_degree_finds_every_factor(p, m):
+    """The product of all monic irreducibles of degree d over F_q (d = 2, 3
+    where there are at most 60 of them) splits into exactly those factors;
+    for q = 2^k the trace is taken by the 2-power Frobenius steps."""
+    F = GF(p, m)
+    for d in (1, 2, 3):
+        irr = [u for u in monic_polys(F, d) if is_irreducible_oracle(u)]
+        if len(irr) > 60:
+            continue
+        g = Poly.one(F)
+        for u in irr:
+            g = g * u
+        got = split_equal_degree(g, d)
+        assert sorted(u.c for u in got) == sorted(u.c for u in irr)
+
+
+def test_equal_degree_split_failure_names_stage_field_and_input(monkeypatch):
+    """With every draw h = 0 no split is found: an internal fault at stage
+    poly.split naming the part and its field."""
+    F = GF(3)
+    g = Poly.from_values(F, (1, 0, 1)) * Poly.from_values(F, (2, 1, 1))  # (x^2 + 1)(x^2 + x + 2)
+    monkeypatch.setattr(poly_mod, "random", type("Draws", (), {"Random": _FixedDraws}))
+    with pytest.raises(InternalCheckError, match=r"^stage=poly[.]split: equal-degree splitting found no split") as info:
+        split_equal_degree(g, 2)
+    assert info.value.stage == "poly.split"
+    assert str(info.value).endswith(f": f = {g!r} over GF(3)")
