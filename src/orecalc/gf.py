@@ -52,9 +52,9 @@ width is the fewest bytes (rounded up to an array item size when there is
 one) that hold the largest value a slot can reach: (p-1) + n(p-1)^2 in a
 Span of length-n vectors, which meets at most n stored rows, and n(p-1)^2
 in a product with inner dimension n.  Span and LinearMap use the format
-(FieldDesc.mat_mul applies A's rows to the LinearMap of B's rows), and so does
-FieldDesc._mul_slow on the digit vectors of extension-field elements, with
-slots sized for m(p-1)^2 + p.
+(FieldDesc.mat_mul applies A's rows to the LinearMap of B's rows), and so
+does FieldDesc._mul_slow on the digit vectors of extension-field elements,
+with slots sized for m(p-1)^2 + p.
 """
 
 from __future__ import annotations
