@@ -185,24 +185,29 @@ class LinearMap:
     vector v as sum_j v_j col_j; v may be longer than the list of columns,
     and its extra entries are ignored.  Over a prime field each column is
     packed once and a product is one sum of packed columns scaled by the
-    entries of v, unpacked mod p, with slots sized for at most `terms`
-    columns; over an extension field it is one FieldDesc.dot per row.
-    append adds a column."""
+    entries of v, unpacked mod p; over an extension field it is one
+    FieldDesc.dot per row.  append adds a column, up to max(n, the number
+    of columns given), the most a product's slots are sized for."""
 
-    __slots__ = ("field", "n", "_width", "_cols", "_rows")
+    __slots__ = ("field", "n", "_cap", "_width", "_cols", "_rows")
 
-    def __init__(self, F: "FieldDesc", n: int, terms: int, cols=()):
-        self.field, self.n = F, n
+    def __init__(self, F: "FieldDesc", n: int, cols=()):
+        cols = list(cols)
+        self.field, self.n, self._cap = F, n, max(n, len(cols))
         if F.m == 1:
-            self._width = _slot_width(terms * (F.p - 1) ** 2)
+            self._width = _slot_width(self._cap * (F.p - 1) ** 2)
             self._cols = [_pack(col, self._width) for col in cols]
         else:
+            self._cols = cols
             self._rows = [list(row) for row in zip(*cols)] or [[] for _ in range(n)]
 
     def append(self, col) -> None:
+        if len(self._cols) >= self._cap:
+            raise DomainError(f"a LinearMap of length-{self.n} columns holds at most {self._cap} columns")
         if self.field.m == 1:
             self._cols.append(_pack(col, self._width))
         else:
+            self._cols.append(col)
             for row, v in zip(self._rows, col):
                 row.append(v)
 
@@ -445,7 +450,7 @@ class FieldDesc:
     def mat_mul(self, A, B) -> tuple[tuple[int, ...], ...]:
         """The product A B of row-major matrices: row i is row i of A
         applied to the LinearMap whose columns are the rows of B."""
-        rows = LinearMap(self, len(B[0]) if B else 0, len(B), B)
+        rows = LinearMap(self, len(B[0]) if B else 0, B)
         return tuple(tuple(rows.apply(row)) for row in A)
 
     def div(self, a: int, b: int) -> int:

@@ -72,7 +72,6 @@ from .poly import (
     lift_poly,
     roots_in_ext,
     split_equal_degree,
-    split_roots,
 )
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def cyclic_span_dim(F: FieldDesc, X, Y, v) -> int:
     are taken as LinearMaps of their columns once per call."""
     d = len(v)
     span = Span(F)
-    maps = [LinearMap(F, d, d, zip(*A)) for A in (X, Y)]
+    maps = [LinearMap(F, d, zip(*A)) for A in (X, Y)]
     frontier = [v] if span.add(v) else []
     while frontier and span.rank < d:
         new = []
@@ -329,7 +328,7 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     # minus f(X) e_i, by Horner, which needs only the columns 0..i built so
     # far: R applies them, one more after each step
     col = [a] + [0] * (p - 1)
-    cols, R = [col], LinearMap(K, p, p, [col])
+    cols, R = [col], LinearMap(K, p, [col])
     for i in range(p - 1):
         fe = [0] * p
         fe[i] = f.c[-1]
@@ -417,22 +416,18 @@ def factor_into_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
     """Monic irreducible factors of f over K with their multiplicities,
     sorted by degree, then coefficients.
 
-    No field past K is built: the distinct-degree parts of f are split over
-    K, those of degree 1 into their roots by split_roots and those holding
-    several factors of degree d > 1 by split_equal_degree, and each
-    multiplicity is read by exact division.  Two checks stay: the factors
-    must rebuild f, which fails on a wrong multiplicity or a missed factor,
-    and each must pass Rabin's test, which fails on a part split too little.
-    Either raises InternalCheckError at stage spectrum.factor."""
+    No field past K is built: each distinct-degree part of f is split over
+    K by split_equal_degree, and each multiplicity is read by exact
+    division.  Two checks stay: the factors must rebuild f, which fails on
+    a wrong multiplicity, a missed factor or one that does not divide f
+    (multiplicity 0, as a factor found twice), and each must pass Rabin's
+    test, which fails on a part split too little.  Either raises
+    InternalCheckError at stage spectrum.factor."""
     _require_monic_nonscalar(f)
-    K = f.field
     factors = []
     for d, gd in distinct_degree_parts(f):
-        if d == 1:
-            factors += [Poly.from_values(K, (K.neg(r), 1)) for r in split_roots(gd, K.m)]
-        else:
-            factors += split_equal_degree(gd, d)
-    out, rebuilt, rem = [], Poly.one(K), f
+        factors += split_equal_degree(gd, d)
+    out, rebuilt, rem = [], Poly.one(f.field), f
     for p_i in factors:
         m = 0
         while True:
@@ -442,7 +437,7 @@ def factor_into_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
             rem, m = quo, m + 1
         out.append((p_i, m))
         rebuilt = rebuilt * p_i**m
-    if rebuilt != f:
+    if rebuilt != f or any(m == 0 for _, m in out):
         raise _stage_error("spectrum.factor", f, "the irreducible factors do not rebuild f", "spectrum")
     if not all(is_irreducible(p_i) for p_i in factors):
         raise _stage_error("spectrum.factor", f, "a factor failed Rabin's irreducibility test", "spectrum")

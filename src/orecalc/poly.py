@@ -26,7 +26,7 @@ Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
   h^(p^i) = a^(p^i) x^(p^i) + b^(p^i) with x^(p^i) from the p-power steps,
   so the trace (p = 2) is a sum and h^((Q-1)/2) = N(h)^((p-1)/2) takes
   m - 1 products; a root r found brings its conjugates r^q, q = |base|;
-- split_equal_degree splits a part whose factors have degree d > 1 over
+- split_equal_degree splits a part whose factors have one degree d over
   F_q itself, by h^((q^d-1)/2) for odd q and by the trace from the 2-power
   steps for q = 2^k, for the spectrum's factorization over K.
 
@@ -860,7 +860,7 @@ def split_equal_degree(g: Poly, d: int) -> list[Poly]:
     with the trace T(h) = sum_{i < kd} h^(2^i) for q = 2^k, is a proper
     factor of u about half the time.  The 2-power steps are those of
     _Residues.frobenius with the field's Frobenius on the coefficients.
-    split_roots covers d = 1; the generator is local and seeded per call.
+    The generator is local and seeded per call.
     """
     F, rng = g.field, random.Random(0)
     out, todo = [], [g]

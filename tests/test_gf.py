@@ -593,16 +593,20 @@ def test_linear_map_equals_the_dot_path(p, m):
     one FieldDesc.dot per row at lengths 1 and p, with all columns given at
     once or appended one at a time (each product then meets the columns
     appended so far), and FieldDesc.mat_mul, which applies it, equals the
-    product by dots."""
+    product by dots.  A column past max(n, the columns given), more than
+    the slots are sized for, is refused."""
     F, rng = GF(p, m), random.Random(f"linear_map/{p}/{m}")
     for n in (1, p):
         cols = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
         cols[0] = [F.q - 1] * n  # the largest packed value in every slot
-        whole, grown = LinearMap(F, n, n, cols), LinearMap(F, n, n)
+        whole, grown = LinearMap(F, n, cols), LinearMap(F, n)
         for k, col in enumerate(cols):
             grown.append(col)
             for v in ([F.q - 1] * n, [rng.randrange(F.q) for _ in range(n)]):
                 assert grown.apply(v) == [F.dot(row, v) for row in zip(*cols[: k + 1])]
+        for full in (whole, grown):
+            with pytest.raises(DomainError, match=f"holds at most {n} columns"):
+                full.append(cols[0])
         for v in ([0] * n, [F.q - 1] * n, [rng.randrange(F.q) for _ in range(n)]):
             assert whole.apply(v) == [F.dot(row, v) for row in zip(*cols)]
         A = tuple(tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(n))

@@ -847,9 +847,15 @@ def test_factorization_matches_the_orbit_oracle_and_the_construction(p, m, monke
     F = GF(p, m)
     q, rng = F.q, random.Random(f"edf/{p}/{m}")
     irr = {d: _irreducibles(F, d) for d in (1, 2, 3, 4) if q**d <= 6561}
-    splits = []
+    splits = []  # the number of factors in each part of degree d > 1
     real = modules_spectra.split_equal_degree
-    monkeypatch.setattr(modules_spectra, "split_equal_degree", lambda g, d: splits.append(g.degree // d) or real(g, d))
+
+    def split(g, d):
+        if d > 1:
+            splits.append(g.degree // d)
+        return real(g, d)
+
+    monkeypatch.setattr(modules_spectra, "split_equal_degree", split)
     checked = 0
     for i in range(12):
         d = rng.choice([d for d in irr if d > 1 and len(irr[d]) >= 2])
@@ -874,20 +880,25 @@ def test_factorization_matches_the_orbit_oracle_and_the_construction(p, m, monke
     assert sum(n >= 2 for n in splits) == 12
 
 
-@pytest.mark.parametrize("step", ["rebuild", "rabin"])
+@pytest.mark.parametrize("step", ["lost", "twice", "rabin"])
 @pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
 def test_factor_check_errors_name_stage_and_reproducer(F, step, monkeypatch):
-    """A root lost by split_roots fails the rebuild of f; a part of two
-    quadratics left unsplit divides f exactly and fails Rabin's test.  Both
-    raise at stage spectrum.factor, on one line that ends with the CLI call
-    for the spectrum."""
+    """A factor lost by split_equal_degree fails the rebuild of f, and so
+    does a factor it returns twice (the second copy divides f no more and
+    would be listed with multiplicity 0); a part of two quadratics left
+    unsplit divides f exactly and fails Rabin's test.  All raise at stage
+    spectrum.factor, on one line that ends with the CLI call for the
+    spectrum."""
     u, v = _irreducibles(F, 2)[:2]
     f = u * v * (Poly.x(F) + 1) ** 2
     good = cli.run(["spectrum", "--field", repr(F), "--f", repr(f)])
     assert good[0] == 0
-    if step == "rebuild":
-        real = modules_spectra.split_roots
-        monkeypatch.setattr(modules_spectra, "split_roots", lambda g, k: real(g, k)[1:])
+    real = modules_spectra.split_equal_degree
+    if step != "rabin":
+        if step == "lost":
+            monkeypatch.setattr(modules_spectra, "split_equal_degree", lambda g, d: real(g, d)[1:])
+        else:
+            monkeypatch.setattr(modules_spectra, "split_equal_degree", lambda g, d: real(g, d) + real(g, d)[:1])
         text = "the irreducible factors do not rebuild f"
     else:
         monkeypatch.setattr(modules_spectra, "split_equal_degree", lambda g, d: [g])
