@@ -30,6 +30,7 @@ from .eigengroup import (
     EigengroupDesc,
     Eigenform,
     SubgroupSpec,
+    _stage_error,
     eigengroup,
     eigengroup_bruteforce,
     eigengroup_over_base,
@@ -109,7 +110,7 @@ def present_eigenform(ef: Eigenform) -> str:
         )
     if ef.case == "B11":
         return f"f = g(f_V(x))^(p^{ef.s}) with g = {g}, V = {vb}"
-    raise InternalCheckError(f"unknown eigenform case {ef.case!r}")
+    raise _stage_error("eigenform.present", ef.f, f"unknown eigenform case {ef.case!r}", "eigenform")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +305,8 @@ def _cmd_oracle(args):
         structured = sorted(a.pair for a in base.elements())
         brute = sorted(a.pair for a in eigengroup_bruteforce(f, cap=cap))
         if brute != structured:
-            raise InternalCheckError(
-                "oracle mismatch: brute force found "
-                f"{len(brute)} substitutions, the closed form {len(structured)}"
-            )
+            msg = f"oracle mismatch: brute force found {len(brute)} substitutions, the closed form {len(structured)}"
+            raise _stage_error("oracle.exhaustive", f, msg, "oracle", "--cap", str(cap))
         mode, checked = "exhaustive", field.q * (field.q - 1)
     else:
         rng = random.Random(args.seed)
@@ -317,10 +316,8 @@ def _cmd_oracle(args):
             mu = rng.randrange(field.q)
             direct = AffineAut(field, lam, mu).eigenvalue_on(f) is not None
             if direct != base.contains(lam, mu):
-                raise InternalCheckError(
-                    "oracle mismatch: sampled substitution "
-                    f"({lam}, {mu}) disagrees with the closed form"
-                )
+                msg = f"oracle mismatch: sampled substitution ({lam}, {mu}) disagrees with the closed form"
+                raise _stage_error("oracle.sampled", f, msg, "oracle", "--cap", str(cap), "--seed", str(args.seed))
         mode = "sampled"
     payload = {
         "match": True,

@@ -74,12 +74,11 @@ shifts f by every mu and solves a coefficient equation for lam.
 
 from __future__ import annotations
 
-import shlex
 from collections import namedtuple
 from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, Span, divisors, primitive_root_of_unity, span_values, tower_over
+from .gf import FieldDesc, FieldTower, Span, _reproducer, divisors, primitive_root_of_unity, span_values, tower_over
 from .poly import (
     Poly,
     checked_splitting_tower,
@@ -121,15 +120,10 @@ def _poly_json(g: Poly | None):
     return [_elt_json(g.field, c) for c in g.c]
 
 
-def _reproducer(command: str, field: FieldDesc, *opts: str) -> str:
-    """The one-line CLI call that repeats a computation, for check errors."""
-    return "reproduce: " + shlex.join(["orecalc", command, "--field", field_spec(field), *opts])
-
-
 def _stage_error(stage: str, f: Poly, msg: str, command: str = "eigengroup", *opts: str) -> InternalCheckError:
     """A failed check on f at the given stage, with the CLI line (command
     --f f, then opts) that repeats it."""
-    return InternalCheckError(f"{msg}; {_reproducer(command, f.field, '--f', repr(f), *opts)}", stage)
+    return InternalCheckError(f"{msg}; {_reproducer(command, field_spec(f.field), '--f', repr(f), *opts)}", stage)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ with slots sized for m(p-1)^2 + p.
 from __future__ import annotations
 
 import operator
+import shlex
 import sys
 from array import array
 
@@ -108,6 +109,23 @@ def prime_factors(n: int) -> list[int]:
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
+
+
+def field_spec(field: FieldDesc) -> str:
+    """The field as the CLI reads it, with its modulus when m > 1."""
+    return repr(field) if field.m == 1 else f"GF({field.p}^{field.m}, mod={','.join(map(str, field.modulus))})"
+
+
+def _reproducer(command: str, spec: str, *opts: str) -> str:
+    """The one-line CLI call that repeats a computation over the field that
+    spec reads as, for check errors."""
+    return "reproduce: " + shlex.join(["orecalc", command, "--field", spec, *opts])
+
+
+def _build_error(stage: str, spec: str, msg: str) -> InternalCheckError:
+    """A failed check while the field spec is built; every command builds its
+    --field first, so the centre of x repeats it."""
+    return InternalCheckError(f"{msg}; {_reproducer('centre', spec, '--f', 'x')}", stage)
 
 
 # Array item sizes (bytes) with their typecodes, for packing and unpacking
@@ -177,7 +195,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         if v % p and _is_irreducible(p, cand):  # t divides a zero constant term
             _MODULUS_CACHE[key] = cand
             return cand
-    raise InternalCheckError(f"no irreducible of degree {m} over F_{p}")
+    raise _build_error("gf.modulus", f"GF({p}^{m})", f"no irreducible of degree {m} over F_{p}")
 
 
 class LinearMap:
@@ -286,7 +304,7 @@ class FieldDesc:
         for g in range(2, self.q):
             if all(self._pow_slow(g, n // r) != 1 for r in primes):
                 return g
-        raise InternalCheckError("no multiplicative generator found")
+        raise _build_error("gf.generator", field_spec(self), "no multiplicative generator found")
 
     def _build_log_tables(self) -> None:
         self.generator = g = self._find_generator()
@@ -851,7 +869,8 @@ def pth_root(a: FqElement) -> FqElement:
 
 
 class TowerLevel:
-    """A subfield F_{p^j} of the tower's extension with an explicit embedding."""
+    """A subfield F_{p^j} of the tower's extension with an explicit embedding;
+    a failed embedding check raises InternalCheckError at stage gf.tower."""
 
     def __init__(self, tower: "FieldTower", j: int, desc: FieldDesc):
         self.tower = tower
@@ -865,16 +884,19 @@ class TowerLevel:
             return
         from .poly import Poly, split_roots
 
+        def error(msg: str) -> InternalCheckError:  # no CLI call builds a given level
+            return InternalCheckError(f"{msg}: level {j} of tower_over({field_spec(tower.base)}, {ext.m})", "gf.tower")
+
         roots = split_roots(Poly(ext, desc.modulus), 1)
         if len(roots) != j:
-            raise InternalCheckError("embedding root count mismatch")
+            raise error("embedding root count mismatch")
         self.gen_img = min(roots)
         self.pows = tuple(ext.pow(self.gen_img, i) for i in range(j))
         solver = Span(ext.prime_field)
         for pw in self.pows:
             solver.add(ext.unpack(pw))
         if solver.rank != j:
-            raise InternalCheckError("embedded power basis is degenerate")
+            raise error("embedded power basis is degenerate")
         self._solver = solver
 
     def lift(self, a) -> int:

@@ -36,7 +36,7 @@ from .eigengroup import (
 from .errors import DomainError, InternalCheckError
 from .gf import FieldDesc
 from .ore import OreAlgebra, OreElement
-from .poly import Poly
+from .poly import Poly, _check_error
 
 
 class OreHom(namedtuple("OreHom", "src dst lam mu pol")):
@@ -85,12 +85,17 @@ class OreHom(namedtuple("OreHom", "src dst lam mu pol")):
         return out
 
     def verify(self) -> None:
-        """Relation transport: [phi(y), phi(x)] must equal phi(f(x))."""
+        """Relation transport: [phi(y), phi(x)] must equal phi(f(x)).  A failure
+        raises InternalCheckError at stage hom.verify naming the map, its
+        source and target and their field; no CLI call builds a given map, so
+        aut_group and are_isomorphic restage it with the query that built it."""
         ix, iy = self.image_x(), self.image_y()
         lhs = iy * ix - ix * iy
         rhs = self.dst.element(self.src.f.compose_affine(self.lam, self.mu))
         if lhs != rhs:
-            raise InternalCheckError("relation transport fails for the claimed map")
+            lam, mu = (repr(self.field.from_value(v)) for v in (self.lam, self.mu))
+            msg = f"relation transport fails for x -> {lam}*x + {mu}, P = {self.pol!r}, into Lambda({self.dst.f!r})"
+            raise _check_error("hom.verify", self.src.f, msg)
 
     def describe(self) -> dict:
         from .eigengroup import _elt_json, _poly_json
@@ -197,7 +202,7 @@ def aut_group(f: Poly) -> AutGroupDesc:
         for g in desc.generators():
             g.verify()
     except InternalCheckError as exc:
-        raise _stage_error("aut.verify", f, str(exc), "aut-group") from exc
+        raise _stage_error("aut.verify", f, "relation transport fails for a generator", "aut-group") from exc
     return desc
 
 
@@ -258,5 +263,6 @@ def are_isomorphic(f: Poly, g: Poly) -> IsoResult:
     try:
         hom.verify()
     except InternalCheckError as exc:
-        raise _stage_error("iso.solve", f, str(exc), "isomorphic", "--g", repr(g)) from exc
+        msg = "relation transport fails for the witness"
+        raise _stage_error("iso.solve", f, msg, "isomorphic", "--g", repr(g)) from exc
     return IsoResult(True, alpha, beta, hom)

@@ -19,32 +19,53 @@ modules are attached to maximal ideals of Z and split into two families:
   (the y^p-coordinate differs from it by c(xi^(1/p)) times the y-eigenvalue
   and is not used).
 
-The x-action table is never trusted as typed: it is re-derived from the
-defining relation alone, x 1 = xi^(1/p) 1 and x (y v) = y (x v) - f(x) v
-(as yx - xy = f), so column i + 1 of X is column i shifted down one place
-minus f(X) e_i, by Horner over the columns built so far; the two matrices
-must agree exactly.  The Horner steps and the cyclic span of the eigenline
-certificate apply a matrix to a vector through gf.LinearMap: one sum of
-packed columns over a prime field, one dot per row over an extension.  As
-z2 is central, c' = 0: c lies in K[x^p], so c(X) is the scalar
-c(xi^(1/p)).  A wrong value there, in the last column of Y, fails
-YX - XY = f(X) on that column.
+Off f, with a = xi^(1/p) and N = X - a, two checks run:
 
-Off f, simplicity rests on an eigenline certificate.  With a = xi^(1/p) and
-N = X - a (nilpotent, as X^p = xi) it asks for N e_0 = 0, rank N = p - 1 and
-e_0 generating K^p under X and Y.  Over any extension L, a nonzero X- and
-Y-stable W meets ker N = L e_0 (N is nilpotent on W, and rank does not
-depend on the field), so W contains e_0 and hence L^p: the module is
-absolutely simple, so by Burnside the words in X and Y span all p x p
-matrices and every nonzero vector is cyclic.  On f, q is irreducible over
-F_i (bad input otherwise), q(Y) = 0 and X is the scalar x-bar, which
-generates F_i over K: a submodule is an F_i[Y]-submodule, F_i[Y] =
-F_i[y]/(q) is a field of degree d = deg q, and F_i^d is a line over it, so
-the module is simple.  word_span_dim and all_basis_vectors_cyclic, which
-would prove it again, are the tests' oracles.  The relations need no check
-there either: X = x-bar I gives YX - XY = 0 = f(X) as p_i | f and
+* the x-table (stage off_f.x_table).  The closed-form table is re-derived
+  from the defining relation alone, x 1 = a 1 and x (y v) = y (x v) - f(x) v
+  (as yx - xy = f), so column i + 1 of X is column i shifted down one place
+  minus f(X) e_i, by Horner over the columns built so far (X is upper
+  triangular, so f(X) e_i needs only the columns <= i); the two matrices
+  must agree exactly.  The Horner steps apply a matrix to a vector through
+  gf.LinearMap: one sum of packed columns over a prime field, one dot per
+  row over an extension.
+* column p - 1 of YX - XY = f(X) (stage off_f.relations), against f(X)
+  e_(p-1) from one more Horner pass with all p columns.  It is the one
+  column the re-derivation does not cover, and the one c(a) enters: as z2
+  is central, c' = 0, so c lies in K[x^p] and c(X) is the scalar c(a),
+  written at Y[1][p-1].  That column is shift(x_(p-1)) + c(a) f(a) e_0, so
+  a wrong c(a) fails it, since f(a) != 0.
+
+Everything else is implied by these checks or by the input check f(a) != 0:
+
+* YX - XY = f(X) on e_i, i < p - 1: Y e_i = e_(i+1) and x_i = X e_i has no
+  row p - 1 entry, so the column is shift(x_i) - x_(i+1) = f(X) e_i, which
+  is the re-derivation.
+* X^p = xi I: N is strictly upper triangular of size p, so in
+  characteristic p, (a I + N)^p = a^p I + N^p = xi I.
+* Y^p - c(a) Y = rho I: Y is the companion matrix of t^p - c(a) t - rho
+  (Cayley-Hamilton).  No commutator check sees rho, as
+  [e_0 e_(p-1)^T, X] = 0 (X e_0 = a e_0 and e_(p-1)^T X = a e_(p-1)^T).
+* Simplicity, by an eigenline certificate: N e_0 = 0, as the first column
+  of X is a e_0; rank N = p - 1, as the superdiagonal of N is
+  X[i-1][i] = -i f(a) != 0; and e_0 is cyclic, as Y^i e_0 = e_i.  Over any
+  extension L, a nonzero X- and Y-stable W meets ker N = L e_0 (N is
+  nilpotent on W, and rank does not depend on the field), so W contains
+  e_0 and hence L^p: the module is absolutely simple, so by Burnside the
+  words in X and Y span all p x p matrices and every nonzero vector is
+  cyclic.
+
+On f, q is irreducible over F_i (bad input otherwise), q(Y) = 0 and X is
+the scalar x-bar, which generates F_i over K: a submodule is an
+F_i[Y]-submodule, F_i[Y] = F_i[y]/(q) is a field of degree d = deg q, and
+F_i^d is a line over it, so the module is simple.  The relations need no
+check on f either: X = x-bar I gives YX - XY = 0 = f(X) as p_i | f and
 p_i(x-bar) = 0, x^p acts as the scalar x-bar^p, and z2 = y^p - c(x) y as
 (y^p - c(x-bar) y) mod q once q(Y) = 0, the one check that stays.
+
+For both families the full relation check, the eigenline certificate,
+word_span_dim and all_basis_vectors_cyclic, which would prove all this
+again, are the tests' oracles.
 
 The spectrum of Lambda: minimal primes are the irreducible factors p_i of f
 (computed over K from the distinct-degree parts, split over K, with no
@@ -87,43 +108,20 @@ def mat_zero(F: FieldDesc, d: int):
     return tuple((0,) * d for _ in range(d))
 
 
-def mat_sub(F: FieldDesc, A, B):
-    return tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_scale(F: FieldDesc, A, s: int):
     return tuple(tuple(F.mul(a, s) for a in row) for row in A)
 
 
-def mat_mul(F: FieldDesc, A, B):
-    return F.mat_mul(A, B)
-
-
-def mat_pow(F: FieldDesc, A, e: int):
-    out = mat_id(F, len(A))
-    b = A
-    while e:
-        if e & 1:
-            out = mat_mul(F, out, b)
-        b = mat_mul(F, b, b)
-        e >>= 1
-    return out
-
-
 def mat_poly(F: FieldDesc, g: Poly, A):
     """g(A) by Horner, each coefficient added on the diagonal; g's field must
-    be F.  It checks f(X) on both module families and the relations on f;
-    off f it is the tests' oracle for c(X)."""
+    be F.  It checks q(Y) = 0 on f; the tests' oracles take f(X) and c(X)
+    from it."""
     out = mat_zero(F, len(A))
     for c in reversed(g.c):
-        out = mat_mul(F, A, out)
+        out = F.mat_mul(A, out)
         if c:
             out = tuple(row[:r] + (F.add(row[r], c),) + row[r + 1:] for r, row in enumerate(out))
     return out
-
-
-def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
-    return A == mat_scale(F, mat_id(F, len(A)), s)
 
 
 def word_span_dim(F: FieldDesc, X, Y) -> int:
@@ -137,7 +135,7 @@ def word_span_dim(F: FieldDesc, X, Y) -> int:
         new = []
         for W in frontier:
             for A in (X, Y):
-                WA = mat_mul(F, A, W)
+                WA = F.mat_mul(A, W)
                 if span.add(flat(WA)):
                     new.append(WA)
         frontier = new
@@ -160,19 +158,6 @@ def cyclic_span_dim(F: FieldDesc, X, Y, v) -> int:
                     new.append(w)
         frontier = new
     return span.rank
-
-
-def eigenline_certificate(F: FieldDesc, X, Y, a: int) -> bool:
-    """N = X - a kills e_0 and has rank d - 1, and e_0 generates F^d under X
-    and Y.  When N is nilpotent this proves the module absolutely simple
-    (see the module docstring)."""
-    d = len(X)
-    N = mat_sub(F, X, mat_scale(F, mat_id(F, d), a))
-    rows = Span(F)
-    for row in N:
-        rows.add(row)
-    kills_e0 = not any(row[0] for row in N)
-    return kills_e0 and rows.rank == d - 1 and cyclic_span_dim(F, X, Y, mat_id(F, d)[0]) == d
 
 
 def all_basis_vectors_cyclic(F: FieldDesc, X, Y) -> bool:
@@ -279,21 +264,13 @@ def simple_module_on_f(f: Poly, p_i: Poly, q: Poly) -> SimpleModuleSpec:
     return SimpleModuleSpec("on_f", f, F, d, X, Y, p_i=p_i, q=q)
 
 
-def _check_relations(F: FieldDesc, f: Poly, X, Y, z1: int, c: int, z2, error, stage: str) -> None:
-    """YX - XY = f(X), x^p acts as the scalar z1 and y^p - c y as the matrix
-    z2, on a module where c(x) acts as the scalar c; a failure raises
-    error(stage, message), the caller's staged error."""
-    p = F.p
-    if mat_sub(F, mat_mul(F, Y, X), mat_mul(F, X, Y)) != mat_poly(F, f, X):
-        raise error(stage, "YX - XY != f(X) on the constructed module")
-    if not is_scalar_mat(F, mat_pow(F, X, p), z1):
-        raise error(stage, "z1 = x^p does not act as its central character")
-    if mat_sub(F, mat_pow(F, Y, p), mat_scale(F, Y, c)) != z2:
-        raise error(stage, "z2 = y^p - c(x) y does not act as its central character")
-
-
 def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
-    """The p-dimensional simple module at m = (x^p - xi, z2 - rho), off V(f^p)."""
+    """The p-dimensional simple module at m = (x^p - xi, z2 - rho), off V(f^p).
+
+    It runs two checks, the x-table against its re-derivation and the last
+    column of YX - XY = f(X); the module docstring proves the rest from
+    them.  A failure raises InternalCheckError at stage off_f.x_table or
+    off_f.relations with the CLI line that builds the module."""
     _require_monic_nonscalar(f)
     K = f.field
     xi = K.element(xi).val
@@ -326,18 +303,20 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     # independent re-derivation from the defining relation: x 1 = a 1 and
     # x (y v) = y (x v) - f(x) v, so column i + 1 is column i shifted down
     # minus f(X) e_i, by Horner, which needs only the columns 0..i built so
-    # far: R applies them, one more after each step
+    # far: R applies them, one more after each step; the last pass, with
+    # all p columns, leaves f(X) e_(p-1) in fe
     col = [a] + [0] * (p - 1)
     cols, R = [col], LinearMap(K, p, [col])
-    for i in range(p - 1):
+    for i in range(p):
         fe = [0] * p
         fe[i] = f.c[-1]
         for c in reversed(f.c[:-1]):
             fe = R.apply(fe)
             fe[i] = K.add(fe[i], c)
-        col = [K.sub(col[r - 1] if r else 0, fe[r]) for r in range(i + 2)] + [0] * (p - i - 2)
-        cols.append(col)
-        R.append(col)
+        if i < p - 1:
+            col = [K.sub(col[r - 1] if r else 0, fe[r]) for r in range(i + 2)] + [0] * (p - i - 2)
+            cols.append(col)
+            R.append(col)
     if tuple(zip(*cols)) != X:
         raise error("off_f.x_table", "x-action table disagrees with the ideal reduction")
 
@@ -351,9 +330,11 @@ def simple_module_off_f(f: Poly, xi, rho) -> SimpleModuleSpec:
     Y[1][p - 1] = c_a
     Y = tuple(tuple(row) for row in Y)
 
-    _check_relations(K, f, X, Y, xi, c_a, mat_scale(K, mat_id(K, p), rho), error, "off_f.relations")
-    if not eigenline_certificate(K, X, Y, a):
-        raise error("off_f.simplicity", "the eigenline certificate fails")
+    # column p - 1 of YX - XY = f(X): the one the re-derivation leaves out,
+    # and the one c(a) enters (module docstring)
+    x_last, y_last = [row[-1] for row in X], [row[-1] for row in Y]
+    if [K.sub(K.dot(yr, x_last), K.dot(xr, y_last)) for xr, yr in zip(X, Y)] != fe:
+        raise error("off_f.relations", "YX - XY != f(X) on the last column")
 
     return SimpleModuleSpec("off_f", f, K, p, X, Y, xi=xi, rho=rho)
 
@@ -453,7 +434,11 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
     (xi, rho) of F_{q^j}, each given by its least pair: xi least in its orbit,
     of length a, and rho the strict minimum of an orbit of fr^a of length j/a.
     They number about q^(2j)/j; a bound with sum_j q^(2j) above
-    SPECTRUM_PAIR_CAP is refused."""
+    SPECTRUM_PAIR_CAP is refused.
+
+    Each (p_i) is a two-sided ideal, as y p_i = p_i y + f p_i' and
+    p_i | f | f p_i': the rebuild check of factor_into_irreducibles gives
+    every p_i multiplicity at least 1, so no further normality check runs."""
     _require_monic_nonscalar(f)
     if degree_bound < 0:
         raise DomainError("degree bound must be nonnegative")
@@ -467,10 +452,6 @@ def spectrum(f: Poly, degree_bound: int = 1) -> SpectrumDesc:
                 f"walks more than {SPECTRUM_PAIR_CAP} pairs (xi, rho)"
             )
     factors = factor_into_irreducibles(f)
-    for p_i, _ in factors:
-        if not ((f * p_i.derivative()) % p_i).is_zero():
-            msg = "factor is not normal: p_i does not divide f p_i'"
-            raise _stage_error("spectrum.normality", f, msg, "spectrum", "--degree-bound", str(degree_bound))
 
     fp = Poly.from_values(K, (K.frob(c) for c in f.c))  # f^p = fp(x^p)
     points = []

@@ -47,12 +47,8 @@ from itertools import islice
 from math import comb, gcd
 
 from .errors import DomainError, InternalCheckError
-from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, prime_factors, primitive_root_of_unity, tower_over
-
-
-def field_spec(field: FieldDesc) -> str:
-    """The field as the CLI reads it, with its modulus when m > 1."""
-    return repr(field) if field.m == 1 else f"GF({field.p}^{field.m}, mod={','.join(map(str, field.modulus))})"
+from .gf import FieldDesc, FieldTower, FqElement, Span, divisors, field_spec, prime_factors, primitive_root_of_unity
+from .gf import tower_over
 
 
 def _check_error(stage: str, f: Poly, msg: str) -> InternalCheckError:

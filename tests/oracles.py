@@ -25,6 +25,10 @@ lambda_n^n = 1 instead of checking it.  shift_space_oracle tries every
 pairwise root difference against the root multiset, where
 eigengroup.shift_space reads V from the gcd of the shift equations.
 assert_record_semantics checks the value semantics of a result record.
+The off-f module checks that simple_module_off_f proves instead of running
+live here: relations_hold multiplies out every relation, and
+eigenline_certificate checks the three conditions of simplicity, with the
+matrix helpers mat_sub, mat_pow and is_scalar_mat.
 """
 
 import copy
@@ -39,12 +43,14 @@ from orecalc.errors import DomainError, InternalCheckError
 from orecalc.gf import (
     FieldDesc,
     FieldTower,
+    Span,
     divisors,
     prime_factors,
     primitive_root_of_unity,
     span_values,
     tower_over,
 )
+from orecalc.modules_spectra import cyclic_span_dim, mat_id, mat_poly, mat_scale
 from orecalc.poly import (
     Poly,
     exponent_decomp,
@@ -163,6 +169,49 @@ def fixed_point(a) -> int:
 def mat_add(F: FieldDesc, A, B):
     """The entrywise sum of two matrices over F."""
     return tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_sub(F: FieldDesc, A, B):
+    return tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_pow(F: FieldDesc, A, e: int):
+    out, b = mat_id(F, len(A)), A
+    while e:
+        if e & 1:
+            out = F.mat_mul(out, b)
+        b = F.mat_mul(b, b)
+        e >>= 1
+    return out
+
+
+def is_scalar_mat(F: FieldDesc, A, s: int) -> bool:
+    return A == mat_scale(F, mat_id(F, len(A)), s)
+
+
+def relations_hold(F: FieldDesc, f: Poly, X, Y, z1: int, c: int, z2) -> bool:
+    """YX - XY = f(X), x^p acts as the scalar z1 and y^p - c y as the matrix
+    z2, on a module where c(x) acts as the scalar c: every relation, by full
+    matrix products, where simple_module_off_f checks one column."""
+    return (
+        mat_sub(F, F.mat_mul(Y, X), F.mat_mul(X, Y)) == mat_poly(F, f, X)
+        and is_scalar_mat(F, mat_pow(F, X, F.p), z1)
+        and mat_sub(F, mat_pow(F, Y, F.p), mat_scale(F, Y, c)) == z2
+    )
+
+
+def eigenline_certificate(F: FieldDesc, X, Y, a: int) -> bool:
+    """N = X - a kills e_0 and has rank d - 1, and e_0 generates F^d under X
+    and Y.  When N is nilpotent this proves the module absolutely simple (see
+    the docstring of orecalc.modules_spectra, which proves the three
+    conditions from the off-f construction instead of checking them)."""
+    d = len(X)
+    N = mat_sub(F, X, mat_scale(F, mat_id(F, d), a))
+    rows = Span(F)
+    for row in N:
+        rows.add(row)
+    kills_e0 = not any(row[0] for row in N)
+    return kills_e0 and rows.rank == d - 1 and cyclic_span_dim(F, X, Y, mat_id(F, d)[0]) == d
 
 
 def _prime_to_p(w: Poly) -> int:

@@ -23,11 +23,7 @@ from orecalc.lambda_aut import are_isomorphic
 from orecalc.modules_spectra import (
     all_basis_vectors_cyclic,
     factor_into_irreducibles,
-    is_scalar_mat,
-    mat_mul,
     mat_poly,
-    mat_pow,
-    mat_sub,
     simple_module_off_f,
     simple_module_on_f,
     word_span_dim,
@@ -35,7 +31,14 @@ from orecalc.modules_spectra import (
 from orecalc.ore import OreAlgebra, delta_power
 from orecalc.poly import Poly, f_V, is_irreducible, lift_poly
 
-from oracles import generator_laws_hold, monic_polys, triviality_criterion
+from oracles import (
+    generator_laws_hold,
+    is_scalar_mat,
+    mat_pow,
+    mat_sub,
+    monic_polys,
+    triviality_criterion,
+)
 
 
 def report(n, name, t0):
@@ -252,12 +255,12 @@ def test_acceptance_6_simple_modules():
             spec = simple_module_off_f(f, xi, rho)
             built_off += 1
             assert spec.dim == p
-            lhs = mat_sub(F, mat_mul(F, spec.Y, spec.X), mat_mul(F, spec.X, spec.Y))
+            lhs = mat_sub(F, F.mat_mul(spec.Y, spec.X), F.mat_mul(spec.X, spec.Y))
             assert lhs == mat_poly(F, f, spec.X)
             assert is_scalar_mat(F, mat_pow(F, spec.X, p), xi.val)
             c = OreAlgebra(f).c_poly
             z2 = mat_sub(
-                F, mat_pow(F, spec.Y, p), mat_mul(F, mat_poly(F, c, spec.X), spec.Y)
+                F, mat_pow(F, spec.Y, p), F.mat_mul(mat_poly(F, c, spec.X), spec.Y)
             )
             assert is_scalar_mat(F, z2, rho.val)
             assert spec.central_character() == (xi.val, rho.val)
@@ -279,7 +282,7 @@ def test_acceptance_6_simple_modules():
         built_on += 1
         assert spec.dim == q.degree
         fe = f if e == 1 else lift_poly(f, tower_over(K, K.m * e))
-        lhs = mat_sub(Fi, mat_mul(Fi, spec.Y, spec.X), mat_mul(Fi, spec.X, spec.Y))
+        lhs = mat_sub(Fi, Fi.mat_mul(spec.Y, spec.X), Fi.mat_mul(spec.X, spec.Y))
         assert lhs == mat_poly(Fi, fe, spec.X)
         xbar = spec.X[0][0]
         assert is_scalar_mat(Fi, spec.X, xbar)

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,9 +16,14 @@ from pathlib import Path
 import pytest
 
 import orecalc.cli as cli
+from orecalc import gf
 from orecalc import poly as poly_mod
 from orecalc.cli import main, run
-from orecalc.gf import GF, primitive_root_of_unity
+from orecalc.eigengroup import EigengroupDesc, eigengroup
+from orecalc.errors import InternalCheckError
+from orecalc.gf import GF, FieldDesc, FieldTower, primitive_root_of_unity
+from orecalc.lambda_aut import LambdaAut
+from orecalc.ore import OreAlgebra
 from orecalc.parsing import parse_poly
 from orecalc.poly import Poly
 
@@ -601,3 +608,74 @@ def test_eigengroup_and_aut_group_print_the_canonical_lambda_n(f):
     gen = f"⟨σ_{{{lam},0}}⟩, order 4"
     assert run(["eigengroup", "--field", "GF(5)", "--f", f, "--format", "text"])[1].startswith(f"G_f(GF(5)): {gen}\n")
     assert run(["aut-group", "--field", "GF(5)", "--f", f, "--format", "text"])[1].endswith(f"eigen part: {gen}")
+
+
+def _handler(argv):
+    """The subcommand call that run(argv) makes, without its error mapping."""
+    args = cli.build_parser(argv).parse_args(argv)
+    return lambda: args.handler(args)
+
+
+def _check_site(site, monkeypatch):
+    """Install a fault at one check site.  Returns the call that trips it,
+    its stage, the subcommand its reproducer runs (None where no CLI call
+    builds the failing object, and the message names it instead), and
+    whether that CLI call meets the fault too."""
+    f = Poly(GF(3), (1, 1, 0, 1))  # x^3 + x + 1
+    if site == "modulus":
+        monkeypatch.setattr(gf, "_is_irreducible", lambda p, coeffs: False)
+        monkeypatch.setattr(gf, "_MODULUS_CACHE", {})
+        return lambda: gf.canonical_modulus(3, 2), "gf.modulus", "centre", True
+    if site == "generator":
+        mod = gf.canonical_modulus(3, 2)
+        monkeypatch.setattr(FieldDesc, "_pow_slow", lambda self, a, e: 1)
+        monkeypatch.setattr(gf, "_FIELD_CACHE", {})  # so that the CLI call builds its fields again
+        return lambda: FieldDesc(3, 2, mod), "gf.generator", "centre", True
+    if site == "tower_roots":
+        monkeypatch.setattr(poly_mod, "split_roots", lambda g, k: [])
+        return lambda: FieldTower(GF(2), 4).level(2), "gf.tower", None, False
+    if site == "tower_basis":
+        monkeypatch.setattr(gf, "Span", type("Flat", (gf.Span,), {"rank": 0}))
+        return lambda: FieldTower(GF(2), 4).level(2), "gf.tower", None, False
+    if site == "eigenform":
+        ef = eigengroup(f).eigenform._replace(case="bogus")  # eigengroup's own expand check refuses it
+        return lambda: cli.present_eigenform(ef), "eigenform.present", "eigenform", False
+    if site == "oracle_exhaustive":
+        monkeypatch.setattr(cli, "eigengroup_bruteforce", lambda f, cap: [])
+        return _handler(["oracle", "--field", "GF(3)", "--f", "x^2"]), "oracle.exhaustive", "oracle", True
+    if site == "oracle_sampled":
+        contains = EigengroupDesc.contains
+        monkeypatch.setattr(EigengroupDesc, "contains", lambda self, lam, mu: not contains(self, lam, mu))
+        argv = ["oracle", "--field", "GF(9)", "--f", "x^2+1", "--cap", "4", "--seed", "3"]
+        return _handler(argv), "oracle.sampled", "oracle", True
+    assert site == "hom_verify"
+    return lambda: LambdaAut(OreAlgebra(f), 1, 1).verify(), "hom.verify", None, False  # x -> x + 1 moves f
+
+
+@pytest.mark.parametrize("site", [
+    "modulus", "generator", "tower_roots", "tower_basis", "eigenform", "oracle_exhaustive", "oracle_sampled",
+    "hom_verify",
+])
+def test_check_sites_name_stage_and_reproducer(site, monkeypatch):
+    """Each check in the field build, the CLI and the map check raises at
+    its stage, on one line.  Where a CLI call repeats the computation the
+    line ends with it: that call meets the same stage while the fault is in
+    place, where it can reach the site, and answers once it is gone.
+    Elsewhere the line names the failing object and its field."""
+    trip, stage, command, replays = _check_site(site, monkeypatch)
+    with pytest.raises(InternalCheckError, match=rf"^stage={re.escape(stage)}: ") as info:
+        trip()
+    msg = str(info.value)
+    assert info.value.stage == stage and "\n" not in msg
+    if command is None:
+        monkeypatch.undo()
+        assert "reproduce: " not in msg
+        assert re.search(r"tower_over\(GF\(2\), 4\)$|: f = x\^3 \+ x \+ 1 over GF\(3\)$", msg)
+        return
+    argv = shlex.split(msg.split("reproduce: ", 1)[1])
+    assert argv[:2] == ["orecalc", command]
+    if replays:
+        code, out = run(argv[1:])
+        assert code == 2 and out.startswith(f"internal error: stage={stage}: ")
+    monkeypatch.undo()
+    assert run(argv[1:])[0] == 0

@@ -17,15 +17,10 @@ from orecalc.gf import DEFAULT_Q_CAP, GF, SPECTRUM_PAIR_CAP, Span, tower_over
 from orecalc.modules_spectra import (
     all_basis_vectors_cyclic,
     cyclic_span_dim,
-    eigenline_certificate,
     factor_into_irreducibles,
-    is_scalar_mat,
     mat_id,
-    mat_mul,
     mat_poly,
-    mat_pow,
     mat_scale,
-    mat_sub,
     mat_zero,
     simple_module_off_f,
     simple_module_on_f,
@@ -37,10 +32,15 @@ from orecalc.parsing import parse_poly
 from orecalc.poly import Poly, is_irreducible, lift_poly, roots_in_ext, roots_with_multiplicity
 
 from oracles import (
+    eigenline_certificate,
     factor_orbits_oracle,
     is_irreducible_oracle,
+    is_scalar_mat,
     mat_add,
+    mat_pow,
+    mat_sub,
     monic_polys,
+    relations_hold,
     roots_in_field,
     spectrum_points_oracle,
 )
@@ -60,11 +60,11 @@ def test_matrix_arithmetic():
     for F in (GF(5), GF(2, 2)):
         for _ in range(20):
             A, B, C = (rand_mat(F, 3, rng) for _ in range(3))
-            assert mat_mul(F, A, mat_mul(F, B, C)) == mat_mul(F, mat_mul(F, A, B), C)
-            assert mat_mul(F, A, mat_add(F, B, C)) == mat_add(
-                F, mat_mul(F, A, B), mat_mul(F, A, C)
+            assert F.mat_mul(A, F.mat_mul(B, C)) == F.mat_mul(F.mat_mul(A, B), C)
+            assert F.mat_mul(A, mat_add(F, B, C)) == mat_add(
+                F, F.mat_mul(A, B), F.mat_mul(A, C)
             )
-            assert mat_mul(F, A, mat_id(F, 3)) == A
+            assert F.mat_mul(A, mat_id(F, 3)) == A
             assert mat_sub(F, A, A) == mat_zero(F, 3)
             g = Poly.from_values(F, [rng.randrange(F.q) for _ in range(4)])
             naive = mat_zero(F, 3)
@@ -85,7 +85,7 @@ def test_matrix_arithmetic():
             triple = tuple(
                 tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p for j in range(c)) for i in range(r)
             )
-            assert mat_mul(F, A, B) == triple
+            assert F.mat_mul(A, B) == triple
 
 
 def test_word_span_and_cyclicity():
@@ -211,7 +211,7 @@ def test_on_f_companion_matrix():
     assert spec.X == ((2, 0), (0, 2))  # xbar = -1
     assert spec.Y == ((0, 2), (1, 0))
     assert mat_poly(K, q, spec.Y) == mat_zero(K, 2)
-    lhs = mat_sub(K, mat_mul(K, spec.Y, spec.X), mat_mul(K, spec.X, spec.Y))
+    lhs = mat_sub(K, K.mat_mul(spec.Y, spec.X), K.mat_mul(spec.X, spec.Y))
     assert lhs == mat_poly(K, f, spec.X)
 
 
@@ -299,7 +299,6 @@ def test_on_f_never_runs_the_span_checks(F, monkeypatch):
 
     monkeypatch.setattr(modules_spectra, "word_span_dim", not_on_f)
     monkeypatch.setattr(modules_spectra, "all_basis_vectors_cyclic", not_on_f)
-    monkeypatch.setattr(modules_spectra, "_check_relations", not_on_f)
     specs = [simple_module_on_f(f, p_i, q) for f, p_i, q in cases]
     monkeypatch.undo()
     for spec, (f, p_i, q) in zip(specs, cases):
@@ -312,7 +311,7 @@ def test_on_f_never_runs_the_span_checks(F, monkeypatch):
         c = L.pow(fe.derivative().eval_value(xbar), L.p - 1)
         z2 = Poly.from_values(L, [0] * L.p + [1]) - Poly.from_values(L, (0, c))
         assert mat_poly(L, lift_poly(p_i, tower), X) == mat_zero(L, d)
-        assert mat_sub(L, mat_mul(L, Y, X), mat_mul(L, X, Y)) == mat_poly(L, fe, X)
+        assert mat_sub(L, L.mat_mul(Y, X), L.mat_mul(X, Y)) == mat_poly(L, fe, X)
         assert is_scalar_mat(L, mat_pow(L, X, L.p), L.pow(xbar, L.p))
         assert mat_sub(L, mat_pow(L, Y, L.p), mat_scale(L, Y, c)) == mat_poly(L, z2 % q, Y)
 
@@ -357,10 +356,17 @@ def horner_x_table(f, a):
 
 
 def check_off_f_oracles(spec):
-    """The eigenline certificate holds, and so do the slow checks it replaced:
-    the full word span, every basis vector cyclic, and the Horner table."""
+    """What simple_module_off_f proves instead of checking: c(X) is the
+    scalar c(a), every relation holds (YX - XY = f(X), X^p = xi and
+    Y^p - c(a) Y = rho), and the eigenline certificate holds; and so do the
+    slow checks it replaced: the full word span, every basis vector cyclic,
+    and the Horner table."""
     F, p, X, Y = spec.field, spec.dim, spec.X, spec.Y
     a = F.pth_root(spec.xi)
+    c = OreAlgebra(spec.f).c_poly
+    c_a = c.eval_value(a)
+    assert is_scalar_mat(F, mat_poly(F, c, X), c_a)
+    assert relations_hold(F, spec.f, X, Y, spec.xi, c_a, mat_scale(F, mat_id(F, p), spec.rho))
     assert eigenline_certificate(F, X, Y, a)
     assert word_span_dim(F, X, Y) == p * p
     assert all_basis_vectors_cyclic(F, X, Y)
@@ -376,7 +382,7 @@ def test_off_f_explicit_char3():
     assert spec.central_character() == (1, 0)
     assert spec.X == ((1, 2, 2), (0, 1, 1), (0, 0, 1))
     assert spec.Y == ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-    lhs = mat_sub(K, mat_mul(K, spec.Y, spec.X), mat_mul(K, spec.X, spec.Y))
+    lhs = mat_sub(K, K.mat_mul(spec.Y, spec.X), K.mat_mul(spec.X, spec.Y))
     assert lhs == mat_poly(K, f, spec.X)
     assert is_scalar_mat(K, mat_pow(K, spec.X, 3), 1)
     assert word_span_dim(K, spec.X, spec.Y) == 9
@@ -408,16 +414,7 @@ def test_off_f_random_sweep():
                 continue
             spec = simple_module_off_f(f, xi, rho)
             built += 1
-            assert spec.dim == p
-            lhs = mat_sub(F, mat_mul(F, spec.Y, spec.X), mat_mul(F, spec.X, spec.Y))
-            assert lhs == mat_poly(F, f, spec.X)
-            assert is_scalar_mat(F, mat_pow(F, spec.X, p), xi.val)
-            c = f  # c = (delta^(p-2) f)' with delta(g) = f g'
-            for _ in range(p - 2):
-                c = f * c.derivative()
-            c_of_x = mat_poly(F, c.derivative(), spec.X)
-            z2 = mat_sub(F, mat_pow(F, spec.Y, p), mat_mul(F, c_of_x, spec.Y))
-            assert is_scalar_mat(F, z2, rho.val)
+            assert spec.dim == p and (spec.xi, spec.rho) == (xi.val, rho.val)
             check_off_f_oracles(spec)
 
 
@@ -505,19 +502,26 @@ def _rerun(line, command="simple-module"):
     return cli.run(argv[1:])
 
 
+def _corrupt_c(monkeypatch, F, f, offset=1):
+    """Make Poly.eval_value read c = (delta^(p-2) f)' off by offset, where
+    simple_module_off_f evaluates it for Y."""
+    c, eval_value = _c_poly(f), Poly.eval_value
+    monkeypatch.setattr(Poly, "eval_value", lambda g, v: F.add(eval_value(g, v), offset) if g == c else eval_value(g, v))
+
+
 @pytest.mark.parametrize("F", [GF(3), GF(5)], ids=["GF3", "GF5"])
 def test_relation_check_errors_name_their_family_stage(F, monkeypatch):
     """The relation check raises at the off-f stage, with the CLI line that
-    rebuilds that module; the on-f module, whose relations follow from
-    p_i | f, X scalar and q(Y) = 0, does not run it and still builds with
-    the check made to fail."""
+    rebuilds that module, when c(a) is read off by one; the on-f module,
+    whose relations follow from p_i | f, X scalar and q(Y) = 0, does not
+    evaluate c and still builds with the fault in place."""
     f = Poly(F, (1, 1)) ** 2 * Poly.x(F)
     off_argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--xi", "1", "--rho", "2"]
     on_argv = ["simple-module", "--field", repr(F), "--f", repr(f), "--pi", "x + 1", "--q", "y + 2"]
     good_off, good_on = cli.run(off_argv), cli.run(on_argv)
     assert good_off[0] == good_on[0] == 0
-    monkeypatch.setattr(modules_spectra, "is_scalar_mat", lambda *args: False)
-    with pytest.raises(InternalCheckError, match=r"^stage=off_f.relations: z1 = x\^p does not act") as info:
+    _corrupt_c(monkeypatch, F, f)
+    with pytest.raises(InternalCheckError, match=r"^stage=off_f.relations: YX - XY != f\(X\) on the last column") as info:
         simple_module_off_f(f, 1, 2)
     on = simple_module_on_f(f, Poly(F, (1, 1)), Poly(F, (2, 1)))
     monkeypatch.undo()
@@ -557,8 +561,9 @@ def test_on_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
 @pytest.mark.parametrize("F", [GF(3), GF(13), GF(3, 2)], ids=["GF3", "GF13", "GF3_2"])
 def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     """A corrupted closed-form table fails the comparison with the table
-    re-derived from the defining relation, and a failed certificate names its own stage; both
-    messages end with a CLI line that rebuilds the module."""
+    re-derived from the defining relation, and a corrupted c(a) fails the
+    last relation column at its own stage; both messages end with a CLI line
+    that rebuilds the module."""
     f = Poly.from_values(F, (2, 0, 1, 1))
     xi = next(v for v in F.units() if f.eval_value(F.pth_root(v)) != 0)
     xi, rho = F.from_value(xi), F.from_value(F.q - 1)  # packed values, not ints mod p
@@ -577,11 +582,12 @@ def test_off_f_check_errors_name_stage_and_reproducer(F, monkeypatch):
     assert "\n" not in str(info.value)
     assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
 
-    monkeypatch.setattr(modules_spectra, "eigenline_certificate", lambda *args: False)
-    with pytest.raises(InternalCheckError, match=r"^stage=off_f\.simplicity: ") as info:
+    _corrupt_c(monkeypatch, F, f)
+    with pytest.raises(InternalCheckError, match=r"^stage=off_f\.relations: ") as info:
         simple_module_off_f(f, xi, rho)
     monkeypatch.undo()
-    assert info.value.stage == "off_f.simplicity"
+    assert info.value.stage == "off_f.relations"
+    assert "\n" not in str(info.value)
     assert _off_f_module_via(str(info.value)) == (good["X"], good["Y"])
 
 
@@ -692,26 +698,20 @@ def test_off_f_mutated_binomial_is_caught_or_harmless(F, monkeypatch):
 
 
 def test_relation_check_is_shared_by_both_families():
-    """The one relation check passes both families at their own central
+    """The full relation oracle passes both families at their own central
     characters and rejects a wrong z1, a wrong c and a wrong z2 target."""
     K = GF(5)
     off = simple_module_off_f(Poly(K, (1, 1, 1)), 2, 3)
     on = simple_module_on_f(Poly(K, (1, 1)) ** 2, Poly(K, (1, 1)), Poly(K, (2, 0, 1)))
     c_off = _c_poly(off.f).eval_value(K.pth_root(2))
     z2_on = mat_sub(K, mat_pow(K, on.Y, 5), mat_scale(K, on.Y, _c_poly(on.f).eval_value(4)))
-
-    def error(stage, msg):
-        return InternalCheckError(msg, stage)
-
     for spec, z1, c, z2 in (
         (off, 2, c_off, mat_scale(K, mat_id(K, 5), 3)),
         (on, K.pow(4, 5), _c_poly(on.f).eval_value(4), z2_on),
     ):
-        modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, z1, c, z2, error, "any.stage")
+        assert relations_hold(K, spec.f, spec.X, spec.Y, z1, c, z2)
         for bad in ((K.add(z1, 1), c, z2), (z1, K.add(c, 1), z2), (z1, c, mat_add(K, z2, mat_id(K, spec.dim)))):
-            with pytest.raises(InternalCheckError) as info:
-                modules_spectra._check_relations(K, spec.f, spec.X, spec.Y, *bad, error, "any.stage")
-            assert info.value.stage == "any.stage"
+            assert not relations_hold(K, spec.f, spec.X, spec.Y, *bad)
 
 
 def test_off_f_distinct_characters_separate_modules():
@@ -1090,24 +1090,6 @@ def test_spectrum_points_match_the_pair_walk_and_the_mobius_count(p, m):
             n_t = {t: (q**t - sum(u.degree for u in factors if t % u.degree == 0)) * q**t for t in range(1, j + 1)}
             count = sum(_mobius(j // t) * n_t[t] for t in n_t if j % t == 0)
             assert count % j == 0 and sum(pt[0] == j for pt in want) == count // j
-
-
-@pytest.mark.parametrize("F", [GF(3), GF(2, 2)], ids=["GF3", "GF2_2"])
-def test_spectrum_normality_error_names_stage_and_reproducer(F, monkeypatch):
-    """A factor list with a factor that is not normal fails with its stage
-    and a one-line CLI call that repeats the spectrum."""
-    f = Poly.from_values(F, (1, 1, 1))
-    good = cli.run(["spectrum", "--field", repr(F), "--f", repr(f), "--degree-bound", "2"])
-    assert good[0] == 0
-    monkeypatch.setattr(modules_spectra, "factor_into_irreducibles", lambda g: [(Poly.x(F) + 1, 1)])
-    with pytest.raises(InternalCheckError, match=r"^stage=spectrum\.normality: ") as info:
-        spectrum(f, 2)
-    monkeypatch.undo()
-    assert info.value.stage == "spectrum.normality"
-    assert "\n" not in str(info.value)
-    argv = shlex.split(str(info.value).split("reproduce: ", 1)[1])
-    assert argv[:2] == ["orecalc", "spectrum"]
-    assert cli.run(argv[1:]) == good
 
 
 def test_spectrum_validation():
