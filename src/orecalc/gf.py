@@ -79,15 +79,24 @@ SPECTRUM_PAIR_CAP = 1 << 26
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the first 13 prime bases, exact below 3.317 * 10^24
+    (J. Sorenson and J. Webster, Math. Comp. 86, 2017).  Above that bound a
+    composite may pass; it is then past the characteristic cap, so with the
+    default caps only which refusal message prints can differ."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -571,7 +580,8 @@ def GF(p: int, m: int = 1, modulus=None, *, p_cap: int | None = None, q_cap: int
         raise DomainError("extension degree must be >= 1")
     if p > (p_cap if p_cap is not None else DEFAULT_P_CAP):
         raise DomainError(f"characteristic {p} exceeds the configured cap")
-    if p**m > (q_cap if q_cap is not None else DEFAULT_Q_CAP):
+    q_cap = q_cap if q_cap is not None else DEFAULT_Q_CAP
+    if m >= q_cap.bit_length() or p**m > q_cap:  # p^m >= 2^m: no huge power is built
         raise DomainError(f"field size {p}^{m} exceeds the configured cap")
     if modulus is None:
         mod = canonical_modulus(p, m)
@@ -882,12 +892,12 @@ class TowerLevel:
             self.pows = tuple(ext.pow(self.gen_img, i) for i in range(j))
             self._solver = None
             return
-        from .poly import Poly, split_roots
+        from .poly import Poly, split_equal_degree
 
         def error(msg: str) -> InternalCheckError:  # no CLI call builds a given level
             return InternalCheckError(f"{msg}: level {j} of tower_over({field_spec(tower.base)}, {ext.m})", "gf.tower")
 
-        roots = split_roots(Poly(ext, desc.modulus), 1)
+        roots = [ext.neg(u.c[0]) for u in split_equal_degree(Poly(ext, desc.modulus), 1)]
         if len(roots) != j:
             raise error("embedding root count mismatch")
         self.gen_img = min(roots)

@@ -42,6 +42,11 @@ from .ore import OreAlgebra, OreElement
 from .poly import Poly
 
 _MAX_EXPONENT = 10**5
+# Longest integer literal read.  No number the grammar takes needs more:
+# exponents stop at _MAX_EXPONENT, field sizes at the q cap, and other
+# integers reduce mod p; it keeps int() and the prime-power test of a field
+# spec to microseconds.
+_MAX_DIGITS = 100
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -85,6 +90,8 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise ParseError(f"integer literal exceeds the supported {_MAX_DIGITS} digits", text, i)
             tokens.append(_Token("INT", int(text[i:j]), i))
             i = j
             continue
@@ -280,22 +287,17 @@ def _pack_digits(field: FieldDesc, digits: list[int], parser: _Parser, pos: int)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Factors q as p^m for prime p, or raises DomainError."""
-    if q < 2:
-        raise DomainError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1
-        if q % p:
-            continue
-        m = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        if rest != 1 or not is_prime(p):
-            raise DomainError(f"{q} is not a prime power")
-        return p, m
+    """Factors q as p^m for prime p, or raises DomainError.  The largest m
+    with q a perfect m-th power gives the least root, which is no perfect
+    power itself, so q is a prime power exactly when that root is prime."""
+    for m in range(q.bit_length() - 1, 0, -1):
+        r = 1 << -(-q.bit_length() // m)  # above the m-th root; Newton's steps fall to its floor
+        while (s := ((m - 1) * r + q // r ** (m - 1)) // m) < r:
+            r = s
+        if r**m == q:
+            if is_prime(r):
+                return r, m
+            break
     raise DomainError(f"{q} is not a prime power")
 
 

@@ -21,22 +21,20 @@ Gathen and J. Gerhard, Modern Computer Algebra, ch. 14):
   part of radical(f) still unsplit; roots_in_ext without parts stops those
   steps at the degree of the extension, and is_irreducible (Rabin) takes
   x^(q^k) the same way;
-- split_roots splits a part lifted to the extension F_Q, Q = p^m, by
-  equal-degree splitting (Cantor-Zassenhaus): for h = a x + b,
-  h^(p^i) = a^(p^i) x^(p^i) + b^(p^i) with x^(p^i) from the p-power steps,
-  so the trace (p = 2) is a sum and h^((Q-1)/2) = N(h)^((p-1)/2) takes
-  m - 1 products; a root r found brings its conjugates r^q, q = |base|;
 - split_equal_degree splits a part whose factors have one degree d over
-  F_q itself, by h^((q^d-1)/2) for odd q and by the trace from the 2-power
-  steps for q = 2^k, for the spectrum's factorization over K.
+  its field F_Q, Q = p^m (Cantor-Zassenhaus), by the trace (p = 2) or the
+  norm (odd p) of a random h from the md - 1 p-power steps: roots_in_ext
+  lifts the parts with d | [L:K] to L and splits them into linear factors,
+  factor_into_irreducibles splits every part over K itself.
 
-Each fact is checked once: split_roots evaluates its roots in the part it
-splits and counts them, and a part divides radical(f), so roots_in_ext does
-not evaluate f again; roots_with_multiplicity rebuilds f from the root
-multiset, which also checks the multiplicities and the splitting field
-(the eigengroup needs only the distinct roots).  A failed check raises
-InternalCheckError at stage poly.ddf, poly.split, poly.roots or poly.peel,
-naming f and its field.  poly_pow_mod runs on the same kernel.
+Each fact is checked once: split_equal_degree counts the factors it finds
+against the degree of the part and evaluates each root in it, and a part
+divides radical(f), so roots_in_ext does not evaluate f again;
+roots_with_multiplicity rebuilds f from the root multiset, which also
+checks the multiplicities and the splitting field (the eigengroup needs
+only the distinct roots).  A failed check raises InternalCheckError at
+stage poly.ddf, poly.split, poly.roots or poly.peel, naming f and its
+field.  poly_pow_mod runs on the same kernel.
 """
 
 from __future__ import annotations
@@ -733,9 +731,9 @@ def roots_with_multiplicity(f: Poly, tower: FieldTower | None = None) -> RootMul
     """Exact root multiset of f over (a tower splitting) f.
 
     The distinct roots come from roots_in_ext, the multiplicities from
-    repeated exact division, the first taken as exact: split_roots has
-    evaluated each root.  The tower comes from checked_splitting_tower.  The
-    one check is the reconstruction: lc(f) times the product of
+    repeated exact division, the first taken as exact: split_equal_degree
+    has evaluated each root.  The tower comes from checked_splitting_tower.
+    The one check is the reconstruction: lc(f) times the product of
     (x - r)^m must be f lifted, which also fails on a root that is none and
     on a tower that does not split f (the product then falls short of the
     degree).  Nothing is cached, and f is split into distinct-degree parts
@@ -773,9 +771,10 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
     f is over the tower base; the extension need not split f, only the roots
     that happen to lie in it are returned.  An irreducible factor of degree d
     has its roots in the extension exactly when d divides n = M/k, and the
-    parts with d | n are lifted and split by split_roots.  parts, when
-    given, is distinct_degree_parts(f); without parts, the distinct-degree
-    steps stop at d = n, or sooner once radical(f) is used up.
+    parts with d | n are lifted and split into linear factors by
+    split_equal_degree.  parts, when given, is distinct_degree_parts(f);
+    without parts, the distinct-degree steps stop at d = n, or sooner once
+    radical(f) is used up.
     """
     if f.field is not tower.base:
         raise DomainError("polynomial is not over the tower base")
@@ -783,54 +782,68 @@ def roots_in_ext(f: Poly, tower: FieldTower, parts=None) -> list[int]:
         raise DomainError("roots of the zero polynomial")
     if f.is_constant():
         return []
-    n = tower.M // tower.k
+    n, L = tower.M // tower.k, tower.ext
     roots = []
     for d, gd in _degree_parts(radical(f), n) if parts is None else parts:
         if n % d == 0:
-            roots += split_roots(lift_poly(gd, tower), tower.k)
+            roots += (L.neg(u.c[0]) for u in split_equal_degree(lift_poly(gd, tower), 1))
     return sorted(roots)
 
 
-def split_roots(g: Poly, k: int) -> list[int]:
-    """Sorted roots of a monic g that is a product of distinct linear factors
-    over its field F_Q, Q = p^m, with its coefficients in F_{p^k}.
+def split_equal_degree(g: Poly, d: int) -> list[Poly]:
+    """The monic irreducible factors of a monic g over its field F_Q, Q =
+    p^m, that is a product of distinct irreducibles of degree d, unsorted;
+    for d = 1 they are the x - r for the roots r of g.
 
-    Equal-degree splitting: a random h = a*x + b (a != 0) splits g by
-    gcd(g, h^((Q-1)/2) - 1) for odd p and by the trace
-    gcd(g, sum_{i<m} h^(p^i) mod g) for p = 2.  a is random because for
-    p = 2 the trace of x + b is constant on Frobenius orbits of roots; b is
-    random in all of F_Q because a b in a subfield never separates its
-    conjugates.  Each factor u keeps x^(p^i) mod u, i < m, from the p-power
-    Frobenius steps of F_Q[x]/(u), so h^(p^i) = a^(p^i) x^(p^i) + b^(p^i)
-    costs no product: the trace is their sum, and h^((Q-1)/2) =
-    N(h)^((p-1)/2) with N(h) = h h^p ... h^(p^(m-1)) takes m - 1 products.
-    The smaller factor of a split is split first, and a linear factor x - r
-    gives r with its orbit under r -> r^(p^k), roots of g as well; the split
-    stops once deg g roots are known, so an irreducible over F_{p^k} needs
-    one descent to a single root.  The generator is local and seeded per
-    call; the output is sorted.
+    Equal-degree splitting (Cantor-Zassenhaus): a part u is split by
+    gcd(u, T(h)) with the trace T(h) = sum_{i < md} h^(p^i) for p = 2, or by
+    gcd(u, N(h)^((p-1)/2) - 1) with the norm N(h) = prod_{i < md} h^(p^i) =
+    h^((Q^d-1)/(p-1)) for odd p, about half the time for a random h.  Both
+    take md - 1 p-power Frobenius steps of F_Q[x]/(u), with the field's
+    Frobenius on the coefficients:
+    - for d = 1, h = a x + b is linear, so h^(p^i) = a^(p^i) x^(p^i) +
+      b^(p^i) costs no product once x^(p^i) mod u, 0 < i < m, is known,
+      taken once per part for every draw.  a is random because for p = 2
+      the trace of x + b is constant on Frobenius orbits of roots, and b
+      ranges over all of F_Q because a b in a subfield never separates
+      conjugates;
+    - for d > 1, h is random of degree < deg u and the steps run from h:
+      a linear h cannot be relied on, as for p = 2 its trace depends only
+      on the trace of a root down to F_Q.
+    The smaller part of a split is split first.  A factor found brings its
+    conjugates under a -> a^(p^k) on the coefficients, F_{p^k} the smallest
+    field holding those of g, and the split stops once the factors account
+    for deg g, so an irreducible over F_{p^k} needs one descent to a single
+    factor.  The factors are counted against deg g and, for d = 1, each
+    root is evaluated in g; a failure raises InternalCheckError at stage
+    poly.split.  The generator is local and seeded per call.
     """
+    if g.degree == d:  # one factor, and for d = 1 a root of g by its form
+        return [g]
     F, rng = g.field, random.Random(0)
-    p, m = F.p, F.m
-    out, todo = set(), [g]
-    while todo and len(out) < g.degree:
+    p, steps = F.p, F.m * d - 1
+    k = next(k for k in divisors(F.m) if all(F.frob(c, k) == c for c in g.c))
+    found, todo = {}, [g]  # factors by coefficients, in the order found
+    while todo and len(found) * d < g.degree:
         u = todo.pop()
-        if u.degree == 1:
-            r = F.neg(u.c[0])
-            while r not in out:
-                out.add(r)
-                r = F.frob(r, k)
+        if u.degree == d:
+            while u.c not in found:
+                found[u.c] = u
+                u = Poly.from_values(F, (F.frob(c, k) for c in u.c))
             continue
         ring = _Residues(u)
-        xs = list(islice(ring.frobenius(p, F.frob, steps=m - 1), m - 1))  # x^(p^i) mod u, 0 < i < m
+        if d == 1:
+            xs = list(islice(ring.frobenius(p, F.frob, steps=steps), steps))  # x^(p^i) mod u, 0 < i < m
         for _ in range(64):  # failed draws in a row before the split is declared faulty
-            b, a = rng.randrange(F.q), rng.randrange(1, F.q)
-            s = ring.residue((b, a))  # h
-            for xi in xs:  # h^(p^i) = a^(p^i) x^(p^i) + b^(p^i)
-                a, b = F.frob(a), F.frob(b)
-                t = [F.mul(a, c) for c in xi]
-                t[0] = F.add(t[0], b)
-                s = [F.add(c, d) for c, d in zip(s, t)] if p == 2 else ring.mul(s, t)
+            if d == 1:
+                b, a = rng.randrange(F.q), rng.randrange(1, F.q)
+                h, images = ring.residue((b, a)), _linear_images(F, a, b, xs)
+            else:
+                h = [rng.randrange(F.q) for _ in range(u.degree)]
+                images = islice(ring.frobenius(p, F.frob, h=h, steps=steps), steps)
+            s = h
+            for t in images:  # h^(p^i), 0 < i < md: packed values add by XOR for p = 2
+                s = [c ^ e for c, e in zip(s, t)] if p == 2 else ring.mul(s, t)
             if p != 2:
                 s = ring.pow(s, (p - 1) // 2)
                 s[0] = F.sub(s[0], 1)
@@ -841,48 +854,19 @@ def split_roots(g: Poly, k: int) -> list[int]:
                 break
         else:
             raise _check_error("poly.split", g, "equal-degree splitting found no split")
-    if len(out) != g.degree or any(g.eval_value(r) for r in out):
-        raise _check_error("poly.split", g, "split roots do not account for the degree")
-    return sorted(out)
-
-
-def split_equal_degree(g: Poly, d: int) -> list[Poly]:
-    """The monic irreducible factors of a monic g over F_q that is a product
-    of distinct irreducibles of degree d, unsorted.
-
-    Equal-degree splitting over F_q itself (Cantor-Zassenhaus): each factor
-    is a field F_{q^d}, on which a random residue h of degree < deg u takes
-    a random value, so gcd(u, h^((q^d-1)/2) - 1) for odd q, or gcd(u, T(h))
-    with the trace T(h) = sum_{i < kd} h^(2^i) for q = 2^k, is a proper
-    factor of u about half the time.  The 2-power steps are those of
-    _Residues.frobenius with the field's Frobenius on the coefficients.
-    The generator is local and seeded per call.
-    """
-    F, rng = g.field, random.Random(0)
-    out, todo = [], [g]
-    while todo:
-        u = todo.pop()
-        n = u.degree
-        if n == d:
-            out.append(u)
-            continue
-        ring = _Residues(u)
-        for _ in range(64):  # failed draws in a row before the split is declared faulty
-            h = [rng.randrange(F.q) for _ in range(n)]
-            if F.p == 2:
-                s, steps = h, F.m * d - 1
-                for t in islice(ring.frobenius(2, F.frob, h=h, steps=steps), steps):
-                    s = [a ^ b for a, b in zip(s, t)]
-            else:
-                s = ring.pow(h, (F.q**d - 1) // 2)
-                s[0] = F.sub(s[0], 1)
-            w = u.gcd(Poly.from_values(F, s))
-            if 0 < w.degree < n:
-                todo += [w, u // w]
-                break
-        else:
-            raise _check_error("poly.split", g, "equal-degree splitting found no split")
+    out = list(found.values())
+    if len(out) * d != g.degree or (d == 1 and any(g.eval_value(F.neg(u.c[0])) for u in out)):
+        raise _check_error("poly.split", g, "split factors do not account for the degree")
     return out
+
+
+def _linear_images(F: FieldDesc, a: int, b: int, xs):
+    """h^(p^i) for h = a x + b, from xs[i - 1] = x^(p^i) mod u."""
+    for xi in xs:
+        a, b = F.frob(a), F.frob(b)
+        t = [F.mul(a, c) for c in xi]
+        t[0] = F.add(t[0], b)
+        yield t
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ lambda_n^n = 1 instead of checking it.  shift_space_oracle tries every
 pairwise root difference against the root multiset, where
 eigengroup.shift_space reads V from the gcd of the shift equations.
 assert_record_semantics checks the value semantics of a result record.
+is_prime_oracle and prime_power_oracle are the former trial-division
+primality and prime-power tests of field specs.
 The off-f module checks that simple_module_off_f proves instead of running
 live here: relations_hold multiplies out every relation, and
 eigenline_certificate checks the three conditions of simplicity, with the
@@ -351,6 +353,33 @@ def split_roots_oracle(g: Poly, seed: int = 0) -> list[int]:
                 todo += [w, u // w]
                 break
     return sorted(out)
+
+
+def is_prime_oracle(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1 if d == 2 else 2
+    return True
+
+
+def prime_power_oracle(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m and p prime, by trial division for the least
+    prime factor p; None when q is no prime power."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    p = p if q % p == 0 else q
+    m = 0
+    while q % p == 0:
+        q, m = q // p, m + 1
+    return (p, m) if q == 1 else None
 
 
 def verify_fp_subspace(field: FieldDesc, values) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -558,13 +559,37 @@ def _fuzz_queries(rng, F, spec, degrees):
         yield [command, *args]
 
 
+# field specs and literals past every bound: trial division of a 19-digit
+# prime, a power 3^(10^8) built before the cap check, and int() past 4,300
+# digits each kept one process running or made it exit 2
+OVERSIZED = [
+    ("GF(1000000000000000003)", "characteristic 1000000000000000003 exceeds the configured cap"),
+    ("GF(1000000000000000003^2)", "characteristic 1000000000000000003 exceeds the configured cap"),
+    ("GF(3^100000000)", "field size 3^100000000 exceeds the configured cap"),
+    ("GF(" + "9" * 5000 + ")", "integer literal exceeds the supported 100 digits at column 4"),
+]
+OVERSIZED_QUERIES = [["centre", "--field", spec, "--f", "x"] for spec, _ in OVERSIZED]
+OVERSIZED_QUERIES.append(["centre", "--field", "GF(2)", "--f", "x^" + "9" * 5000])
+
+
+@pytest.mark.parametrize("args", OVERSIZED_QUERIES, ids=["prime", "prime_power", "power", "digits", "exponent"])
+def test_oversized_specs_are_refused_at_once(args):
+    """Each oversized field spec or literal exits 1 within a second of CPU
+    time, with the message the unbounded run would have printed."""
+    message = dict(OVERSIZED).get(args[2], "integer literal exceeds the supported 100 digits at column 3")
+    start = time.process_time()
+    code, out = run(args)
+    assert time.process_time() - start < 1
+    assert code == 1 and out.startswith(f"error: {message}"), out
+
+
 # torus pairs over GF(2^20) that listed all 2^20 - 1 matches (13.5 s and 130 s)
 TORUS_2_20 = [["isomorphic", "--field", "GF(2^20)", "--f", f, "--g", g]
               for f, g in (("x", "x+1"), ("x^2", "x^2+1"))]
 
 
 @pytest.mark.parametrize("p,m,degrees,fixed", [
-    (2, 1, (1, 2, 3, 4), []), (7, 1, (1, 2, 3, 7), []), (3, 2, (1, 2, 3, 6), []),
+    (2, 1, (1, 2, 3, 4), OVERSIZED_QUERIES), (7, 1, (1, 2, 3, 7), []), (3, 2, (1, 2, 3, 6), []),
     (2, 3, (2, 3, 4), []), (2, 20, (1, 2, 3, 4), TORUS_2_20),
 ], ids=["GF2", "GF7", "GF9", "GF8", "GF2_20"])
 def test_isomorphism_queries_exit_cleanly(p, m, degrees, fixed):
@@ -632,7 +657,7 @@ def _check_site(site, monkeypatch):
         monkeypatch.setattr(gf, "_FIELD_CACHE", {})  # so that the CLI call builds its fields again
         return lambda: FieldDesc(3, 2, mod), "gf.generator", "centre", True
     if site == "tower_roots":
-        monkeypatch.setattr(poly_mod, "split_roots", lambda g, k: [])
+        monkeypatch.setattr(poly_mod, "split_equal_degree", lambda g, d: [])
         return lambda: FieldTower(GF(2), 4).level(2), "gf.tower", None, False
     if site == "tower_basis":
         monkeypatch.setattr(gf, "Span", type("Flat", (gf.Span,), {"rank": 0}))

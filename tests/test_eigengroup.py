@@ -607,16 +607,16 @@ def p_divides_inputs(F, rng, count):
 def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeypatch):
     """With p | d1 = deg f1, shift_space(f1) is the pairwise oracle's V
     (and shift_space(f)'s), and a V = 0 input splits no root over L != K:
-    split_roots runs over K only once the tower has embedded K in L (built
-    beforehand), and the closure with n >= 2 has its centre nu in K (at the
-    built nu on A11 inputs).  The descent is brute force's group over K, and
+    split_equal_degree runs over K only once the tower has embedded K in L
+    (built beforehand), and the closure with n >= 2 has its centre nu in K
+    (at the built nu on A11 inputs).  The descent is brute force's group over K, and
     the closure is brute force's group over L wherever |L| <= 2^10."""
-    real_split = poly_mod.split_roots
+    real_split = poly_mod.split_equal_degree
     fields = []
 
-    def recording(g, k):
+    def recording(g, d):
         fields.append(g.field)
-        return real_split(g, k)
+        return real_split(g, d)
 
     rng = random.Random(2400 + F.q)
     kinds, past_k, over_l = [0] * 4, 0, 0
@@ -625,7 +625,7 @@ def test_p_dividing_deg_f1_decides_v_over_k_and_keeps_the_centre_in_k(F, monkeyp
         try:
             splitting_tower(f).level(F.m)
             fields.clear()
-            monkeypatch.setattr(poly_mod, "split_roots", recording)
+            monkeypatch.setattr(poly_mod, "split_equal_degree", recording)
             res = eigengroup(f)
         except DomainError as exc:
             assert "exceeds the configured cap" in str(exc)

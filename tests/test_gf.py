@@ -23,7 +23,7 @@ from orecalc.gf import (
 )
 from orecalc.gf import _unpack_int
 
-from oracles import subfield_values
+from oracles import is_prime_oracle, subfield_values
 
 ALL_FIELDS = []
 for p in (2, 3, 5, 7, 11, 13):
@@ -40,6 +40,38 @@ def test_small_number_theory():
     assert prime_factors(97) == [97]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_is_prime_matches_trial_division():
+    """Miller-Rabin on the first 13 prime bases agrees with trial division
+    on every n < 10^6 (by the sieve of Eratosthenes), on seeded n < 10^12,
+    on products of two primes near 10^6 and on strong pseudoprimes to the
+    first 4 and 12 bases.  The least strong pseudoprime to all 13 bases,
+    about 3.317 * 10^24, is where it stops being exact; GF refuses it as
+    past the cap rather than as composite."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (10**6 - 2)
+    for i in range(2, 1001):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 10**6, i)))
+    assert [n for n in range(10**6) if is_prime(n)] == [n for n in range(10**6) if sieve[n]]
+    rng = random.Random(41)
+    near = [999953, 999959, 999961, 999979, 999983]
+    cases = [rng.randrange(10**12) for _ in range(300)] + [a * b for a in near for b in near]
+    cases += [3215031751, 2152302898747, 318665857834031151167461]
+    assert [is_prime(n) for n in cases] == [is_prime_oracle(n) for n in cases[:-1]] + [False]
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521 and is_prime(psi13)
+    with pytest.raises(DomainError, match=f"^characteristic {psi13} exceeds the configured cap"):
+        GF(psi13)
+
+
+def test_field_size_cap_is_checked_before_the_power():
+    """m past the bit length of the q cap is refused without computing p^m."""
+    with pytest.raises(DomainError, match="^field size 2\\^21 exceeds"):
+        GF(2, 21)
+    with pytest.raises(DomainError, match="^field size 3\\^10000000000 exceeds"):
+        GF(3, 10**10)
+    assert GF(2, 20, q_cap=1 << 20).q == 1 << 20
 
 
 def test_constructor_validation():

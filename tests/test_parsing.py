@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orecalc.errors import ParseError
+from orecalc.errors import DomainError, ParseError
 from orecalc.gf import GF, canonical_modulus
 from orecalc.ore import OreAlgebra
 from orecalc.parsing import (
@@ -19,7 +19,10 @@ from orecalc.parsing import (
     parse_ore,
     parse_poly,
 )
+from orecalc.parsing import _prime_power
 from orecalc.poly import Poly
+
+from oracles import prime_power_oracle
 
 
 def test_parse_field_forms():
@@ -49,6 +52,24 @@ def test_parse_field_errors():
         parse_field("GF(4, mod=1,1)")  # wrong degree
     with pytest.raises(ParseError):
         parse_field("GF(4, foo=1,1,1)")
+
+
+def test_prime_power_matches_trial_division():
+    """_prime_power (integer m-th roots) equals trial division for the least
+    prime factor, on every q < 3000, on seeded q < 10^9 and on seeded p^m
+    and p^m r."""
+    rng = random.Random(29)
+    primes = [2, 3, 5, 7, 13, 31, 97, 65537, 999983]
+    cases = list(range(-2, 3000)) + [rng.randrange(10**9) for _ in range(500)]
+    for _ in range(200):
+        p, r, m = rng.choice(primes), rng.choice(primes), rng.randint(1, 12)
+        cases += [p**m, p**m * r]
+    for q in cases:
+        try:
+            got = _prime_power(q)
+        except DomainError:
+            got = None
+        assert got == prime_power_oracle(q), q
 
 
 def test_parse_element():

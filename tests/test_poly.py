@@ -1,7 +1,7 @@
 """Polynomial algebra: arithmetic, roots, decompositions, additive f_V."""
 
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -31,7 +31,6 @@ from orecalc.poly import (
     space_basis,
     splitting_degree,
     split_equal_degree,
-    split_roots,
     splitting_tower,
 )
 
@@ -197,12 +196,17 @@ def test_distinct_degree_parts_match_the_oracle(p, m):
         assert distinct_degree_parts(f) == distinct_degree_parts_oracle(f)
 
 
+def _split_roots(g):
+    """The sorted roots of g from its linear factors by split_equal_degree."""
+    return sorted(g.field.neg(u.c[0]) for u in split_equal_degree(g, 1))
+
+
 @pytest.mark.parametrize("p,m", _KERNEL_FIELDS)
 def test_split_roots_match_the_oracle(p, m):
-    """split_roots against splitting by the (Q-1)/2-th power (or the trace
-    for p = 2), on products of distinct linear factors over F_Q; over a
-    tower, on lifted inputs whose root orbits under r -> r^(p^k) are read
-    off one root each."""
+    """split_equal_degree into linear factors against splitting by the
+    (Q-1)/2-th power (or the trace for p = 2), on products of distinct
+    linear factors over F_Q; over a tower, on lifted inputs whose root
+    orbits under r -> r^(p^k) are read off one root each."""
     rng = random.Random(p * 1000 + m + 2)
     F = GF(p, m)
     for n in (1, 2, 3, 6):
@@ -210,7 +214,7 @@ def test_split_roots_match_the_oracle(p, m):
         g = Poly.one(F)
         for r in set(roots):
             g = g * Poly.from_values(F, (F.neg(r), 1))
-        assert split_roots(g, m) == split_roots_oracle(g) == sorted(set(roots))
+        assert _split_roots(g) == split_roots_oracle(g) == sorted(set(roots))
     if m > 1:
         k = next(k for k in range(m - 1, 0, -1) if m % k == 0)
         tw = tower_over(GF(p, k), m)
@@ -219,19 +223,7 @@ def test_split_roots_match_the_oracle(p, m):
         for e in sorted({1, m // k}):
             f = f * _random_irreducible(rng, K, e)
         g = lift_poly(f, tw)
-        assert split_roots(g, k) == split_roots_oracle(g) == roots_in_ext(f, tw)
-
-
-def test_split_roots_refuse_a_wrong_base_degree():
-    """Orbits under r -> r^p are roots only when g is defined over F_p: a
-    factor with a root outside F_p is caught by the evaluation check."""
-    F = GF(3, 2)
-    t = F.gen.val
-    g = Poly.from_values(F, (F.neg(t), 1)) * Poly.from_values(F, (F.neg(1), 1))  # (x - t)(x - 1)
-    assert split_roots(g, 2) == sorted({1, t})
-    with pytest.raises(InternalCheckError, match="^stage=poly.split: split roots do not account") as info:
-        split_roots(g, 1)
-    assert info.value.stage == "poly.split"
+        assert _split_roots(g) == split_roots_oracle(g) == roots_in_ext(f, tw)
 
 
 def test_roots_in_ext_without_parts_match_the_parts(split_calls):
@@ -408,8 +400,8 @@ def test_power_table_takes_x_to_the_q_from_the_first_step(monkeypatch):
 def test_known_frobenius_steps_build_the_table_at_once(monkeypatch):
     """Rabin's test on a degree-12 irreducible over GF(13^2) takes all 12
     q-power steps, so the table is built after x^q and nothing is powered;
-    so is the p-power table of split_roots over GF(13^4), whose 3 steps
-    save more than its 3 products cost."""
+    so is the p-power table of the linear split over GF(13^4), whose 3
+    steps save more than its 3 products cost."""
     rng = random.Random(47)
     F, L = GF(13, 2), GF(13, 4)
     g = _random_irreducible(rng, F, 12)
@@ -424,7 +416,7 @@ def test_known_frobenius_steps_build_the_table_at_once(monkeypatch):
     assert steps == [(F.q, 12)] * 12 and tables == [(F.q, 12)] and powered == []
     steps.clear()
     tables.clear()
-    assert split_roots(u, 4) == split_roots_oracle(u)
+    assert _split_roots(u) == split_roots_oracle(u)
     assert (13, 5) in tables and 13 not in powered
 
 
@@ -570,7 +562,7 @@ def test_poly_check_errors_name_stage_field_and_input(stage, monkeypatch):
     elif stage == "poly.split":  # h = x never splits (x - 1)(x - 4): both roots are squares
         g = (x - 1) * (x - 4)
         monkeypatch.setattr(poly_mod, "random", type("Draws", (), {"Random": _FixedDraws}))
-        run, text = lambda: split_roots(g, 1), "equal-degree splitting found no split"
+        run, text = lambda: split_equal_degree(g, 1), "equal-degree splitting found no split"
     elif stage == "poly.roots":  # a claimed root that is none fails the reconstruction
         g = x**2 * (x - 1)
         real = poly_mod.roots_in_ext
@@ -927,6 +919,83 @@ def test_split_equal_degree_finds_every_factor(p, m):
             g = g * u
         got = split_equal_degree(g, d)
         assert sorted(u.c for u in got) == sorted(u.c for u in irr)
+
+
+@pytest.mark.parametrize("p,m,d", [(2, 4, 2), (2, 4, 3), (3, 2, 2), (3, 2, 3)])
+def test_split_equal_degree_brings_conjugates_from_a_subfield(p, m, d):
+    """g over F_Q, Q = p^m, with coefficients in F_p: a product of
+    irreducibles over F_p of degree n d with gcd(n d, m) = n, each of which
+    splits over F_Q into n conjugate factors of degree d under a -> a^p (and,
+    when gcd(d, m) = 1, one of degree d, which stays irreducible).  The
+    factors found, conjugates included, are the irreducibles of degree d
+    over F_Q that divide g, from the listing of all monic polynomials."""
+    rng = random.Random(100 * p + 10 * m + d)
+    F, Fp = GF(p, m), GF(p)
+    n = max(n for n in divisors(m) if gcd(n * d, m) == n)
+    irr = {_random_irreducible(rng, Fp, n * d).c for _ in range(2)}
+    if gcd(d, m) == 1:
+        irr.add(_random_irreducible(rng, Fp, d).c)
+    g = Poly.one(F)
+    for c in irr:
+        g = g * Poly(F, c)
+    got = split_equal_degree(g, d)
+    listed = [u for u in monic_polys(F, d) if (g % u).is_zero() and is_irreducible_oracle(u)]
+    assert sorted(u.c for u in got) == sorted(u.c for u in listed) and len(got) * d == g.degree
+    assert any(F.frob(c) != c for u in got for c in u.c)  # some factor lies outside F_p[x]
+
+
+def test_split_equal_degree_lifted_parts_below_k_match_the_oracle():
+    """Linear factors of parts over K = GF(3^2) and GF(2^2) whose
+    coefficients lie in F_p, lifted to L: their roots come in orbits under
+    r -> r^p, and equal split_roots_oracle's and roots_in_ext's."""
+    rng = random.Random(61)
+    for p, k, M in [(3, 2, 4), (2, 2, 6), (3, 2, 6)]:
+        tw = tower_over(GF(p, k), M)
+        K, Fp = tw.base, GF(p)
+        f = Poly.one(K)
+        for e in (1, 2, M):
+            f = f * Poly(K, _random_irreducible(rng, Fp, e).c)
+        for d, gd in distinct_degree_parts(f):
+            g = lift_poly(gd, tw)
+            assert _split_roots(g) == split_roots_oracle(g)
+        assert roots_in_ext(f, tw) == sorted(split_roots_oracle(lift_poly(radical(f), tw)))
+
+
+@pytest.mark.parametrize("p,m", [(13, 2), (5, 3)])
+def test_split_equal_degree_takes_the_norm_for_odd_p(p, m, monkeypatch):
+    """Over GF(13^2) and GF(5^3), products of distinct seeded irreducibles
+    of degree d = 1, 2, 3 split into exactly them, with no power past p:
+    the norm's p-power steps and its (p-1)/2-th power, never the
+    (q^d-1)/2-th power."""
+    rng = random.Random(p + m)
+    F = GF(p, m)
+    exponents = []
+    real_pow = poly_mod._Residues.pow
+    monkeypatch.setattr(poly_mod._Residues, "pow", lambda self, a, e: exponents.append(e) or real_pow(self, a, e))
+    for d in (1, 2, 3):
+        factors = {_random_irreducible(rng, F, d).c for _ in range(4)}
+        g = Poly.one(F)
+        for c in factors:
+            g = g * Poly.from_values(F, c)
+        assert sorted(u.c for u in split_equal_degree(g, d)) == sorted(factors)
+    assert exponents and max(exponents) <= p and (p - 1) // 2 in exponents
+
+
+def test_split_evaluation_catches_conjugates_that_are_no_roots(monkeypatch):
+    """Orbits under r -> r^p are roots only when g is defined over F_p:
+    with the subfield of g's coefficients misread as F_p, the first root
+    found, outside F_p, brings a conjugate that is no root, and the two
+    make up deg g, so only the evaluation in g refuses them."""
+    F = GF(3, 2)
+    t = F.gen.val
+    u = F.add(t, 1)
+    assert F.frob(t) != u and F.frob(u) != t
+    g = Poly.from_values(F, (F.neg(t), 1)) * Poly.from_values(F, (F.neg(u), 1))  # (x - t)(x - t - 1)
+    assert _split_roots(g) == sorted({t, u})
+    monkeypatch.setattr(poly_mod, "all", lambda checks: True, raising=False)  # every coefficient "in F_p"
+    with pytest.raises(InternalCheckError, match="^stage=poly.split: split factors do not account") as info:
+        split_equal_degree(g, 1)
+    assert info.value.stage == "poly.split"
 
 
 def test_equal_degree_split_failure_names_stage_field_and_input(monkeypatch):
