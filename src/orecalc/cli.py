@@ -283,7 +283,8 @@ def _cmd_inverse_group(args):
         realized = eigengroup(f).descend()
     except DomainError:
         # the splitting field of f is past the tower cap; the solve over K
-        # needs none (the descent stays first: it is the faster on large G)
+        # needs none (the descent stays first: on a large G_f(K) the solve
+        # splits two degree-q polynomials and lists the group to check it)
         realized = eigengroup_over_base(f)
     payload = {"f": format_poly(f), "group": realized.describe()}
     text = "\n".join(

@@ -54,10 +54,11 @@ Descent to a subfield F_{p^j} of L intersects V with the subfield and finds
 the minimal power of the cyclic generator that can be corrected into the
 subfield by a shift from V.  G_f(K) alone needs no splitting field:
 eigengroup_over_base reads it from the eigenpairs that solve_affine_matches
-finds over K, and the descent to K must give the same descriptor.
-Canonical choices throughout: nu is the packed minimum of its V-coset (at
-every level), lambda_n is the level field's own primitive_root_of_unity(n),
-bases are echelonized; identical inputs produce identical descriptors.  V
+finds over K, and the descent to K must give the same descriptor: both
+build it with _level_desc.  Canonical choices throughout: nu is the packed
+minimum of its V-coset (over L and at every level), lambda_n is the level
+field's own primitive_root_of_unity(n), bases are echelonized, the trivial
+group is finite with n = 1; identical inputs give identical descriptors.  V
 moves between the steps as its reduced echelon basis only; its values are
 listed where elements are (v_values of the descriptors, for elements() and
 the descent and variant-b scans); contains tests one pair against the
@@ -354,10 +355,6 @@ def _subgroup_pairs(F: FieldDesc, kind: str, nu: int = 0, n: int = 1, lam1: int 
     return sorted(pairs)
 
 
-def _trivial_desc(tower: FieldTower, level: int, over_closure: bool) -> EigengroupDesc:
-    return EigengroupDesc("finite", tower, level, over_closure, 0, 1, 1, ())
-
-
 # ---------------------------------------------------------------------------
 # Eigenforms
 # ---------------------------------------------------------------------------
@@ -559,15 +556,15 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
 
     if desc.kind == "torus":
         if tower.in_subfield(desc.nu, level):
-            return EigengroupDesc("torus", tower, level, False, lower(desc.nu), 0, 1, ())
-        return _trivial_desc(tower, level, False)
+            return _level_desc(tower, level, 0, 1, lower(desc.nu))
+        return _level_desc(tower, level, 1, 1, 0)
     if desc.kind == "full":
         raise InternalCheckError("full descriptors are a descent-side normal form only", "eigengroup.descend")
 
     vk_vals = tuple(v for v in desc.v_values() if tower.in_subfield(v, level))
     vk_basis = space_basis(lvl.desc, tuple(sorted(lower(v) for v in vk_vals)))
 
-    n_k, lam_k, nu_k = 1, 1, 0
+    n_k, lam_k, fixed = 1, 1, 0
     if desc.n > 1:
         span = Span(L.prime_field)
         vb = list(desc.v_basis)
@@ -588,16 +585,24 @@ def eigengroup_descend(desc: EigengroupDesc, level: int | None = None) -> Eigeng
                 raise InternalCheckError("descent shift correction left the subfield", "eigengroup.descend")
             n_k = desc.n // i2
             lam_k = primitive_root_of_unity(n_k, lvl.desc).val
-            nu_k = _coset_min(lvl.desc, lower(L.div(mu2, L.sub(1, lam2))), vk_basis)
+            fixed = lower(L.div(mu2, L.sub(1, lam2)))
             break
+    return _level_desc(tower, level, n_k, lam_k, fixed, vk_basis)
 
-    F = lvl.desc
-    if n_k == 1 and not vk_basis:
-        return _trivial_desc(tower, level, False)
-    out = EigengroupDesc("finite", tower, level, False, nu_k if n_k > 1 else 0, n_k, lam_k, vk_basis)
-    if len(vk_basis) == F.m and n_k == F.q - 1:
-        out = EigengroupDesc("full", tower, level, False, 0, n_k, lam_k, vk_basis)
-    return out
+
+def _level_desc(tower: FieldTower, level: int, n: int, lam: int, fixed: int, vk=()) -> EigengroupDesc:
+    """G_f over F_{p^level} in normal form: the torus T_fixed when n = 0,
+    else Sh_V x| <sigma_{lam,(1-lam)fixed}> (lam of order n, V spanned by
+    vk), "full" when that is every substitution and otherwise finite with
+    nu the packed minimum of fixed + V (0 when n = 1)."""
+    F = tower.level(level).desc
+    if n == 0:
+        kind, nu = "torus", fixed
+    elif len(vk) == F.m and n == F.q - 1:
+        kind, nu = "full", 0
+    else:
+        kind, nu = "finite", _coset_min(F, fixed, vk) if n > 1 else 0
+    return EigengroupDesc(kind, tower, level, False, nu, n, lam, vk)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +620,9 @@ def affine_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
     with lam^(d - j) = b_j / g_j, looked up in a table built once per call,
     are compared from the top coefficient down with early exit.  When
     g = g_d * x^d no coefficient involves lam, and every unit is a
-    candidate exactly when b = g.  This scan is the oracle: the brute-force
-    eigengroups run on it, and solve_affine_matches, which are_isomorphic
-    calls, must agree with it.
+    candidate exactly when b = g.  This scan is the oracle only:
+    eigengroup_bruteforce runs on it, and the tests hold
+    solve_affine_matches, which answers every other query, to it.
     """
     if f.field is not g.field:
         raise DomainError("polynomials over different fields")
@@ -653,9 +658,7 @@ def affine_matches(f: Poly, g: Poly, values=None) -> list[tuple[int, int]]:
     return out
 
 
-def eigengroup_bruteforce(
-    f: Poly, field: FieldDesc | None = None, *, cap: int = DEFAULT_BRUTE_CAP
-) -> list[AffineAut]:
+def eigengroup_bruteforce(f: Poly, *, cap: int = DEFAULT_BRUTE_CAP) -> list[AffineAut]:
     """All sigma_{lam,mu} over f's field with sigma(f) proportional to f.
 
     Exhaustive over mu in F (at most cap field elements), with lam in F^x
@@ -663,13 +666,10 @@ def eigengroup_bruteforce(
     for every structured computation.
     """
     _require_monic_nonscalar(f)
-    if field is None:
-        field = f.field
-    if field is not f.field:
-        raise DomainError("brute force runs over the coefficient field of f")
-    if field.q > cap:
-        raise DomainError(f"field of size {field.q} exceeds the brute-force cap {cap}")
-    return [AffineAut(field, l, m) for l, m in affine_matches(f, f)]
+    F = f.field
+    if F.q > cap:
+        raise DomainError(f"field of size {F.q} exceeds the brute-force cap {cap}")
+    return [AffineAut(F, l, m) for l, m in affine_matches(f, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +706,18 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
     of lam^t = prod_k (b_k(mu) / g_k)^(u_k): b_j(mu) / g_j alone when
     t = 1, and found once per right-hand side.  Every candidate is checked
     against all coefficients (those with g_k = 0 once per mu).  With no
-    such j (g = g_d x^d) G is the gcd of all b_k, whose roots are exactly
-    the matching mu, and every unit goes with each of them.
+    such j (g = g_d x^d) G is the gcd of all b_k (not 0: b_0 = f(mu)), whose
+    roots are exactly the matching mu, and every unit goes with each.
 
-    G = 0 puts every mu in K.  It happens for the torus kind (f = c(x - a)^d
-    and g = c(x - b)^d), and whenever every equation vanishes on K.  For
-    e = 1 the matches are then exactly (b_j(mu) / g_j, mu) with b_j(mu) != 0,
-    returned in closed form; for e > 1 this falls back to the scan,
-    affine_matches(f, g).  Degree below 1 matches every pair when f = g.
-    are_isomorphic and eigengroup_over_base read the torus kind off by
-    torus_centre before calling this.
+    G = 0, when every equation vanishes on K (the torus kind f = c(x - a)^d,
+    g = c(x - b)^d, and some f with deg f >= q), makes every mu in K a
+    candidate.  The one loop over the candidates is complete either way:
+    every match has mu in K and solves every equation, so its mu is a
+    candidate and its lam a root of lam^t = c; and every candidate is
+    checked against all coefficients, so nothing else is returned.  Degree
+    below 1 matches every pair when f = g.  are_isomorphic and
+    eigengroup_over_base read the torus kind off by torus_centre before
+    calling this.
     """
     if f.field is not g.field:
         raise DomainError("polynomials over different fields")
@@ -750,17 +752,11 @@ def solve_affine_matches(f: Poly, g: Poly) -> list[tuple[int, int]]:
         G = G.gcd(h)
         if G.degree == 0:
             return []
-    if G.is_zero():
-        if e > 1:
-            return affine_matches(f, g)
-        inv_gj = F.inv(gc[j])
-        lams = ((F.mul(b[j].eval_value(mu), inv_gj), mu) for mu in F.elements())
-        return sorted((lam, mu) for lam, mu in lams if lam)
     ks = [k for k in range(d - 1, -1, -1) if gc[k]]
     t, us = _bezout([d - k for k in ks])
     tower = tower_over(F, F.m)
     out, lams_of = [], {}
-    for mu in roots_in_ext(G, tower):
+    for mu in F.elements() if G.is_zero() else roots_in_ext(G, tower):
         if j is None:
             out += [(lam, mu) for lam in F.units()]
             continue
@@ -785,17 +781,18 @@ def eigengroup_over_base(f: Poly) -> EigengroupDesc:
     The torus kind f = (x - a)^d is T_a in closed form.  Otherwise
     G_f(K) = Sh_V x| C_n is exactly the list solve_affine_matches(f, f):
     V is spanned by the mu with lam = 1, n counts the distinct lam,
-    lambda_n is K's primitive_root_of_unity(n), and nu is the coset minimum
-    of the fixed point of its match, as in the descent.  The descriptor's
-    elements must be the solved list; otherwise InternalCheckError is
-    raised at stage aut.solve with the CLI line that repeats the query.
+    lambda_n is K's primitive_root_of_unity(n), and the fixed point of its
+    match goes to _level_desc, the normal form of the descent.  The
+    descriptor's elements must be the solved list; otherwise
+    InternalCheckError is raised at stage aut.solve with the CLI line that
+    repeats the query.
     """
     _require_monic_nonscalar(f)
     K = f.field
     tower = tower_over(K, K.m)
     a = torus_centre(f)
     if a is not None:
-        return EigengroupDesc("torus", tower, K.m, False, a, 0, 1, ())
+        return _level_desc(tower, K.m, 0, 1, a)
     matches = solve_affine_matches(f, f)
     mu_of = dict(matches)  # lam -> one of its mu; all share one fixed-point coset
     n = len(mu_of)
@@ -803,11 +800,8 @@ def eigengroup_over_base(f: Poly) -> EigengroupDesc:
     lam = primitive_root_of_unity(n, K).val if n and (K.q - 1) % n == 0 else None
     desc = None
     if lam in mu_of:
-        if len(vk) == K.m and n == K.q - 1:
-            desc = EigengroupDesc("full", tower, K.m, False, 0, n, lam, vk)
-        else:
-            nu = _coset_min(K, K.div(mu_of[lam], K.sub(1, lam)), vk) if n > 1 else 0
-            desc = EigengroupDesc("finite", tower, K.m, False, nu, n, lam, vk)
+        fixed = K.div(mu_of[lam], K.sub(1, lam)) if n > 1 else 0
+        desc = _level_desc(tower, K.m, n, lam, fixed, vk)
     if desc is None or [el.pair for el in desc.elements()] != matches:
         msg = "the solved eigenpairs are not the elements of a subgroup descriptor"
         raise _stage_error("aut.solve", f, msg, "aut-group")

@@ -179,7 +179,7 @@ class AutGroupDesc(namedtuple("AutGroupDesc", "algebra eigen")):
     def contains(self, phi: OreHom) -> bool:
         if phi.src != self.algebra or phi.dst != self.algebra:
             return False
-        return (phi.lam, phi.mu) in {a.pair for a in self.eigen.elements()}
+        return self.eigen.contains(phi.lam, phi.mu)
 
     def describe(self) -> dict:
         return {

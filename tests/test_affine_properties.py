@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import random
+import sys
 
 from orecalc.eigengroup import (
     SubgroupSpec,
@@ -25,9 +26,10 @@ from orecalc.eigengroup import (
 from orecalc.errors import DomainError
 from orecalc.gf import GF, primitive_root_of_unity
 from orecalc.lambda_aut import are_isomorphic, aut_group
+from orecalc.parsing import parse_field, parse_poly
 from orecalc.poly import Poly, exponent_decomp, lift_poly, radical, roots_with_multiplicity, splitting_tower
 
-from oracles import centre_hits, eigengroup_bruteforce_in_tower, shift_space_oracle, subfield_values
+from oracles import centre_hits, eigengroup_bruteforce_in_tower, monic_polys, shift_space_oracle, subfield_values
 
 # small enough for a q(q-1) loop of full compositions
 SCAN_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(13), GF(2, 2), GF(2, 3), GF(3, 2), GF(2, 4)]
@@ -192,7 +194,7 @@ def test_sign_flip_passes_the_mu_equations(F):
 def test_torus_pairs_collapse(F):
     """f = c(x - a)^d and g = c(x - b)^d leave no equation in mu (G = 0):
     the matches are (lam, a - b*lam) for every unit lam, both for p | d
-    (the scan fallback, e > 1) and for p not dividing d (closed form)."""
+    (e > 1) and for p not dividing d (e = 1)."""
     rng = random.Random(f"torus/{F.q}")
     for d in (1, 2, 3, F.p, 2 * F.p):
         for _ in range(3):
@@ -204,6 +206,55 @@ def test_torus_pairs_collapse(F):
             if d > 1:  # one root moved off the torus: nothing matches
                 h = g * Poly.from_values(F, (F.neg(F.add(b, 1)), 1)) // Poly.from_values(F, (F.neg(b), 1))
                 assert solve_affine_matches(f, h) == oracle_matches(f, h) == []
+
+
+def _refuse_the_scan(monkeypatch):
+    """Make affine_matches raise wherever solve_affine_matches would call it."""
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_affine_matches fell back to the scan")
+
+    monkeypatch.setattr(eg_mod, "affine_matches", refuse)
+
+
+def test_the_solve_never_falls_back_to_the_scan(monkeypatch):
+    """Every monic f up to degree 7 over GF(2), 5 over GF(3), 4 over GF(4)
+    and 3 over GF(5), against its images under (1, 0) and (q - 1, 1): the
+    solve equals the scan with the scan made to raise.  36 of these pairs
+    leave no equation in mu on K (G = 0) with e > 1, the torus kind and
+    others, and every mu in K is then a candidate of the one loop."""
+    pairs = [
+        (f, image(f, lam, mu))
+        for F, top in ((GF(2), 7), (GF(3), 5), (GF(2, 2), 4), (GF(5), 3))
+        for d in range(1, top + 1)
+        for f in monic_polys(F, d)
+        for lam, mu in ((1, 0), (F.q - 1, 1))
+    ]
+    assert len(pairs) == 2224
+    want = [affine_matches(f, g) for f, g in pairs]
+    _refuse_the_scan(monkeypatch)
+    for (f, g), w in zip(pairs, want):
+        assert solve_affine_matches(f, g) == w, (f, g)
+
+
+@pytest.mark.parametrize("field,text", [
+    ("GF(2)", "x^4 + x + 1"),  # e = 3
+    ("GF(3)", "x^3 + 2*x + 1"),  # e = 2
+    ("GF(4)", "x^4 + x + [1,0]"),  # e = 3
+])
+def test_non_torus_collapses_solve_without_the_scan(field, text, monkeypatch):
+    """Off the torus kind with deg f >= q, every equation in mu can vanish
+    on K (G = 0, e > 1): the solve tries every mu in K and, against every
+    affine image, equals the scan and the double loop without calling it."""
+    F = parse_field(field)
+    f = parse_poly(F, text)
+    assert torus_centre(f) is None
+    images = [image(f, lam, mu) for lam in F.units() for mu in F.elements()]
+    want = [oracle_matches(f, g) for g in images]
+    assert want == [affine_matches(f, g) for g in images]
+    _refuse_the_scan(monkeypatch)
+    assert [solve_affine_matches(f, g) for g in images] == want
 
 
 @pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF{F.q}")

@@ -170,6 +170,27 @@ def test_aut_group_contains_rejects():
     assert not desc.contains(LambdaAut(other, 1, 0))
 
 
+def test_aut_group_contains_lists_no_group(monkeypatch):
+    """contains reads membership off the descriptor of G_f(K): with
+    EigengroupDesc.elements made to raise it still decides pairs in the
+    full group of x^64 + x over GF(2^6) (order 4,032) and in the shifts
+    of x^64 + x + 1 (order 64)."""
+    F = GF(2, 6)
+    full = aut_group(parse_poly(F, "x^64 + x"))
+    shifts = aut_group(parse_poly(F, "x^64 + x + 1"))
+    assert (full.eigen_order(), shifts.eigen_order()) == (4032, 64)
+    eg_mod = sys.modules["orecalc.eigengroup"]  # the package re-exports a function by that name
+
+    def refuse(self):
+        raise AssertionError("elements() was called")
+
+    monkeypatch.setattr(eg_mod.EigengroupDesc, "elements", refuse)
+    assert full.contains(LambdaAut(full.algebra, 5, 7, Poly.x(F)))
+    assert shifts.contains(LambdaAut(shifts.algebra, 1, 7, Poly.one(F)))
+    assert not shifts.contains(LambdaAut(shifts.algebra, 5, 0))
+    assert not full.contains(LambdaAut(shifts.algebra, 1, 0))
+
+
 def test_aut_group_describe():
     d = aut_group(Poly(GF(3), (0, 1))).describe()
     assert d["order"] == "infinite"
