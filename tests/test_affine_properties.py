@@ -222,8 +222,8 @@ def test_the_solve_never_falls_back_to_the_scan(monkeypatch):
     """Every monic f up to degree 7 over GF(2), 5 over GF(3), 4 over GF(4)
     and 3 over GF(5), against its images under (1, 0) and (q - 1, 1): the
     solve equals the scan with the scan made to raise.  36 of these pairs
-    leave no equation in mu on K (G = 0) with e > 1, the torus kind and
-    others, and every mu in K is then a candidate of the one loop."""
+    leave no equation in mu on K (G = 0) with e > 1, and every mu in K is
+    then a candidate of the one loop."""
     pairs = [
         (f, image(f, lam, mu))
         for F, top in ((GF(2), 7), (GF(3), 5), (GF(2, 2), 4), (GF(5), 3))
